@@ -12,6 +12,8 @@ for function and must return bit-identical results.
 
 from __future__ import annotations
 
+from .errors import ContractError, InputError
+
 INF = 1 << 30
 BACKEND_NAME = "python"
 
@@ -180,22 +182,23 @@ class _DSU:
         return True
 
 
-def _mask_bits(mask: int) -> list:
+def mask_nodes(mask: int) -> tuple:
+    """Node ids of a bitmask, ascending: the canonical node set."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
+    return tuple(out)
 
 
 def _kruskal_lex(w: int, adj) -> tuple:
     """Lex-smallest spanning tree edge list of induced(w); w connected."""
-    nodes = _mask_bits(w)
+    nodes = mask_nodes(w)
     dsu = _DSU(nodes)
     edges = []
     for u in nodes:
-        for v in _mask_bits(adj[u] & w):
+        for v in mask_nodes(adj[u] & w):
             if v > u and dsu.union(u, v):
                 edges.append((u, v))
     return tuple(edges)
@@ -212,7 +215,8 @@ def steiner_min_tree(n: int, adj, terminals):
     """
     terms = tuple(sorted({int(v) for v in terminals}))
     t = len(terms)
-    assert t >= 1
+    if t < 1:
+        raise InputError("steiner tree needs at least one terminal")
     full = (1 << n) - 1
     reach = _flood(1 << terms[0], full, adj)
     for v in terms:
@@ -223,7 +227,8 @@ def steiner_min_tree(n: int, adj, terminals):
     free = n - t
     if free <= 22 and (1 << free) <= 4 * 3**t:
         return _steiner_sweep(n, adj, terms)
-    assert t <= 16
+    if t > 16:
+        raise InputError(f"steiner subset DP is limited to 16 terminals, got {t}")
     return _steiner_dw(n, adj, terms)
 
 
@@ -319,5 +324,6 @@ def _steiner_dw(n: int, adj, terms):
         else:
             stack.append((aux, v))
             stack.append((s ^ aux, v))
-    assert len(edges) == best, "steiner reconstruction lost or duplicated edges"
+    if len(edges) != best:
+        raise ContractError("steiner reconstruction lost or duplicated edges")
     return (best + 1, tuple(sorted(edges)), "dw")

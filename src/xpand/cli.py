@@ -12,6 +12,7 @@ violations, a verification that found a counterexample), 2 bad input.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -122,12 +123,16 @@ class RunContext:
         self.threads = 1
 
     def load_text(self, path: str) -> str:
+        # the digest covers the file's bytes, as replay checks them
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
+            text = data.decode("utf-8")
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
-        self.inputs[path] = sha256_text(text)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+        self.inputs[path] = hashlib.sha256(data).hexdigest()
         return text
 
     def load_graph(self, path: str) -> Graph:
@@ -360,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads where supported (default: XPAND_THREADS or 1)",
+        help="worker threads where supported (default: XPAND_THREADS, "
+        f"else the CPU count capped at {MAX_THREADS})",
     )
 
     sub = top.add_subparsers(dest="command")

@@ -48,42 +48,40 @@ class ExpansionResult:
         return out
 
 
-def _mask_nodes(mask: int) -> tuple:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+def _min_ratio_cut(g: Graph, mode: str, limit: int, what: str):
+    """(ratio, mask) of the canonical minimizer over 1 <= |S| <= n/2;
+    needs n >= 2."""
+    if g.n > limit:
+        raise LimitError(f"{what} is limited to n <= {limit}, got n={g.n}")
+    sweep = kernels.min_ratio_node_cut if mode == "node" else kernels.min_ratio_edge_cut
+    bnd, size, mask = sweep(g.n, kernels.adjacency_masks(g.adjacency), g.n // 2)
+    return Fraction(bnd, size), mask
 
 
-def _check_exact_size(g: Graph, limit: int) -> None:
+def _expansion_exact(g: Graph, mode: str, limit: int) -> ExpansionResult:
     if g.n < 2:
         raise InputError("expansion needs at least 2 nodes")
-    if g.n > limit:
-        raise LimitError(f"exact expansion is limited to n <= {limit}, got n={g.n}")
+    value, mask = _min_ratio_cut(g, mode, limit, "exact expansion")
+    if value == 0:
+        warnings.warn(f"graph is disconnected, {mode} expansion is 0", stacklevel=3)
+    return ExpansionResult(mode, "exact", value, make_cut(g, kernels.mask_nodes(mask)))
 
 
 def node_expansion_exact(g: Graph, *, limit: int = EXACT_EXPANSION_LIMIT) -> ExpansionResult:
-    _check_exact_size(g, limit)
-    adj = kernels.adjacency_masks(g.adjacency)
-    bnd, size, mask = kernels.min_ratio_node_cut(g.n, adj, g.n // 2)
-    witness = make_cut(g, _mask_nodes(mask))
-    value = Fraction(bnd, size)
-    if value == 0:
-        warnings.warn("graph is disconnected, node expansion is 0", stacklevel=2)
-    return ExpansionResult("node", "exact", value, witness)
+    return _expansion_exact(g, "node", limit)
 
 
 def edge_expansion_exact(g: Graph, *, limit: int = EXACT_EXPANSION_LIMIT) -> ExpansionResult:
-    _check_exact_size(g, limit)
-    adj = kernels.adjacency_masks(g.adjacency)
-    cut, size, mask = kernels.min_ratio_edge_cut(g.n, adj, g.n // 2)
-    witness = make_cut(g, _mask_nodes(mask))
-    value = Fraction(cut, size)
-    if value == 0:
-        warnings.warn("graph is disconnected, edge expansion is 0", stacklevel=2)
-    return ExpansionResult("edge", "exact", value, witness)
+    return _expansion_exact(g, "edge", limit)
+
+
+def _sparse_cut(g: Graph, mode: str, threshold: Fraction, limit: int):
+    if g.n < 2:
+        return None
+    value, mask = _min_ratio_cut(g, mode, limit, "sparse-cut search")
+    if value > threshold:
+        return None
+    return make_cut(g, kernels.mask_nodes(mask))
 
 
 def find_sparse_node_cut(
@@ -91,18 +89,7 @@ def find_sparse_node_cut(
 ):
     """Canonical minimizer S with |boundary(S)| <= alpha*eps*|S| and
     |S| <= floor(n/2), or None when no such set exists."""
-    if g.n < 2:
-        return None
-    if g.n > limit:
-        raise LimitError(f"sparse-cut search is limited to n <= {limit}, got n={g.n}")
-    adj = kernels.adjacency_masks(g.adjacency)
-    found = kernels.min_ratio_node_cut(g.n, adj, g.n // 2)
-    if found is None:
-        return None
-    bnd, size, mask = found
-    if Fraction(bnd, size) > alpha * eps:
-        return None
-    return make_cut(g, _mask_nodes(mask))
+    return _sparse_cut(g, "node", alpha * eps, limit)
 
 
 def find_sparse_edge_cut(
@@ -110,18 +97,7 @@ def find_sparse_edge_cut(
 ):
     """Canonical minimizer S with |edge boundary(S)| <= alpha_e*eps*|S|
     and |S| <= floor(n/2), or None. The winner is always connected."""
-    if g.n < 2:
-        return None
-    if g.n > limit:
-        raise LimitError(f"sparse-cut search is limited to n <= {limit}, got n={g.n}")
-    adj = kernels.adjacency_masks(g.adjacency)
-    found = kernels.min_ratio_edge_cut(g.n, adj, g.n // 2)
-    if found is None:
-        return None
-    cut, size, mask = found
-    if Fraction(cut, size) > alpha_e * eps:
-        return None
-    return make_cut(g, _mask_nodes(mask))
+    return _sparse_cut(g, "edge", alpha_e * eps, limit)
 
 
 def _better_cut(a: Cut, b: Cut, mode: str) -> bool:
@@ -163,7 +139,8 @@ def _heuristic(g: Graph, mode: str, trials: int, seed: int) -> ExpansionResult:
             cut = make_cut(g, order[:length])
             if best is None or _better_cut(cut, best, mode):
                 best = cut
-    assert best is not None
+    if best is None:
+        raise ContractError("heuristic sweep produced no candidate set")
     # first-improvement swaps around the best prefix
     for _ in range(20):
         improved = False
@@ -354,7 +331,8 @@ def _reconstruct_subdiv_witness(h: SubdividedGraph, tables, best, states) -> lis
                 break
         if not found:
             raise ContractError("chain DP reconstruction failed")
-    assert cur_val == 0 and cur_s == 0 and cur_f == 0
+    if cur_val or cur_s or cur_f:
+        raise ContractError("chain DP reconstruction left residual state")
     members = [b for b in h.base_nodes if (bmask >> b) & 1]
     used_inner = 0
     for (pick, (_u, _v, inner)) in zip(picks, h.chains):
@@ -362,7 +340,8 @@ def _reconstruct_subdiv_witness(h: SubdividedGraph, tables, best, states) -> lis
             if (pick >> j) & 1:
                 members.append(inner[j])
                 used_inner += 1
-    assert used_inner == inner_total
+    if used_inner != inner_total:
+        raise ContractError("chain DP reconstruction lost inner nodes")
     return sorted(members)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,6 @@ from .faults import (
 from .generators import SubdividedGraph
 from .graph import Graph, connected_components, induced_subgraph, remove_nodes
 from .pruning import (
-    PruneTrace,
     expansion_lower_bound,
     hypothesis_ok,
     prune,
@@ -123,30 +121,25 @@ def rows_to_jsonl(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def _prune_trial(
-    g: Graph, g_f: Graph, fault_count: int, alpha: Fraction, k: int, limit: int
-):
-    """Prune the faulty graph and grade the outcome against the
-    guaranteed bounds. Returns (h_frac, expansion, certified, trace)."""
-    eps = 1 - Fraction(1, k)
-    trace = prune(g_f, alpha, eps, limit=limit)
-    h_frac = Fraction(trace.h_size, g.n)
-    if trace.h_size >= 2:
-        h_graph = remove_nodes(
-            g, sorted(set(range(g.n)) - set(trace.final_nodes))
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            expansion = node_expansion_exact(h_graph, limit=limit).value
+def _prune_and_grade(g_f: Graph, mode: str, alpha, eps, limit: int):
+    """Prune g_f (prune for node mode, prune2 for edge mode), induce the
+    survivor H from g_f and measure it exactly in the same mode.
+    Returns (trace, expansion of H), the expansion 0 when |H| < 2.
+
+    H with at least 2 nodes is connected, so its measurement never warns
+    of a disconnected graph: its smallest component would have at most
+    |H|/2 nodes and ratio 0 <= alpha*eps, and the loop would have culled
+    it."""
+    if mode == "node":
+        trace = prune(g_f, alpha, eps, limit=limit)
+        measure = node_expansion_exact
     else:
-        expansion = Fraction(0)
-    certified = (
-        hypothesis_ok(g.n, alpha, k, fault_count)
-        and Fraction(trace.h_size) >= size_lower_bound(g.n, alpha, k, fault_count)
-        and trace.h_size >= 2
-        and expansion >= expansion_lower_bound(alpha, k)
-    )
-    return h_frac, expansion, certified, trace
+        trace = prune2(g_f, alpha, eps, limit=limit)
+        measure = edge_expansion_exact
+    if trace.h_size < 2:
+        return trace, Fraction(0)
+    h_graph = induced_subgraph(g_f, g_f.local_ids(trace.final_nodes))
+    return trace, measure(h_graph, limit=limit).value
 
 
 def percolation_point(
@@ -187,8 +180,15 @@ def percolation_point(
         gam = gamma(g_f)
         if prune_params is not None:
             alpha, k = prune_params
-            h_frac, expansion, certified, _trace = _prune_trial(
-                g, g_f, fault_count, alpha, k, limit
+            eps = 1 - Fraction(1, k)
+            trace, expansion = _prune_and_grade(g_f, "node", alpha, eps, limit)
+            h_size = trace.h_size
+            h_frac = Fraction(h_size, g.n)
+            certified = (
+                hypothesis_ok(g.n, alpha, k, fault_count)
+                and h_size >= size_lower_bound(g.n, alpha, k, fault_count)
+                and h_size >= 2
+                and expansion >= expansion_lower_bound(alpha, k)
             )
         else:
             h_frac, expansion, certified = Fraction(0), Fraction(0), False
@@ -287,30 +287,16 @@ def run_resilience_trial(
     seed = seed_base + trial
     t0 = time.monotonic_ns()
     if model == "node":
-        pattern = random_node_faults(g, float(p), seed)
-        g_f = apply_faults(g, pattern)
-        if alpha is None:
-            alpha = node_expansion_exact(g, limit=limit).value
-        trace = prune(g_f, alpha, Fraction(eps), limit=limit)
+        g_f = apply_faults(g, random_node_faults(g, float(p), seed))
+        measure = node_expansion_exact
     else:
-        pattern = edge_survival_pattern(g, float(p), seed)
-        g_f = apply_faults(g, pattern)
-        if alpha is None:
-            alpha = edge_expansion_exact(g, limit=limit).value
-        trace = prune2(g_f, alpha, Fraction(eps), limit=limit)
+        g_f = apply_faults(g, edge_survival_pattern(g, float(p), seed))
+        measure = edge_expansion_exact
+    if alpha is None:
+        alpha = measure(g, limit=limit).value
+    trace, expansion = _prune_and_grade(g_f, model, alpha, Fraction(eps), limit)
     gam = gamma(g_f)
     h_frac = Fraction(trace.h_size, g.n)
-    if trace.h_size >= 2:
-        final = set(trace.final_nodes)
-        # trace reports root ids; map back to g_f-local ids to induce H
-        local = [
-            i for i in range(g_f.n) if g_f.original_ids([i])[0] in final
-        ]
-        h_graph = induced_subgraph(g_f, local)
-        measure = node_expansion_exact if model == "node" else edge_expansion_exact
-        expansion = measure(h_graph, limit=limit).value
-    else:
-        expansion = Fraction(0)
     certified = (
         2 * trace.h_size >= g.n
         and trace.h_size >= 2
@@ -404,15 +390,11 @@ def adversary_exhaustive(
     for faults in combinations(range(g.n), f):
         iterations += 1
         g_f = remove_nodes(g, faults)
-        trace = prune(g_f, alpha, eps, limit=limit)
+        trace, h_exp = _prune_and_grade(g_f, "node", alpha, eps, limit)
         if Fraction(trace.h_size) < size_bound:
             raise ContractError(
                 f"faults {faults}: |H| = {trace.h_size} below bound {size_bound}"
             )
-        h_graph = remove_nodes(g, sorted(set(range(g.n)) - set(trace.final_nodes)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            h_exp = node_expansion_exact(h_graph, limit=limit).value
         if h_exp < exp_bound:
             raise ContractError(
                 f"faults {faults}: expansion {h_exp} below bound {exp_bound}"

@@ -119,6 +119,13 @@ class Graph:
             return canon_nodes(self, nodes)
         return tuple(sorted(self._node_map[v] for v in canon_nodes(self, nodes)))
 
+    def local_ids(self, roots: Iterable[int]) -> tuple:
+        """Inverse of original_ids: root-graph ids back to local ids."""
+        if self._node_map is None:
+            return canon_nodes(self, roots)
+        index = {r: v for v, r in enumerate(self._node_map)}
+        return tuple(sorted(index[r] for r in roots))
+
     def _check_node(self, v: int) -> None:
         if not 0 <= v < len(self._adj):
             raise InputError(f"node id {v} out of range for n={len(self._adj)}")
@@ -192,21 +199,25 @@ def make_cut(g: Graph, s: Iterable[int]) -> Cut:
     )
 
 
-def connected_components(g: Graph) -> list:
-    """Components as canonical tuples, largest first, ties by smallest id."""
-    seen = [False] * g.n
+def connected_components(g: Graph, nodes: Iterable[int] | None = None) -> list:
+    """Components of g, or of the subgraph induced by nodes, as
+    canonical tuples, largest first, ties by smallest id."""
+    order = range(g.n) if nodes is None else canon_nodes(g, nodes)
+    todo = bytearray(g.n)
+    for v in order:
+        todo[v] = 1
     comps = []
-    for start in range(g.n):
-        if seen[start]:
+    for start in order:
+        if not todo[start]:
             continue
-        seen[start] = True
+        todo[start] = 0
         comp = [start]
         stack = [start]
         while stack:
             v = stack.pop()
             for u in g.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
+                if todo[u]:
+                    todo[u] = 0
                     comp.append(u)
                     stack.append(u)
         comps.append(tuple(sorted(comp)))
@@ -222,19 +233,7 @@ def is_connected(g: Graph) -> bool:
 
 def is_connected_subset(g: Graph, nodes: Iterable[int]) -> bool:
     """True iff the subgraph induced by nodes is connected (and nonempty)."""
-    s_t = canon_nodes(g, nodes)
-    if not s_t:
-        return False
-    s_set = set(s_t)
-    seen = {s_t[0]}
-    stack = [s_t[0]]
-    while stack:
-        v = stack.pop()
-        for u in g.adjacency[v]:
-            if u in s_set and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(s_set)
+    return len(connected_components(g, nodes)) == 1
 
 
 def is_compact(g: Graph, u: Iterable[int]) -> bool:

@@ -51,6 +51,9 @@ def adjacency_masks(adjacency) -> list:
     return _py.adjacency_masks(adjacency)
 
 
+mask_nodes = _py.mask_nodes
+
+
 def mask_connected(mask: int, adj, *, n: int = _CY_MAX_N) -> bool:
     return _impl(n).mask_connected(mask, adj)
 

@@ -15,16 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, LimitError
 from .expansion import (
     EXACT_EXPANSION_LIMIT,
+    edge_expansion_heuristic,
     find_sparse_edge_cut,
     find_sparse_node_cut,
+    node_expansion_exact,
+    node_expansion_heuristic,
 )
 from .graph import (
     Graph,
     canon_nodes,
+    connected_components,
     edge_boundary,
+    induced_subgraph,
     is_compact,
     is_connected,
     is_connected_subset,
@@ -95,40 +100,27 @@ def _validate_params(alpha: Fraction, eps: Fraction) -> None:
         raise InputError("eps must lie strictly between 0 and 1")
 
 
-def _root_to_local(g: Graph) -> dict:
-    if g.node_map is None:
-        return {v: v for v in range(g.n)}
-    return {r: v for v, r in enumerate(g.node_map)}
+def _boundary_size(g: Graph, s, mode: str) -> int:
+    """|node boundary| or |edge boundary| of s in g, by mode."""
+    if mode == "node":
+        return len(node_boundary(g, s))
+    return len(edge_boundary(g, s))
 
 
-def _components_within(g: Graph, nodes) -> list:
-    """Connected components of induced(nodes), in g-local ids,
-    largest first then smallest id."""
-    todo = set(nodes)
-    comps = []
-    while todo:
-        start = min(todo)
-        todo.discard(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.adjacency[v]:
-                if u in todo:
-                    todo.discard(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return comps
+def _prefix_row(g_f: Graph, mode: str, union_root, bnd_sum: int) -> tuple:
+    """(union_boundary, boundary_sum, union_size) of the sets culled so
+    far, their union measured in the faulty graph g_f."""
+    union_local = g_f.local_ids(union_root)
+    return _boundary_size(g_f, union_local, mode), bnd_sum, len(union_local)
 
 
 def _compact_cull(g: Graph, s: tuple) -> tuple:
     """Turn a connected set with 2|s| <= n into a compact one whose
     edge ratio is no worse; see compactify for the three cases."""
-    assert 2 * len(s) <= g.n
+    if 2 * len(s) > g.n:
+        raise ContractError("compact cull needs 2|s| <= n")
     rest = sorted(set(range(g.n)) - set(s))
-    comps = _components_within(g, rest)
+    comps = connected_components(g, rest)
     if len(comps) == 1:
         return s
     big = [c for c in comps if 2 * len(c) >= g.n]
@@ -173,18 +165,12 @@ def _heuristic_cut(cur: Graph, mode: str, threshold: Fraction, index: int):
     """Propose a cull set without the exact sweep: take the heuristic
     expansion witness and accept it only if it meets the loop condition.
     Misses cuts the exact finder would see, hence certified=False."""
-    from .expansion import edge_expansion_heuristic, node_expansion_heuristic
-
     fn = node_expansion_heuristic if mode == "node" else edge_expansion_heuristic
     wit = fn(cur, trials=8, seed=index).witness
     s = () if wit is None else wit.set
     if not s or 2 * len(s) > cur.n:
         return None
-    if mode == "node":
-        bnd = len(node_boundary(cur, s))
-    else:
-        bnd = len(edge_boundary(cur, s))
-    if Fraction(bnd, len(s)) <= threshold:
+    if Fraction(_boundary_size(cur, s, mode), len(s)) <= threshold:
         return tuple(s)
     return None
 
@@ -200,7 +186,7 @@ def _prune_loop(
     _validate_params(alpha, eps)
     if method not in ("exact", "heuristic"):
         raise InputError(f"unknown prune method {method!r}")
-    to_local = _root_to_local(g_f)
+    find_sparse_cut = find_sparse_node_cut if mode == "node" else find_sparse_edge_cut
     cur = g_f
     steps = []
     checks = []
@@ -210,31 +196,24 @@ def _prune_loop(
     while True:
         if method == "heuristic":
             raw_local = _heuristic_cut(cur, mode, threshold, len(steps))
-        elif mode == "node":
-            found = find_sparse_node_cut(cur, alpha, eps, limit=limit)
-            raw_local = None if found is None else found.set
         else:
-            found = find_sparse_edge_cut(cur, alpha, eps, limit=limit)
+            found = find_sparse_cut(cur, alpha, eps, limit=limit)
             raw_local = None if found is None else found.set
         if raw_local is None:
             break
         compact_flag = None
-        if mode == "node":
-            cull_local = raw_local
-            bnd = len(node_boundary(cur, cull_local))
-        else:
-            if is_connected(cur) and is_connected_subset(cur, raw_local):
-                cull_local = _compact_cull(cur, raw_local)
-                compact_flag = is_compact(cur, cull_local)
-                if not compact_flag:
-                    raise ContractError("edge prune culled a non-compact set")
-            else:
-                # no compactness guarantee across components; cull as found
-                cull_local = raw_local
-            bnd = len(edge_boundary(cur, cull_local))
-            if Fraction(bnd, len(cull_local)) > threshold:
-                raise ContractError("compactified set exceeded the cull threshold")
+        cull_local = raw_local
+        # edge mode compactifies; across components there is no
+        # compactness guarantee, so the set is culled as found
+        if mode == "edge" and is_connected(cur) and is_connected_subset(cur, raw_local):
+            cull_local = _compact_cull(cur, raw_local)
+            compact_flag = is_compact(cur, cull_local)
+            if not compact_flag:
+                raise ContractError("edge prune culled a non-compact set")
+        bnd = _boundary_size(cur, cull_local, mode)
         ratio = Fraction(bnd, len(cull_local))
+        if ratio > threshold:
+            raise ContractError("culled set exceeded the cull threshold")
         nodes_root = cur.original_ids(cull_local)
         raw_root = cur.original_ids(raw_local)
         steps.append(
@@ -250,15 +229,12 @@ def _prune_loop(
         )
         union_root.extend(nodes_root)
         bnd_sum += bnd
-        union_local = sorted(to_local[r] for r in union_root)
-        if mode == "node":
-            union_bnd = len(node_boundary(g_f, union_local))
-        else:
-            union_bnd = len(edge_boundary(g_f, union_local))
-        checks.append((union_bnd, bnd_sum, len(union_local)))
+        row = _prefix_row(g_f, mode, union_root, bnd_sum)
+        checks.append(row)
+        union_bnd, _, union_size = row
         if union_bnd > bnd_sum:
             raise ContractError("union boundary exceeded the per-step boundary sum")
-        if bnd_sum > threshold * len(union_local):
+        if bnd_sum > threshold * union_size:
             raise ContractError("boundary sum exceeded alpha*eps times the culled size")
         cur = remove_nodes(cur, cull_local)
     return PruneTrace(
@@ -311,7 +287,6 @@ def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
     """Recompute the prefix invariant of a trace from scratch against
     the faulty graph it was produced on. Returns one dict per prefix;
     every 'ok' must be True for a trace produced by prune or prune2."""
-    to_local = _root_to_local(g_f)
     out = []
     union_root: list = []
     bnd_sum = 0
@@ -319,18 +294,14 @@ def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
     for step in trace.steps:
         union_root.extend(step.nodes)
         bnd_sum += step.boundary_size
-        union_local = sorted(to_local[r] for r in union_root)
-        if trace.mode == "node":
-            union_bnd = len(node_boundary(g_f, union_local))
-        else:
-            union_bnd = len(edge_boundary(g_f, union_local))
-        ok = union_bnd <= bnd_sum and Fraction(bnd_sum) <= threshold * len(union_local)
+        union_bnd, _, union_size = _prefix_row(g_f, trace.mode, union_root, bnd_sum)
+        ok = union_bnd <= bnd_sum and Fraction(bnd_sum) <= threshold * union_size
         out.append(
             {
                 "prefix": step.index + 1,
                 "union_boundary": union_bnd,
                 "boundary_sum": bnd_sum,
-                "union_size": len(union_local),
+                "union_size": union_size,
                 "ok": ok,
             }
         )
@@ -402,9 +373,6 @@ def shatter_uniform(
     min node-ratio set of the largest component is picked and its
     boundary failed.
     """
-    from . import kernels
-    from .graph import induced_subgraph
-
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise InputError("eps must lie in (0, 1]")
@@ -413,29 +381,19 @@ def shatter_uniform(
     if eps * g.n < 1:
         raise InputError("eps*n below 1 would demand empty components")
     if g.n > limit:
-        from .errors import LimitError
-
         raise LimitError(f"shatter is limited to n <= {limit}, got n={g.n}")
     target = eps * g.n
     cur = g
     steps = []
     failed_root: list = []
     while True:
-        comps = _components_within(cur, range(cur.n)) if cur.n else []
+        comps = connected_components(cur)
         if not comps or len(comps[0]) <= target:
             break
         sub = induced_subgraph(cur, comps[0])
-        adj = kernels.adjacency_masks(sub.adjacency)
-        bnd, size, mask = kernels.min_ratio_node_cut(sub.n, adj, sub.n // 2)
-        picked_sub = []
-        m = mask
-        while m:
-            low = m & -m
-            picked_sub.append(low.bit_length() - 1)
-            m ^= low
-        removed_sub = node_boundary(sub, picked_sub)
-        picked_root = sub.original_ids(picked_sub)
-        removed_root = sub.original_ids(removed_sub)
+        witness = node_expansion_exact(sub, limit=limit).witness
+        picked_root = sub.original_ids(witness.set)
+        removed_root = sub.original_ids(witness.node_boundary)
         steps.append(
             ShatterStep(
                 index=len(steps),
@@ -445,11 +403,8 @@ def shatter_uniform(
             )
         )
         failed_root.extend(removed_root)
-        to_local = _root_to_local(cur)
-        cur = remove_nodes(cur, sorted(to_local[r] for r in removed_root))
-    final_comps = tuple(
-        cur.original_ids(c) for c in _components_within(cur, range(cur.n))
-    )
+        cur = remove_nodes(cur, cur.local_ids(removed_root))
+    final_comps = tuple(cur.original_ids(c) for c in connected_components(cur))
     return ShatterResult(
         eps=eps,
         n=g.n,

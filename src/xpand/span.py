@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .errors import InputError, LimitError, NoSteinerTreeError, SamplingError
+from .errors import (
+    ContractError,
+    InputError,
+    LimitError,
+    NoSteinerTreeError,
+    SamplingError,
+)
 from .faults import make_rng, rand_below
 from .generators import mesh_coords, mesh_index
 from .graph import Graph, canon_nodes, is_compact, is_connected, node_boundary
@@ -77,16 +83,7 @@ def enumerate_compact_sets(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT):
     if g.n > limit:
         raise LimitError(f"compact enumeration is limited to n <= {limit}, got n={g.n}")
     adj = kernels.adjacency_masks(g.adjacency)
-    out = []
-    for mask in kernels.compact_masks(g.n, adj):
-        nodes = []
-        m = mask
-        while m:
-            low = m & -m
-            nodes.append(low.bit_length() - 1)
-            m ^= low
-        out.append(tuple(nodes))
-    return out
+    return [kernels.mask_nodes(mask) for mask in kernels.compact_masks(g.n, adj)]
 
 
 def _greedy_connector_size(g: Graph, terms: tuple) -> int:
@@ -137,12 +134,7 @@ def span_exact(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT) -> SpanReport:
     considered = 0
     skipped = 0
     for mask in kernels.compact_masks(g.n, adj):
-        nodes = []
-        m = mask
-        while m:
-            low = m & -m
-            nodes.append(low.bit_length() - 1)
-            m ^= low
+        nodes = kernels.mask_nodes(mask)
         bnd = node_boundary(g, nodes)
         t = len(bnd)
         if best is not None and Fraction(g.n, t) <= best[0]:
@@ -152,13 +144,15 @@ def span_exact(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT) -> SpanReport:
             skipped += 1
             continue
         res = kernels.steiner_min_tree(g.n, adj, bnd)
-        assert res is not None  # boundary of a compact set in a connected graph
+        if res is None:
+            raise ContractError("boundary of a compact set spans several components")
         count = res[0]
         considered += 1
         ratio = Fraction(count, t)
         if best is None or ratio > best[0]:
-            best = (ratio, tuple(nodes), bnd, tuple(res[1]), count)
-    assert best is not None  # connected n >= 2 has a compact singleton
+            best = (ratio, nodes, bnd, tuple(res[1]), count)
+    if best is None:
+        raise ContractError("connected graph with n >= 2 has no compact set")
     return SpanReport(
         method="exact",
         value=best[0],
@@ -224,7 +218,8 @@ def span_sampled(
             skipped += 1
             continue
         res = kernels.steiner_min_tree(g.n, adj, bnd)
-        assert res is not None
+        if res is None:
+            raise ContractError("boundary of a compact set spans several components")
         considered += 1
         ratio = Fraction(res[0], len(bnd))
         if best is None or ratio > best[0]:
@@ -354,16 +349,11 @@ def verify_mesh_span_certificate(
             )
         adj = kernels.adjacency_masks(g.adjacency)
         for mask in kernels.compact_masks(g.n, adj):
-            nodes = []
-            m = mask
-            while m:
-                low = m & -m
-                nodes.append(low.bit_length() - 1)
-                m ^= low
-            ok, ratio = _certify_one(g, dims, tuple(nodes))
+            nodes = kernels.mask_nodes(mask)
+            ok, ratio = _certify_one(g, dims, nodes)
             checked += 1
             if not ok:
-                failures.append(tuple(nodes))
+                failures.append(nodes)
             elif ratio > max_ratio:
                 max_ratio = ratio
     else:

@@ -1,7 +1,10 @@
 """Shared test plumbing: the acceptance-criteria scoreboard printed at
-the end of the run, one line per criterion."""
+the end of the run, one line per criterion, and the environment for
+child Python processes."""
 
-import pytest
+import os
+
+import xpand
 
 _RESULTS: dict = {}
 
@@ -43,8 +46,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
-@pytest.fixture(scope="session")
-def backend_name():
-    from xpand import kernels
-
-    return kernels.BACKEND
+def subprocess_env(**extra) -> dict:
+    """os.environ plus extra, with PYTHONPATH leading to the xpand under
+    test, so child processes import it whether or not it is installed."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(xpand.__file__)))
+    rest = os.environ.get("PYTHONPATH")
+    path = root + os.pathsep + rest if rest else root
+    return dict(os.environ, PYTHONPATH=path, **extra)

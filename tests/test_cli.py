@@ -1,11 +1,13 @@
 """Command line interface: subcommands, exit codes, manifests, replay."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from conftest import subprocess_env
 from xpand.cli import main
 from xpand.generators import mesh
 from xpand.graph import load_file
@@ -344,6 +346,25 @@ def test_replay_reproduces_outputs(workdir, capsys):
     assert not (workdir / "rows.csv.replay").exists()
 
 
+def test_replay_of_crlf_input(workdir, capsys):
+    data = b"3 2\r\n0 1\r\n1 2\r\n"
+    (workdir / "p3.gr").write_bytes(data)
+    rc, _, _ = run(["expansion", "p3.gr", "-o", "e.json"], capsys)
+    assert rc == 0
+    manifest = json.loads((workdir / "e.json.manifest.json").read_text())
+    assert manifest["inputs"]["p3.gr"] == hashlib.sha256(data).hexdigest()
+    rc, out, _ = run(["--replay", "e.json.manifest.json"], capsys)
+    assert rc == 0
+    assert "byte for byte" in out
+
+
+def test_non_utf8_input_is_an_input_error(workdir, capsys):
+    (workdir / "bad.gr").write_bytes(b"2 1\n0 1 \xff\n")
+    rc, _, err = run(["expansion", "bad.gr"], capsys)
+    assert rc == 2
+    assert "not UTF-8" in err
+
+
 def test_replay_detects_tampered_input(workdir, capsys):
     run(["gen", "--family", "cycle", "--n", "12", "-o", "c.gr"], capsys)
     run(
@@ -413,6 +434,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "xpand", "--version"],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert out.returncode == 0
     assert out.stdout.strip()

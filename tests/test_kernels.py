@@ -1,16 +1,17 @@
 """Backend equivalence: the compiled kernels and the pure-Python
 fallback must produce identical results on identical inputs."""
 
-import os
 import subprocess
 import sys
 
 import pytest
 
-from xpand import kernels
+from xpand import _kernels_py, kernels
+from xpand.errors import InputError
 from xpand.generators import cycle, mesh
 from xpand.graph import Graph
 
+from conftest import subprocess_env
 from oracles import random_connected_graph, steiner_node_count_nx
 
 
@@ -86,6 +87,12 @@ def test_steiner_agrees_and_matches_oracle():
         assert len(a[1]) == max(a[0] - 1, 0)
 
 
+def test_steiner_without_terminals_is_an_input_error():
+    adj = _kernels_py.adjacency_masks(((1,), (0, 2), (1,)))
+    with pytest.raises(InputError):
+        _kernels_py.steiner_min_tree(3, adj, ())
+
+
 def test_connected_masks_cap_returns_none():
     py, cy = _both_backends()
     g = mesh([3, 3])
@@ -114,9 +121,11 @@ def test_pure_python_env_switch():
         "r = node_expansion_exact(mesh([3, 3]))\n"
         "print(r.value, r.witness)\n"
     )
-    env = dict(os.environ, XPAND_PURE_PYTHON="1")
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(XPAND_PURE_PYTHON="1"),
     )
     assert out.returncode == 0, out.stderr
     from xpand.expansion import node_expansion_exact
