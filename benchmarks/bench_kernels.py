@@ -1,6 +1,7 @@
-"""Times the compiled kernels against the pure Python reference on the
-same inputs and prints the speedups. Both backends must agree exactly;
-this script asserts that while it measures.
+"""Times the compiled kernels against the fallback backend (numpy ratio
+sweeps, pure Python elsewhere; the `python` column) on the same inputs
+and prints the speedups. Both backends must agree exactly; this script
+asserts that while it measures.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 20] [--degree 4]
        [--repeat 3] [--seed 0]

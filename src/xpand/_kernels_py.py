@@ -12,10 +12,18 @@ for function and must return bit-identical results.
 
 from __future__ import annotations
 
-from .errors import ContractError, InputError
+from math import comb
+
+import numpy as np
+
+from .errors import ContractError, InputError, LimitError
 
 INF = 1 << 30
 BACKEND_NAME = "python"
+# the low bits of a mask that one vectorized step scores together
+_CHUNK_BITS = 12
+# masks are numpy uint64 inside the sweeps
+_MAX_MASK_BITS = 63
 
 
 def adjacency_masks(adjacency) -> list:
@@ -64,6 +72,72 @@ def _better(b1: int, s1: int, m1: int, b2: int, s2: int, m2: int) -> bool:
     return bool(m1 & diff & -diff)
 
 
+def _low_halves(n: int):
+    """Chunk split of an n-bit sweep: the low width c, the 2^c low halves
+    in scan order, and where each size class starts in that order.
+
+    Scan order is ascending size, then lex-ascending within a size
+    (descending bit-reversed mask), so the first of several tied low
+    halves in a size class is the canonical one.
+    """
+    if n > _MAX_MASK_BITS:
+        raise LimitError(f"subset sweeps are limited to n <= {_MAX_MASK_BITS}, got n={n}")
+    c = min(n, _CHUNK_BITS)
+    # key = size * 2^c - (bit-reversed mask) < 2^16, by the doubling
+    # recurrence; a stable uint16 argsort keeps the set of numpy code
+    # paths, and so the resident code pages, small
+    key = np.zeros(1 << c, dtype=np.uint16)
+    for i in range(c):
+        np.add(key[: 1 << i], (1 << c) - (1 << (c - 1 - i)), out=key[1 << i : 2 << i])
+    order = np.argsort(key, kind="stable")
+    starts = [0]
+    for s in range(c + 1):
+        starts.append(starts[-1] + comb(c, s))
+    return c, order, starts
+
+
+def _sweep(n: int, max_size: int, c: int, order, starts, score):
+    """Canonical (value, size, mask) minimizing value / size over
+    1 <= size <= max_size, or None.
+
+    A mask is high | low with low the c low bits. The high halves are
+    walked in Gray-code order, so each differs from the previous one in
+    the single bit flip (0 at the first). score(high, flip, end) returns
+    (values, offset): values[k] + offset is the value of high | order[k]
+    for every k < end, and end covers exactly the low halves that keep
+    the size within max_size.
+    """
+    best = None
+    for step in range(1 << (n - c)):
+        high = (step ^ (step >> 1)) << c
+        flip = (step & -step) << c
+        hs = high.bit_count()
+        top = min(max_size - hs, c)
+        values, offset = score(high, flip, starts[top + 1] if top >= 0 else 0)
+        if top < 0:
+            continue
+        # per size class the smallest value; the empty set is skipped
+        mins = np.minimum.reduceat(values, starts[: top + 1]).tolist()
+        cb = cs = None
+        for j in range(1 if hs == 0 else 0, top + 1):
+            b, s = mins[j] + offset, j + hs
+            if cb is None or b * cs < cb * s:
+                cb, cs = b, s
+        if cb is None:
+            continue
+        if best is not None:
+            lhs, rhs = cb * best[1], best[0] * cs
+            if lhs > rhs or (lhs == rhs and cs > best[1]):
+                continue
+        # the first minimum of the size class is its lex-smallest set
+        g0 = starts[cs - hs]
+        k = g0 + int(np.argmin(values[g0 : starts[cs - hs + 1]]))
+        mask = high | int(order[k])
+        if best is None or _better(cb, cs, mask, best[0], best[1], best[2]):
+            best = (cb, cs, mask)
+    return best
+
+
 def min_ratio_node_cut(n: int, adj, max_size: int):
     """Minimize |outer node boundary| / |S| over 1 <= |S| <= max_size.
 
@@ -72,47 +146,70 @@ def min_ratio_node_cut(n: int, adj, max_size: int):
     """
     if n < 1 or max_size < 1:
         return None
-    best = None
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if size > max_size:
-            continue
-        nbr = 0
-        m = mask
-        while m:
-            low = m & -m
-            nbr |= adj[low.bit_length() - 1]
-            m ^= low
-        bnd = (nbr & ~mask).bit_count()
-        if best is None or _better(bnd, size, mask, best[0], best[1], best[2]):
-            best = (bnd, size, mask)
-    return best
+    c, order, starts = _low_halves(n)
+    full = (1 << n) - 1
+    nbr = np.zeros(1 << c, dtype=np.uint64)
+    outside = np.full(1 << c, full, dtype=np.uint64)
+    for i in range(c):
+        half = slice(1 << i, 2 << i)
+        np.bitwise_or(nbr[: 1 << i], np.uint64(adj[i]), out=nbr[half])
+        np.bitwise_and(outside[: 1 << i], np.uint64(full ^ (1 << i)), out=outside[half])
+    nbr = nbr[order]
+    outside = outside[order]
+    buf = np.empty(1 << c, dtype=np.uint64)
+
+    def score(high, _flip, end):
+        h = 0
+        for v in mask_nodes(high):
+            h |= adj[v]
+        t = buf[:end]
+        np.bitwise_or(nbr[:end], np.uint64(h), out=t)
+        np.bitwise_and(t, outside[:end], out=t)
+        np.bitwise_and(t, np.uint64(full ^ high), out=t)
+        return np.bitwise_count(t), 0
+
+    return _sweep(n, max_size, c, order, starts, score)
 
 
 def min_ratio_edge_cut(n: int, adj, max_size: int):
     """Minimize |edge boundary| / |S| over 1 <= |S| <= max_size.
 
-    Sweeps all subsets. The canonical winner is always connected: any
-    disconnected S has a component with ratio <= ratio(S) and smaller
-    size, so it loses the (ratio, size) tie-break.
+    Sweeps all subsets; adj must be symmetric. The canonical winner is
+    always connected: any disconnected S has a component with ratio <=
+    ratio(S) and smaller size, so it loses the (ratio, size) tie-break.
     Returns (cut_size, set_size, set_mask) or None.
     """
     if n < 1 or max_size < 1:
         return None
-    best = None
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if size > max_size:
-            continue
-        cut = 0
-        m = mask
-        while m:
-            low = m & -m
-            cut += (adj[low.bit_length() - 1] & ~mask).bit_count()
-            m ^= low
-        if best is None or _better(cut, size, mask, best[0], best[1], best[2]):
-            best = (cut, size, mask)
-    return best
+    c, order, starts = _low_halves(n)
+    low = np.arange(1 << c, dtype=np.uint64)
+    # cut[S | 1<<i] = cut[S] + deg(i) - 2 |adj(i) & S|, cuts taken in all of G
+    cut = np.zeros(1 << c, dtype=np.int32)
+    for i in range(c):
+        inner = np.bitwise_count(low[: 1 << i] & np.uint64(adj[i]))
+        np.subtract(cut[: 1 << i] + adj[i].bit_count(), 2 * inner, out=cut[1 << i : 2 << i])
+    # values[k] = cut(low) - 2 |edges(low, high)| for the current high half
+    values = cut[order]
+    low = low[order]
+    cross = [
+        2 * np.bitwise_count(low & np.uint64(adj[v])).astype(np.int32) for v in range(c, n)
+    ]
+    cut_high = 0
+
+    def score(high, flip, end):
+        nonlocal cut_high
+        if flip:
+            v = flip.bit_length() - 1
+            d = adj[v].bit_count() - 2 * (adj[v] & high & ~flip).bit_count()
+            if high & flip:
+                cut_high += d
+                np.subtract(values, cross[v - c], out=values)
+            else:
+                cut_high -= d
+                np.add(values, cross[v - c], out=values)
+        return values[:end], cut_high
+
+    return _sweep(n, max_size, c, order, starts, score)
 
 
 def compact_masks(n: int, adj) -> list:

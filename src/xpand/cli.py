@@ -301,10 +301,12 @@ def cmd_percolate(args, ctx: RunContext) -> int:
     ps = parse_p_grid(args.p_grid)
     prune_params = None
     if args.prune:
-        alpha = node_expansion_exact(g).value
+        # flags first: the exact alpha below is a full subset sweep
+        if args.model != "node":
+            raise InputError("pruning is defined for the node fault model only")
         if args.k < 2:
             raise InputError("--k must be at least 2")
-        prune_params = (alpha, args.k)
+        prune_params = (node_expansion_exact(g).value, args.k)
     rows, points = run_percolation_sweep(
         g,
         args.model,
@@ -562,10 +564,15 @@ def _execute(argv, *, replaying=False, redirect=None):
                 if key not in ("func", "command", "replay", "manifest")
                 and val is not None
             }
+            # the run's directory as seen from the manifest, for replay
+            run_dir = os.path.relpath(
+                os.getcwd(), os.path.dirname(os.path.abspath(manifest_path))
+            )
             doc = build_manifest(
                 version=__version__,
                 backend=kernels.BACKEND,
                 threads=ctx.threads,
+                cwd=run_dir,
                 argv=list(argv),
                 params=params,
                 inputs=ctx.inputs,
@@ -579,6 +586,23 @@ def _execute(argv, *, replaying=False, redirect=None):
 
 def _replay(manifest_path: str) -> int:
     data = load_manifest(manifest_path)
+    # recorded paths are relative to the directory the run started in; a
+    # manifest without "cwd" replays against the current one
+    start = os.getcwd()
+    run_dir = start
+    if "cwd" in data:
+        run_dir = os.path.join(os.path.dirname(manifest_path), data["cwd"])
+    try:
+        os.chdir(run_dir)
+    except OSError as exc:
+        raise InputError(f"cannot enter recorded directory {run_dir}: {exc}") from None
+    try:
+        return _replay_here(data)
+    finally:
+        os.chdir(start)
+
+
+def _replay_here(data: dict) -> int:
     for ipath, want in sorted(data["inputs"].items()):
         if not os.path.exists(ipath):
             raise InputError(f"recorded input {ipath} is missing")

@@ -1,10 +1,11 @@
 """Backend selection for the bitmask kernels.
 
 The compiled extension (xpand._kernels_cy) is used when it imported
-cleanly and the instance fits in 63-bit masks; otherwise the pure
-Python reference takes over. XPAND_PURE_PYTHON=1 forces the fallback.
-Both backends return bit-identical results, the compiled one is just
-faster, so callers never need to care which one ran.
+cleanly and the instance fits in 63-bit masks; otherwise the fallback
+(xpand._kernels_py: vectorized numpy ratio sweeps, pure Python for the
+rest) takes over. XPAND_PURE_PYTHON=1 forces the fallback. Both
+backends return bit-identical results, so callers never need to care
+which one ran.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
-"""Run manifests: every file-producing run records its argv, resolved
-parameters, input digests and output digests as canonical JSON, so any
-result can be replayed and checked byte for byte."""
+"""Run manifests: every file-producing run records its working
+directory, argv, resolved parameters, input digests and output digests
+as canonical JSON, so any result can be replayed and checked byte for
+byte."""
 
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ def build_manifest(
     version: str,
     backend: str,
     threads: int,
+    cwd: str,
     argv: list,
     params: dict,
     inputs: dict,
@@ -44,6 +46,7 @@ def build_manifest(
         "version": version,
         "backend": backend,
         "threads": threads,
+        "cwd": cwd,
         "argv": list(argv),
         "params": params,
         "inputs": dict(inputs),

@@ -1,5 +1,9 @@
 """Independent oracles built on networkx and brute force, used to check
-the package's exact machinery through a second code path."""
+the package's exact machinery through a second code path.
+
+`min_ratio_node_cut` and `min_ratio_edge_cut` are the per-mask loops the
+ratio sweeps were first written as; they stay here as the from-scratch
+reference for the vectorized kernels."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -105,3 +109,68 @@ def random_connected_subset(g: Graph, seed: int, size_cap: int) -> tuple:
             if w not in chosen:
                 frontier.append(w)
     return tuple(sorted(chosen))
+
+
+def _better(b1: int, s1: int, m1: int, b2: int, s2: int, m2: int) -> bool:
+    """True iff cut (b1, s1, m1) beats (b2, s2, m2)."""
+    lhs = b1 * s2
+    rhs = b2 * s1
+    if lhs != rhs:
+        return lhs < rhs
+    if s1 != s2:
+        return s1 < s2
+    if m1 == m2:
+        return False
+    diff = m1 ^ m2
+    return bool(m1 & diff & -diff)
+
+
+def min_ratio_node_cut(n: int, adj, max_size: int):
+    """Minimize |outer node boundary| / |S| over 1 <= |S| <= max_size.
+
+    Full sweep over all subsets; node-boundary minimizers need not be
+    connected. Returns (boundary_size, set_size, set_mask) or None.
+    """
+    if n < 1 or max_size < 1:
+        return None
+    best = None
+    for mask in range(1, 1 << n):
+        size = mask.bit_count()
+        if size > max_size:
+            continue
+        nbr = 0
+        m = mask
+        while m:
+            low = m & -m
+            nbr |= adj[low.bit_length() - 1]
+            m ^= low
+        bnd = (nbr & ~mask).bit_count()
+        if best is None or _better(bnd, size, mask, best[0], best[1], best[2]):
+            best = (bnd, size, mask)
+    return best
+
+
+def min_ratio_edge_cut(n: int, adj, max_size: int):
+    """Minimize |edge boundary| / |S| over 1 <= |S| <= max_size.
+
+    Sweeps all subsets. The canonical winner is always connected: any
+    disconnected S has a component with ratio <= ratio(S) and smaller
+    size, so it loses the (ratio, size) tie-break.
+    Returns (cut_size, set_size, set_mask) or None.
+    """
+    if n < 1 or max_size < 1:
+        return None
+    best = None
+    for mask in range(1, 1 << n):
+        size = mask.bit_count()
+        if size > max_size:
+            continue
+        cut = 0
+        m = mask
+        while m:
+            low = m & -m
+            cut += (adj[low.bit_length() - 1] & ~mask).bit_count()
+            m ^= low
+        if best is None or _better(cut, size, mask, best[0], best[1], best[2]):
+            best = (cut, size, mask)
+    return best

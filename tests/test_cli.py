@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from conftest import subprocess_env
+from xpand import kernels
 from xpand.cli import main
 from xpand.generators import mesh
 from xpand.graph import load_file
@@ -306,6 +308,31 @@ def test_percolate_with_pruning(workdir, capsys):
     assert any(row.split(",")[6] == "true" for row in rows)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--model", "node", "--k", "1"], "--k must be at least 2"),
+        (["--model", "edge", "--k", "2"], "node fault model only"),
+    ],
+)
+def test_percolate_prune_checks_flags_before_sweeping(
+    workdir, capsys, monkeypatch, flags, message
+):
+    run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
+    calls = []
+    sweep = kernels.min_ratio_node_cut
+    monkeypatch.setattr(
+        kernels, "min_ratio_node_cut", lambda *a: calls.append(a) or sweep(*a)
+    )
+    rc, _, err = run(
+        ["percolate", "m.gr", "--p-grid", "1/8", "--trials", "2", "--prune"] + flags,
+        capsys,
+    )
+    assert rc == 2
+    assert message in err
+    assert calls == []
+
+
 def test_verify_mesh_span_subcommand(workdir, capsys):
     rc, out, _ = run(["verify-mesh-span", "--dims", "3x3", "--exhaustive"], capsys)
     assert rc == 0
@@ -356,6 +383,37 @@ def test_replay_of_crlf_input(workdir, capsys):
     rc, out, _ = run(["--replay", "e.json.manifest.json"], capsys)
     assert rc == 0
     assert "byte for byte" in out
+
+
+def test_replay_from_another_directory(workdir, capsys, monkeypatch):
+    sub = workdir / "sub"
+    sub.mkdir()
+    monkeypatch.chdir(sub)
+    run(["gen", "--family", "complete", "--n", "4", "-o", "c.gr"], capsys)
+    rc, _, _ = run(["expansion", "c.gr", "--node", "--exact", "-o", "e.json"], capsys)
+    assert rc == 0
+    manifest = json.loads((sub / "e.json.manifest.json").read_text())
+    assert manifest["cwd"] == "."
+    monkeypatch.chdir(workdir)
+    rc, out, _ = run(["--replay", "sub/e.json.manifest.json"], capsys)
+    assert rc == 0
+    assert "byte for byte" in out
+    assert os.getcwd() == str(workdir)
+    assert not (sub / "e.json.replay").exists()
+    # a manifest without the key replays against the current directory
+    del manifest["cwd"]
+    (sub / "e.json.manifest.json").write_text(json.dumps(manifest))
+    rc, _, err = run(["--replay", "sub/e.json.manifest.json"], capsys)
+    assert rc == 2
+    assert "recorded input c.gr is missing" in err
+    monkeypatch.chdir(sub)
+    rc, _, _ = run(["--replay", "e.json.manifest.json"], capsys)
+    assert rc == 0
+    manifest["cwd"] = "gone"
+    (sub / "e.json.manifest.json").write_text(json.dumps(manifest))
+    rc, _, err = run(["--replay", "e.json.manifest.json"], capsys)
+    assert rc == 2
+    assert "cannot enter recorded directory" in err
 
 
 def test_non_utf8_input_is_an_input_error(workdir, capsys):

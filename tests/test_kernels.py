@@ -1,13 +1,18 @@
-"""Backend equivalence: the compiled kernels and the pure-Python
-fallback must produce identical results on identical inputs."""
+"""Backend equivalence: the compiled kernels and the fallback must
+produce identical results on identical inputs, and the fallback's
+vectorized ratio sweeps must match the per-mask reference loops."""
 
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from xpand import _kernels_py, kernels
-from xpand.errors import InputError
+from xpand.errors import InputError, LimitError
 from xpand.generators import cycle, mesh
 from xpand.graph import Graph
 
@@ -56,6 +61,53 @@ def test_min_ratio_cuts_agree():
             assert py.min_ratio_edge_cut(g.n, adj, cap) == cy.min_ratio_edge_cut(
                 g.n, adj, cap
             )
+
+
+@st.composite
+def tie_heavy_adjacency(draw):
+    """(n, adjacency masks) for 1 <= n <= 15: complete, edgeless,
+    disjoint cliques over shuffled ids, or random. Past 12 nodes a sweep
+    spans more than one chunk of low halves."""
+    n = draw(st.integers(1, 15))
+    kind = draw(st.sampled_from(["complete", "edgeless", "disconnected", "random"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    part = [rng.randrange(3) for _ in range(n)]
+    p = rng.choice([0.2, 0.5, 0.8])
+    adj = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if kind == "complete":
+                edge = True
+            elif kind == "edgeless":
+                edge = False
+            elif kind == "disconnected":
+                edge = part[u] == part[v]
+            else:
+                edge = rng.random() < p
+            if edge:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return n, adj
+
+
+@given(graph=tie_heavy_adjacency())
+@settings(max_examples=120, deadline=None)
+def test_ratio_sweeps_match_reference_loops(graph):
+    n, adj = graph
+    for max_size in (1, n // 2, n, n + 3):
+        for name in ("min_ratio_node_cut", "min_ratio_edge_cut"):
+            want = getattr(oracles, name)(n, adj, max_size)
+            assert getattr(_kernels_py, name)(n, adj, max_size) == want
+            assert getattr(kernels, name)(n, adj, max_size) == want
+
+
+@pytest.mark.parametrize("name", ["min_ratio_node_cut", "min_ratio_edge_cut"])
+def test_ratio_sweeps_refuse_masks_past_63_bits(name):
+    adj = [0] * 64
+    with pytest.raises(LimitError):
+        getattr(_kernels_py, name)(64, adj, 1)
+    with pytest.raises(LimitError):
+        getattr(kernels, name)(64, adj, 1)
 
 
 def test_set_enumerations_agree():
