@@ -1,4 +1,5 @@
-"""Pure-Python bitmask kernels, the reference backend.
+"""Fallback bitmask kernels: numpy subset sweeps and compact-set engine,
+pure Python for the rest.
 
 Node sets are int bitmasks over local ids. Every routine is
 deterministic; ties break by (ratio, then set size, then
@@ -7,7 +8,9 @@ lex-smaller than set B iff the lowest bit of A ^ B belongs to A, which
 agrees with comparing the sorted id tuples.
 
 The compiled backend (xpand._kernels_cy) mirrors this module function
-for function and must return bit-identical results.
+for function and must return bit-identical results. Its compact_masks
+is no longer called: the numpy compact-set engine here (compact_masks,
+compact_set_bounds) serves every backend.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ BACKEND_NAME = "python"
 _CHUNK_BITS = 12
 # masks are numpy uint64 inside the sweeps
 _MAX_MASK_BITS = 63
+# the compact-set engine keeps one bool per mask: 16 MiB at this n
+_COMPACT_MAX_N = 24
+_BLOCK = 1 << _CHUNK_BITS
 
 
 def adjacency_masks(adjacency) -> list:
@@ -212,20 +218,137 @@ def min_ratio_edge_cut(n: int, adj, max_size: int):
     return _sweep(n, max_size, c, order, starts, score)
 
 
-def compact_masks(n: int, adj) -> list:
-    """Masks U with induced(U) and induced(V minus U) both connected.
+def _or_tables(bits):
+    """OR tables over masks split at c = min(len(bits), 12) bits: the
+    OR of bits[i] over the i in a mask S is lo[S & (2^c - 1)] | hi[S >> c].
 
-    Ascending numeric mask order; this is the canonical enumeration
-    order wherever compact sets are walked or reported.
+    Both halves are built by doubling, t[S | 1<<i] = t[S] | bits[i], so
+    each holds at most 2^12 uint32 entries for masks of up to 24 bits.
     """
-    full = (1 << n) - 1
+    c = min(len(bits), _CHUNK_BITS)
+
+    def build(part):
+        t = np.zeros(1 << len(part), dtype=np.uint32)
+        for i, b in enumerate(part):
+            np.bitwise_or(t[: 1 << i], np.uint32(b), out=t[1 << i : 2 << i])
+        return t
+
+    return np.uint32((1 << c) - 1), np.uint32(c), build(bits[:c]), build(bits[c:])
+
+
+def _or_lookup(tables, s):
+    low, c, lo, hi = tables
+    return lo[s & low] | hi[s >> c]
+
+
+def _lowbit(s):
+    return s & (~s + np.uint32(1))
+
+
+def compact_masks(n: int, adj):
+    """Masks U with induced(U) and induced(V minus U) both connected, as
+    an ascending uint32 array (the canonical enumeration order wherever
+    compact sets are walked or reported).
+
+    One bool per mask of all n nodes records connectivity, so n is
+    capped at 24 (a 16 MiB table); larger n raises LimitError before
+    anything is allocated. The table is filled 2^12 masks at a time by
+    a vectorized flood from each mask's lowest node; a mask is compact
+    iff it and its complement are connected.
+    """
+    if n > _COMPACT_MAX_N:
+        raise LimitError(f"compact-set tables are limited to n <= {_COMPACT_MAX_N}, got n={n}")
     if n < 2:
-        return []
-    conn = bytearray(1 << n)
-    for m in range(1, 1 << n):
-        if _flood(m & -m, m, adj) == m:
-            conn[m] = 1
-    return [m for m in range(1, full) if conn[m] and conn[full ^ m]]
+        return np.zeros(0, dtype=np.uint32)
+    nbr = _or_tables(adj)
+    size = 1 << n
+    conn = np.zeros(size, dtype=bool)
+    for b in range(0, size, _BLOCK):
+        m = np.arange(b, min(b + _BLOCK, size), dtype=np.uint32)
+        reached = _lowbit(m)
+        while True:
+            grown = (_or_lookup(nbr, reached) | reached) & m
+            if np.array_equal(grown, reached):
+                break
+            reached = grown
+        conn[b : b + len(m)] = reached == m
+    conn[0] = False  # also keeps the full mask out, as the complement of 0
+    full = size - 1
+    parts = []
+    for b in range(0, size, _BLOCK):
+        e = min(b + _BLOCK, size)
+        # conn[full ^ m] for m = b..e-1, since full ^ m = full - m
+        both = conn[b:e] & conn[full - e + 1 : full - b + 1][::-1]
+        parts.append(np.flatnonzero(both).astype(np.uint32) + np.uint32(b))
+    return np.concatenate(parts)
+
+
+def _bfs_tables(adjacency):
+    """Per source v, the breadth-first search from v in adjacency-list
+    order: OR tables mapping a node mask to the mask of discovery
+    positions of its nodes, and path[k], the tree path from the k-th
+    discovered node back to v as a node mask (0 past the last one)."""
+    n = len(adjacency)
+    out = []
+    for v in range(n):
+        order = [v]
+        path_of = {v: 1 << v}
+        head = 0
+        while head < len(order):
+            x = order[head]
+            head += 1
+            for u in adjacency[x]:
+                if u not in path_of:
+                    path_of[u] = path_of[x] | (1 << u)
+                    order.append(u)
+        position = [0] * n  # unreachable nodes have none
+        # entry 32 is read when no tree node is reachable: lowbit 0 - 1
+        # wraps to all 32 bits set
+        path = np.zeros(33, dtype=np.uint32)
+        for k, u in enumerate(order):
+            position[u] = 1 << k
+            path[k] = path_of[u]
+        out.append((_or_tables(position), path))
+    return out
+
+
+def compact_set_bounds(adjacency, masks):
+    """Boundaries and greedy connector bounds of compact sets, blockwise.
+
+    For each run of at most 2^12 masks (a uint32 array, as compact_masks
+    returns it) yields (boundary, t, greedy): the boundary masks
+    nbr(U) & ~U, their sizes, and the node count of the greedy
+    connector of each boundary. The greedy connector starts from the
+    lowest boundary node and attaches the other boundary nodes in
+    ascending order, each by the breadth-first path (adjacency-list
+    order) to the first tree node the search from it discovers. Here
+    that is done for a whole block at once: per target v, the first
+    tree node is the lowest set bit of the tree's discovery positions
+    from v, and its path is read from a table.
+    """
+    n = len(adjacency)
+    if n > _COMPACT_MAX_N:
+        raise LimitError(f"compact-set tables are limited to n <= {_COMPACT_MAX_N}, got n={n}")
+    nbr = _or_tables(adjacency_masks(adjacency))
+    bfs = _bfs_tables(adjacency)
+    for b in range(0, len(masks), _BLOCK):
+        u = masks[b : b + _BLOCK]
+        bnd = _or_lookup(nbr, u) & ~u
+        tree = _lowbit(bnd)
+        for v in range(n):
+            need = np.flatnonzero(bnd & ~tree & np.uint32(1 << v))
+            if need.size == 0:
+                continue
+            grown = tree[need]
+            ranks, path = bfs[v]
+            # lowbit - 1 counts the positions before the first tree node
+            first = np.bitwise_count(_lowbit(_or_lookup(ranks, grown)) - np.uint32(1))
+            tree[need] = grown | path[first]
+        yield (
+            bnd,
+            np.bitwise_count(bnd).astype(np.int64),
+            np.bitwise_count(tree).astype(np.int64),
+        )
 
 
 def connected_masks(n: int, adj, cap: int):

@@ -6,6 +6,10 @@ cleanly and the instance fits in 63-bit masks; otherwise the fallback
 rest) takes over. XPAND_PURE_PYTHON=1 forces the fallback. Both
 backends return bit-identical results, so callers never need to care
 which one ran.
+
+The compact-set engine (compact_masks, compact_set_bounds) and
+mask_nodes do not dispatch: they always run the numpy code of the
+fallback, whichever backend is active.
 """
 
 from __future__ import annotations
@@ -67,8 +71,13 @@ def min_ratio_edge_cut(n: int, adj, max_size: int):
     return _impl(n).min_ratio_edge_cut(n, adj, max_size)
 
 
-def compact_masks(n: int, adj) -> list:
-    return _impl(n).compact_masks(n, adj)
+# a function of this module, not an alias, so that wrapping this
+# module's functions (per-kernel call tracing) still sees every call
+def compact_masks(n: int, adj):
+    return _py.compact_masks(n, adj)
+
+
+compact_set_bounds = _py.compact_set_bounds
 
 
 def connected_masks(n: int, adj, cap: int):

@@ -6,12 +6,22 @@ The span of a graph is the maximum over compact sets U of |P(U)| /
 (Steiner nodes allowed anywhere in the graph). Meshes admit a direct
 certificate that this never exceeds 2, checked here edge by edge
 without any Steiner search.
+
+Exact answers walk every compact set. The sets come from one numpy
+table engine in the kernels: a connectivity bit for each of the 2^n
+masks (a mask is compact iff it and its complement are connected),
+then, a block of 2^12 sets at a time, each set's boundary, its size
+and a greedy connector bound read from per-node breadth-first tables.
+Python-level work is left for the few sets whose bound can still beat
+the best ratio: those get an exact Steiner tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import kernels
 from .errors import (
@@ -83,45 +93,20 @@ def enumerate_compact_sets(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT):
     if g.n > limit:
         raise LimitError(f"compact enumeration is limited to n <= {limit}, got n={g.n}")
     adj = kernels.adjacency_masks(g.adjacency)
-    return [kernels.mask_nodes(mask) for mask in kernels.compact_masks(g.n, adj)]
-
-
-def _greedy_connector_size(g: Graph, terms: tuple) -> int:
-    """Cheap upper bound on the minimum connector size: attach each
-    terminal to the tree grown so far by a shortest path."""
-    tree = {terms[0]}
-    for target in terms[1:]:
-        if target in tree:
-            continue
-        prev = {target: None}
-        queue = [target]
-        head = 0
-        hit = None
-        while head < len(queue) and hit is None:
-            v = queue[head]
-            head += 1
-            for u in g.adjacency[v]:
-                if u not in prev:
-                    prev[u] = v
-                    if u in tree:
-                        hit = u
-                        break
-                    queue.append(u)
-        v = hit
-        while v is not None:
-            tree.add(v)
-            v = prev[v]
-    return len(tree)
+    return [kernels.mask_nodes(mask) for mask in kernels.compact_masks(g.n, adj).tolist()]
 
 
 def span_exact(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT) -> SpanReport:
     """Exact span by walking every compact set in canonical order.
 
-    Two skips keep this affordable, and neither can change the result:
-    a set is dismissed when even n/|boundary|, or the greedy connector
-    bound, cannot strictly beat the best ratio so far. Ties keep the
-    first compact set in canonical order, and a dismissed set can at
-    best tie.
+    The compact sets, their boundaries and a greedy connector bound for
+    each come from the table engine (kernels.compact_masks and
+    kernels.compact_set_bounds), a block of masks at a time. A set is
+    dismissed when its greedy bound over its boundary size cannot
+    strictly beat the best ratio so far; since the bound is at most n,
+    this also dismisses every set whose n/|boundary| cannot. Only the
+    remaining sets get an exact Steiner tree, in canonical order. Ties
+    keep the first compact set, and a dismissed set can at best tie.
     """
     if g.n < 2:
         raise InputError("span needs at least 2 nodes")
@@ -130,38 +115,36 @@ def span_exact(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT) -> SpanReport:
     if g.n > limit:
         raise LimitError(f"exact span is limited to n <= {limit}, got n={g.n}")
     adj = kernels.adjacency_masks(g.adjacency)
-    best = None  # (ratio, set, boundary, tree_edges, tree_size)
+    masks = kernels.compact_masks(g.n, adj)
+    num, den = 0, 1  # best ratio so far; 0/1 lets the first set through
+    best = None  # (set, boundary, tree_edges)
     considered = 0
-    skipped = 0
-    for mask in kernels.compact_masks(g.n, adj):
-        nodes = kernels.mask_nodes(mask)
-        bnd = node_boundary(g, nodes)
-        t = len(bnd)
-        if best is not None and Fraction(g.n, t) <= best[0]:
-            skipped += 1
-            continue
-        if best is not None and Fraction(_greedy_connector_size(g, bnd), t) <= best[0]:
-            skipped += 1
-            continue
-        res = kernels.steiner_min_tree(g.n, adj, bnd)
-        if res is None:
-            raise ContractError("boundary of a compact set spans several components")
-        count = res[0]
-        considered += 1
-        ratio = Fraction(count, t)
-        if best is None or ratio > best[0]:
-            best = (ratio, nodes, bnd, tuple(res[1]), count)
+    start = 0
+    for bnd, t, greedy in kernels.compact_set_bounds(g.adjacency, masks):
+        for i in np.flatnonzero(greedy * den > t * num).tolist():
+            size = int(t[i])
+            if int(greedy[i]) * den <= num * size:
+                continue  # the best ratio rose since the block was screened
+            terms = kernels.mask_nodes(int(bnd[i]))
+            res = kernels.steiner_min_tree(g.n, adj, terms)
+            if res is None:
+                raise ContractError("boundary of a compact set spans several components")
+            considered += 1
+            if res[0] * den > num * size:
+                num, den = res[0], size
+                best = (kernels.mask_nodes(int(masks[start + i])), terms, tuple(res[1]))
+        start += len(bnd)
     if best is None:
         raise ContractError("connected graph with n >= 2 has no compact set")
     return SpanReport(
         method="exact",
-        value=best[0],
-        argmax=best[1],
-        boundary=best[2],
-        tree_edges=best[3],
-        tree_size=best[4],
+        value=Fraction(num, den),
+        argmax=best[0],
+        boundary=best[1],
+        tree_edges=best[2],
+        tree_size=num,
         considered=considered,
-        skipped=skipped,
+        skipped=len(masks) - considered,
     )
 
 
@@ -348,7 +331,7 @@ def verify_mesh_span_certificate(
                 f"exhaustive certificate is limited to n <= {limit}, got n={g.n}"
             )
         adj = kernels.adjacency_masks(g.adjacency)
-        for mask in kernels.compact_masks(g.n, adj):
+        for mask in kernels.compact_masks(g.n, adj).tolist():
             nodes = kernels.mask_nodes(mask)
             ok, ratio = _certify_one(g, dims, nodes)
             checked += 1

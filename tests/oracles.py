@@ -3,15 +3,21 @@ the package's exact machinery through a second code path.
 
 `min_ratio_node_cut` and `min_ratio_edge_cut` are the per-mask loops the
 ratio sweeps were first written as; they stay here as the from-scratch
-reference for the vectorized kernels."""
+reference for the vectorized kernels. Likewise `compact_masks` (one
+flood per mask), `_greedy_connector_size` (one breadth-first search per
+terminal) and the per-set walk of `span_exact` are the reference for
+the numpy compact-set engine."""
 
 from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
 
+from xpand import kernels
+from xpand.errors import ContractError, InputError, LimitError
 from xpand.faults import make_rng, rand_below
-from xpand.graph import Graph
+from xpand.graph import Graph, is_connected, node_boundary
+from xpand.span import COMPACT_ENUM_LIMIT, SpanReport
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -174,3 +180,114 @@ def min_ratio_edge_cut(n: int, adj, max_size: int):
         if best is None or _better(cut, size, mask, best[0], best[1], best[2]):
             best = (cut, size, mask)
     return best
+
+
+def _flood(start: int, allowed: int, adj) -> int:
+    """Nodes reachable from start staying inside allowed, as a mask."""
+    reached = start & allowed
+    frontier = reached
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= adj[low.bit_length() - 1]
+            m ^= low
+        frontier = nxt & allowed & ~reached
+        reached |= frontier
+    return reached
+
+
+def compact_masks(n: int, adj) -> list:
+    """Masks U with induced(U) and induced(V minus U) both connected.
+
+    Ascending numeric mask order; this is the canonical enumeration
+    order wherever compact sets are walked or reported.
+    """
+    full = (1 << n) - 1
+    if n < 2:
+        return []
+    conn = bytearray(1 << n)
+    for m in range(1, 1 << n):
+        if _flood(m & -m, m, adj) == m:
+            conn[m] = 1
+    return [m for m in range(1, full) if conn[m] and conn[full ^ m]]
+
+
+def _greedy_connector_size(g: Graph, terms: tuple) -> int:
+    """Cheap upper bound on the minimum connector size: attach each
+    terminal to the tree grown so far by a shortest path."""
+    tree = {terms[0]}
+    for target in terms[1:]:
+        if target in tree:
+            continue
+        prev = {target: None}
+        queue = [target]
+        head = 0
+        hit = None
+        while head < len(queue) and hit is None:
+            v = queue[head]
+            head += 1
+            for u in g.adjacency[v]:
+                if u not in prev:
+                    prev[u] = v
+                    if u in tree:
+                        hit = u
+                        break
+                    queue.append(u)
+        v = hit
+        while v is not None:
+            tree.add(v)
+            v = prev[v]
+    return len(tree)
+
+
+def span_exact(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT) -> SpanReport:
+    """Exact span by walking every compact set in canonical order.
+
+    Two skips keep this affordable, and neither can change the result:
+    a set is dismissed when even n/|boundary|, or the greedy connector
+    bound, cannot strictly beat the best ratio so far. Ties keep the
+    first compact set in canonical order, and a dismissed set can at
+    best tie.
+    """
+    if g.n < 2:
+        raise InputError("span needs at least 2 nodes")
+    if not is_connected(g):
+        raise InputError("span is defined for connected graphs")
+    if g.n > limit:
+        raise LimitError(f"exact span is limited to n <= {limit}, got n={g.n}")
+    adj = kernels.adjacency_masks(g.adjacency)
+    best = None  # (ratio, set, boundary, tree_edges, tree_size)
+    considered = 0
+    skipped = 0
+    for mask in compact_masks(g.n, adj):  # the per-mask reference above
+        nodes = kernels.mask_nodes(mask)
+        bnd = node_boundary(g, nodes)
+        t = len(bnd)
+        if best is not None and Fraction(g.n, t) <= best[0]:
+            skipped += 1
+            continue
+        if best is not None and Fraction(_greedy_connector_size(g, bnd), t) <= best[0]:
+            skipped += 1
+            continue
+        res = kernels.steiner_min_tree(g.n, adj, bnd)
+        if res is None:
+            raise ContractError("boundary of a compact set spans several components")
+        count = res[0]
+        considered += 1
+        ratio = Fraction(count, t)
+        if best is None or ratio > best[0]:
+            best = (ratio, nodes, bnd, tuple(res[1]), count)
+    if best is None:
+        raise ContractError("connected graph with n >= 2 has no compact set")
+    return SpanReport(
+        method="exact",
+        value=best[0],
+        argmax=best[1],
+        boundary=best[2],
+        tree_edges=best[3],
+        tree_size=best[4],
+        considered=considered,
+        skipped=skipped,
+    )

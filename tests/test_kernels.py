@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +109,16 @@ def test_ratio_sweeps_refuse_masks_past_63_bits(name):
         getattr(_kernels_py, name)(64, adj, 1)
     with pytest.raises(LimitError):
         getattr(kernels, name)(64, adj, 1)
+
+
+def test_compact_set_engine_refuses_tables_past_24_nodes():
+    adj = [0] * 25
+    with pytest.raises(LimitError):
+        _kernels_py.compact_masks(25, adj)
+    with pytest.raises(LimitError):
+        kernels.compact_masks(25, adj)
+    with pytest.raises(LimitError):
+        next(kernels.compact_set_bounds([()] * 25, np.zeros(0, dtype=np.uint32)))
 
 
 def test_set_enumerations_agree():

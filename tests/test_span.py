@@ -1,9 +1,15 @@
 """Steiner trees, compact-set enumeration, span, and mesh certificates."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from xpand import kernels, span
 from xpand.errors import (
     InputError,
     LimitError,
@@ -23,6 +29,8 @@ from xpand.span import (
 )
 
 from oracles import steiner_node_count_nx
+
+MESH_DIMS = [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5), (2, 6), (3, 4), (2, 2, 2), (2, 2, 3)]
 
 F = Fraction
 
@@ -182,3 +190,72 @@ def test_mesh_span_certificate_sampled():
     assert cert.ok
     assert cert.max_ratio <= 2
     assert cert.checked <= 150
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs on 2..13 nodes: paths, cycles, complete graphs,
+    meshes and random spanning trees topped up at some edge density.
+    Node ids are relabelled at random and every adjacency list reaches
+    Graph in shuffled order."""
+    kind = draw(st.sampled_from(["path", "cycle", "complete", "mesh", "random"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "mesh":
+        base = mesh(draw(st.sampled_from(MESH_DIMS)))
+    elif kind == "random":
+        n = draw(st.integers(2, 13))
+        p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < p}
+        base = Graph.from_edges(n, sorted(edges))
+    else:
+        n = draw(st.integers(3 if kind == "cycle" else 2, 13))
+        base = {"path": path, "cycle": cycle, "complete": complete}[kind](n)
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    adjacency = [[] for _ in range(base.n)]
+    for u, v in base.edges():
+        adjacency[perm[u]].append(perm[v])
+        adjacency[perm[v]].append(perm[u])
+    for nbrs in adjacency:
+        rng.shuffle(nbrs)
+    return Graph(adjacency)
+
+
+@given(g=connected_graphs())
+@settings(max_examples=80, deadline=None)
+def test_compact_set_engine_matches_reference_loops(g):
+    adj = kernels.adjacency_masks(g.adjacency)
+    want = oracles.compact_masks(g.n, adj)
+    masks = kernels.compact_masks(g.n, adj)
+    assert masks.tolist() == want
+    rows = []
+    for bnd, t, greedy in kernels.compact_set_bounds(g.adjacency, masks):
+        rows.extend(zip(bnd.tolist(), t.tolist(), greedy.tolist()))
+    assert len(rows) == len(want)
+    for mask, (bnd, t, greedy) in zip(want, rows):
+        terms = node_boundary(g, kernels.mask_nodes(mask))
+        assert (kernels.mask_nodes(bnd), t) == (terms, len(terms))
+        assert greedy == oracles._greedy_connector_size(g, terms)
+    assert span_exact(g) == oracles.span_exact(g)
+
+
+def _all_ints(values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+def test_compact_set_results_hold_python_ints(monkeypatch):
+    g = mesh([3, 3])
+    sets = enumerate_compact_sets(g)
+    assert sets and all(_all_ints(s) for s in sets)
+    r = span_exact(g)
+    assert _all_ints(r.argmax) and _all_ints(r.boundary)
+    assert _all_ints([r.tree_size, r.considered, r.skipped])
+    assert all(_all_ints(e) for e in r.tree_edges)
+    json.dumps(r.to_payload())
+    # every compact set fails, so failures holds what the walk decoded
+    monkeypatch.setattr(span, "_certify_one", lambda _g, _dims, _nodes: (False, None))
+    cert = verify_mesh_span_certificate((3, 3), exhaustive=True)
+    assert len(cert.failures) == cert.checked == len(sets)
+    assert all(_all_ints(f) for f in cert.failures)
+    json.dumps(cert.to_payload())
