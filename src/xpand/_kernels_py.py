@@ -1,16 +1,12 @@
-"""Fallback bitmask kernels: numpy subset sweeps and compact-set engine,
-pure Python for the rest.
+"""Bitmask kernels: numpy subset sweeps and compact-set engine, pure
+Python for the rest. xpand.kernels is the package's entry point to
+them.
 
 Node sets are int bitmasks over local ids. Every routine is
 deterministic; ties break by (ratio, then set size, then
 lexicographically smallest canonical set). For bitmasks, set A is
 lex-smaller than set B iff the lowest bit of A ^ B belongs to A, which
 agrees with comparing the sorted id tuples.
-
-The compiled backend (xpand._kernels_cy) mirrors this module function
-for function and must return bit-identical results. Its compact_masks
-is no longer called: the numpy compact-set engine here (compact_masks,
-compact_set_bounds) serves every backend.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ import numpy as np
 from .errors import ContractError, InputError, LimitError
 
 INF = 1 << 30
-BACKEND_NAME = "python"
 # the low bits of a mask that one vectorized step scores together
 _CHUNK_BITS = 12
 # masks are numpy uint64 inside the sweeps

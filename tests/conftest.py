@@ -46,10 +46,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
-def subprocess_env(**extra) -> dict:
-    """os.environ plus extra, with PYTHONPATH leading to the xpand under
-    test, so child processes import it whether or not it is installed."""
+def subprocess_env() -> dict:
+    """os.environ with PYTHONPATH leading to the xpand under test, so
+    child processes import it whether or not it is installed."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(xpand.__file__)))
     rest = os.environ.get("PYTHONPATH")
     path = root + os.pathsep + rest if rest else root
-    return dict(os.environ, PYTHONPATH=path, **extra)
+    return dict(os.environ, PYTHONPATH=path)

@@ -385,6 +385,21 @@ def test_replay_of_crlf_input(workdir, capsys):
     assert "byte for byte" in out
 
 
+def test_replay_in_a_child_process(workdir, capsys):
+    # outputs recorded in this process replay in a fresh interpreter
+    run(["gen", "--family", "mesh", "--dims", "3x3", "-o", "m.gr"], capsys)
+    rc, _, _ = run(["expansion", "m.gr", "--node", "--exact", "-o", "e.json"], capsys)
+    assert rc == 0
+    out = subprocess.run(
+        [sys.executable, "-m", "xpand", "--replay", "e.json.manifest.json"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert "byte for byte" in out.stdout
+
+
 def test_replay_from_another_directory(workdir, capsys, monkeypatch):
     sub = workdir / "sub"
     sub.mkdir()
