@@ -594,7 +594,7 @@ def _replay(manifest_path: str) -> int:
         run_dir = os.path.join(os.path.dirname(manifest_path), data["cwd"])
     try:
         os.chdir(run_dir)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: an embedded NUL
         raise InputError(f"cannot enter recorded directory {run_dir}: {exc}") from None
     try:
         return _replay_here(data)

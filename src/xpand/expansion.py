@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ContractError, InputError, LimitError
-from .faults import make_rng
+from .faults import make_rng, shuffle_in_place
 from .generators import SubdividedGraph
 from .graph import Cut, Graph, make_cut
 
@@ -48,56 +48,52 @@ class ExpansionResult:
         return out
 
 
-def _min_ratio_cut(g: Graph, mode: str, limit: int, what: str):
+def _min_ratio_cut(g: Graph, mode: str, what: str):
     """(ratio, mask) of the canonical minimizer over 1 <= |S| <= n/2;
     needs n >= 2."""
-    if g.n > limit:
-        raise LimitError(f"{what} is limited to n <= {limit}, got n={g.n}")
+    if g.n > EXACT_EXPANSION_LIMIT:
+        raise LimitError(f"{what} is limited to n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
     sweep = kernels.min_ratio_node_cut if mode == "node" else kernels.min_ratio_edge_cut
     bnd, size, mask = sweep(g.n, kernels.adjacency_masks(g.adjacency), g.n // 2)
     return Fraction(bnd, size), mask
 
 
-def _expansion_exact(g: Graph, mode: str, limit: int) -> ExpansionResult:
+def _expansion_exact(g: Graph, mode: str) -> ExpansionResult:
     if g.n < 2:
         raise InputError("expansion needs at least 2 nodes")
-    value, mask = _min_ratio_cut(g, mode, limit, "exact expansion")
+    value, mask = _min_ratio_cut(g, mode, "exact expansion")
     if value == 0:
         warnings.warn(f"graph is disconnected, {mode} expansion is 0", stacklevel=3)
     return ExpansionResult(mode, "exact", value, make_cut(g, kernels.mask_nodes(mask)))
 
 
-def node_expansion_exact(g: Graph, *, limit: int = EXACT_EXPANSION_LIMIT) -> ExpansionResult:
-    return _expansion_exact(g, "node", limit)
+def node_expansion_exact(g: Graph) -> ExpansionResult:
+    return _expansion_exact(g, "node")
 
 
-def edge_expansion_exact(g: Graph, *, limit: int = EXACT_EXPANSION_LIMIT) -> ExpansionResult:
-    return _expansion_exact(g, "edge", limit)
+def edge_expansion_exact(g: Graph) -> ExpansionResult:
+    return _expansion_exact(g, "edge")
 
 
-def _sparse_cut(g: Graph, mode: str, threshold: Fraction, limit: int):
+def _sparse_cut(g: Graph, mode: str, threshold: Fraction):
     if g.n < 2:
         return None
-    value, mask = _min_ratio_cut(g, mode, limit, "sparse-cut search")
+    value, mask = _min_ratio_cut(g, mode, "sparse-cut search")
     if value > threshold:
         return None
     return make_cut(g, kernels.mask_nodes(mask))
 
 
-def find_sparse_node_cut(
-    g: Graph, alpha: Fraction, eps: Fraction, *, limit: int = EXACT_EXPANSION_LIMIT
-):
+def find_sparse_node_cut(g: Graph, alpha: Fraction, eps: Fraction):
     """Canonical minimizer S with |boundary(S)| <= alpha*eps*|S| and
     |S| <= floor(n/2), or None when no such set exists."""
-    return _sparse_cut(g, "node", alpha * eps, limit)
+    return _sparse_cut(g, "node", alpha * eps)
 
 
-def find_sparse_edge_cut(
-    g: Graph, alpha_e: Fraction, eps: Fraction, *, limit: int = EXACT_EXPANSION_LIMIT
-):
+def find_sparse_edge_cut(g: Graph, alpha_e: Fraction, eps: Fraction):
     """Canonical minimizer S with |edge boundary(S)| <= alpha_e*eps*|S|
     and |S| <= floor(n/2), or None. The winner is always connected."""
-    return _sparse_cut(g, "edge", alpha_e * eps, limit)
+    return _sparse_cut(g, "edge", alpha_e * eps)
 
 
 def _better_cut(a: Cut, b: Cut, mode: str) -> bool:
@@ -119,8 +115,6 @@ def _heuristic(g: Graph, mode: str, trials: int, seed: int) -> ExpansionResult:
         starts = list(range(g.n))
     else:
         pool = list(range(g.n))
-        from .faults import shuffle_in_place
-
         shuffle_in_place(pool, rng)
         starts = sorted(pool[:trials])
     best: Cut | None = None

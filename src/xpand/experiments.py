@@ -121,7 +121,7 @@ def rows_to_jsonl(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def _prune_and_grade(g_f: Graph, mode: str, alpha, eps, limit: int):
+def _prune_and_grade(g_f: Graph, mode: str, alpha, eps):
     """Prune g_f (prune for node mode, prune2 for edge mode), induce the
     survivor H from g_f and measure it exactly in the same mode.
     Returns (trace, expansion of H), the expansion 0 when |H| < 2.
@@ -131,15 +131,15 @@ def _prune_and_grade(g_f: Graph, mode: str, alpha, eps, limit: int):
     |H|/2 nodes and ratio 0 <= alpha*eps, and the loop would have culled
     it."""
     if mode == "node":
-        trace = prune(g_f, alpha, eps, limit=limit)
+        trace = prune(g_f, alpha, eps)
         measure = node_expansion_exact
     else:
-        trace = prune2(g_f, alpha, eps, limit=limit)
+        trace = prune2(g_f, alpha, eps)
         measure = edge_expansion_exact
     if trace.h_size < 2:
         return trace, Fraction(0)
     h_graph = induced_subgraph(g_f, g_f.local_ids(trace.final_nodes))
-    return trace, measure(h_graph, limit=limit).value
+    return trace, measure(h_graph).value
 
 
 def percolation_point(
@@ -152,7 +152,6 @@ def percolation_point(
     *,
     prune_params=None,  # (alpha, k) to prune each faulty graph
     record_ms: bool = False,
-    limit: int = EXACT_EXPANSION_LIMIT,
     threads: int = 1,
 ) -> list:
     if model not in ("node", "edge"):
@@ -164,8 +163,8 @@ def percolation_point(
     if prune_params is not None:
         if model != "node":
             raise InputError("pruning is defined for the node fault model only")
-        if g.n > limit:
-            raise LimitError(f"pruning needs n <= {limit}, got n={g.n}")
+        if g.n > EXACT_EXPANSION_LIMIT:
+            raise LimitError(f"pruning needs n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
     def one(j: int) -> TrialResult:
         seed = seed_base + point_index * 10**6 + j
         t0 = time.monotonic_ns()
@@ -181,7 +180,7 @@ def percolation_point(
         if prune_params is not None:
             alpha, k = prune_params
             eps = 1 - Fraction(1, k)
-            trace, expansion = _prune_and_grade(g_f, "node", alpha, eps, limit)
+            trace, expansion = _prune_and_grade(g_f, "node", alpha, eps)
             h_size = trace.h_size
             h_frac = Fraction(h_size, g.n)
             certified = (
@@ -220,7 +219,6 @@ def run_percolation_sweep(
     *,
     prune_params=None,
     record_ms: bool = False,
-    limit: int = EXACT_EXPANSION_LIMIT,
     threads: int = 1,
 ):
     """Sweep failure probabilities; returns (rows, per-point summaries)."""
@@ -236,7 +234,6 @@ def run_percolation_sweep(
             i,
             prune_params=prune_params,
             record_ms=record_ms,
-            limit=limit,
             threads=threads,
         )
         rows.extend(batch)
@@ -265,7 +262,6 @@ def run_resilience_trial(
     eps: Fraction,
     *,
     alpha: Fraction | None = None,
-    limit: int = EXACT_EXPANSION_LIMIT,
     record_ms: bool = False,
 ) -> TrialResult:
     """One fault-and-prune round. Node faults are pruned on node
@@ -282,8 +278,8 @@ def run_resilience_trial(
         raise InputError(f"unknown fault model {model!r}")
     if not 0 <= Fraction(p) <= 1:
         raise InputError("p must lie in [0,1]")
-    if g.n > limit:
-        raise LimitError(f"exact pruning is limited to n <= {limit}, got {g.n}")
+    if g.n > EXACT_EXPANSION_LIMIT:
+        raise LimitError(f"exact pruning is limited to n <= {EXACT_EXPANSION_LIMIT}, got {g.n}")
     seed = seed_base + trial
     t0 = time.monotonic_ns()
     if model == "node":
@@ -293,8 +289,8 @@ def run_resilience_trial(
         g_f = apply_faults(g, edge_survival_pattern(g, float(p), seed))
         measure = edge_expansion_exact
     if alpha is None:
-        alpha = measure(g, limit=limit).value
-    trace, expansion = _prune_and_grade(g_f, model, alpha, Fraction(eps), limit)
+        alpha = measure(g).value
+    trace, expansion = _prune_and_grade(g_f, model, alpha, Fraction(eps))
     gam = gamma(g_f)
     h_frac = Fraction(trace.h_size, g.n)
     certified = (
@@ -351,8 +347,6 @@ def adversary_exhaustive(
     k: int,
     f: int,
     *,
-    limit: int = EXACT_EXPANSION_LIMIT,
-    max_subsets: int = ADVERSARY_SUBSET_LIMIT,
     keep_traces: bool = False,
 ):
     """Prune against every f-subset of faults and hold the guarantees
@@ -368,18 +362,18 @@ def adversary_exhaustive(
         raise InputError("f must be nonnegative")
     if g.n < 2:
         raise InputError("adversary needs at least 2 nodes")
-    if g.n > limit:
-        raise LimitError(f"adversary is limited to n <= {limit}, got n={g.n}")
-    alpha = node_expansion_exact(g, limit=limit).value
+    if g.n > EXACT_EXPANSION_LIMIT:
+        raise LimitError(f"adversary is limited to n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
+    alpha = node_expansion_exact(g).value
     if alpha <= 0:
         raise InputError("original graph must be connected")
     if not hypothesis_ok(g.n, alpha, k, f):
         raise InputError(
             f"k*f/alpha = {Fraction(k * f) / alpha} exceeds n/4 = {Fraction(g.n, 4)}"
         )
-    if comb(g.n, f) > max_subsets:
+    if comb(g.n, f) > ADVERSARY_SUBSET_LIMIT:
         raise LimitError(
-            f"{comb(g.n, f)} fault subsets exceed the budget {max_subsets}"
+            f"{comb(g.n, f)} fault subsets exceed the budget {ADVERSARY_SUBSET_LIMIT}"
         )
     eps = 1 - Fraction(1, k)
     size_bound = size_lower_bound(g.n, alpha, k, f)
@@ -390,7 +384,7 @@ def adversary_exhaustive(
     for faults in combinations(range(g.n), f):
         iterations += 1
         g_f = remove_nodes(g, faults)
-        trace, h_exp = _prune_and_grade(g_f, "node", alpha, eps, limit)
+        trace, h_exp = _prune_and_grade(g_f, "node", alpha, eps)
         if Fraction(trace.h_size) < size_bound:
             raise ContractError(
                 f"faults {faults}: |H| = {trace.h_size} below bound {size_bound}"
@@ -494,9 +488,7 @@ class CensusReport:
         }
 
 
-def verify_subgraph_count_bound(
-    target, r_max: int | None = None, *, count_cap: int = CENSUS_COUNT_CAP
-) -> CensusReport:
+def verify_subgraph_count_bound(target, r_max: int | None = None) -> CensusReport:
     """Census of connected subgraph footprints against the bound
     n * delta^(2r), where r is the number of base nodes touched.
 
@@ -514,9 +506,9 @@ def verify_subgraph_count_bound(
     if r_max is not None and r_max < 1:
         raise InputError("r_max must be at least 1")
     adj = kernels.adjacency_masks(base.adjacency)
-    masks = kernels.connected_masks(base.n, adj, count_cap)
+    masks = kernels.connected_masks(base.n, adj, CENSUS_COUNT_CAP)
     if masks is None:
-        raise LimitError(f"more than {count_cap} connected subgraphs")
+        raise LimitError(f"more than {CENSUS_COUNT_CAP} connected subgraphs")
     counts: dict = {}
     for m in masks:
         r = m.bit_count()

@@ -82,7 +82,7 @@ class FaultPattern:
                     ),
                     provenance=dict(payload.get("provenance", {})),
                 )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise InputError(f"bad fault pattern: {exc}") from None
         raise InputError(f"unknown fault pattern kind {payload.get('kind')!r}")
 
@@ -158,11 +158,12 @@ def attack_chain_centers(h, k: int | None = None) -> FaultPattern:
     )
 
 
-def attack_greedy_cuts(g: Graph, budget: int, *, exact_limit: int = 24) -> FaultPattern:
+def attack_greedy_cuts(g: Graph, budget: int) -> FaultPattern:
     """Repeatedly fail the boundary of the sparsest subset of the largest
-    surviving component until the budget is spent. Deterministic."""
+    surviving component until the budget is spent: exactly while the
+    component fits the exact sweep, heuristically beyond. Deterministic."""
     # imported here, not at module top, to avoid an import cycle
-    from .expansion import node_expansion_exact, node_expansion_heuristic
+    from .expansion import EXACT_EXPANSION_LIMIT, node_expansion_exact, node_expansion_heuristic
     from .graph import connected_components, induced_subgraph
 
     budget = int(budget)
@@ -177,8 +178,8 @@ def attack_greedy_cuts(g: Graph, budget: int, *, exact_limit: int = 24) -> Fault
         sub = induced_subgraph(alive, largest)
         if sub.n < 2:
             break
-        if sub.n <= exact_limit:
-            res = node_expansion_exact(sub, limit=exact_limit)
+        if sub.n <= EXACT_EXPANSION_LIMIT:
+            res = node_expansion_exact(sub)
         else:
             res = node_expansion_heuristic(sub, trials=32, seed=len(failed))
         target = sub.original_ids(res.witness.node_boundary)

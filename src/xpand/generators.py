@@ -11,9 +11,10 @@ from .graph import Graph
 
 MESH_NODE_LIMIT = 1 << 20
 HYPERCUBE_DIM_LIMIT = 16
+RANDOM_REGULAR_TRIES = 200
 
 
-def mesh(dims, *, node_limit: int = MESH_NODE_LIMIT) -> Graph:
+def mesh(dims) -> Graph:
     """d-dimensional mesh; node ids are mixed-radix over dims, first axis most significant."""
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 2 for d in dims):
@@ -21,8 +22,8 @@ def mesh(dims, *, node_limit: int = MESH_NODE_LIMIT) -> Graph:
     n = 1
     for d in dims:
         n *= d
-        if n > node_limit:
-            raise LimitError(f"mesh would have more than {node_limit} nodes")
+        if n > MESH_NODE_LIMIT:
+            raise LimitError(f"mesh would have more than {MESH_NODE_LIMIT} nodes")
     edges = []
     strides = mesh_strides(dims)
     for vid in range(n):
@@ -58,13 +59,13 @@ def mesh_index(dims, coords) -> int:
     return idx
 
 
-def hypercube(d: int, *, dim_limit: int = HYPERCUBE_DIM_LIMIT) -> Graph:
+def hypercube(d: int) -> Graph:
     """Binary d-cube on 2**d nodes; ids are the coordinate bit strings."""
     d = int(d)
     if d < 1:
         raise InputError("hypercube dimension must be >= 1")
-    if d > dim_limit:
-        raise LimitError(f"hypercube dimension above {dim_limit}")
+    if d > HYPERCUBE_DIM_LIMIT:
+        raise LimitError(f"hypercube dimension above {HYPERCUBE_DIM_LIMIT}")
     n = 1 << d
     edges = [(v, v | (1 << b)) for v in range(n) for b in range(d) if not v & (1 << b)]
     return Graph.from_edges(n, edges)
@@ -91,7 +92,7 @@ def complete(n: int) -> Graph:
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-def random_regular(n: int, d: int, seed: int, *, max_tries: int = 200) -> Graph:
+def random_regular(n: int, d: int, seed: int) -> Graph:
     """Random d-regular simple graph by the pairing model.
 
     Stubs are paired uniformly; an attempt producing a self-loop or a
@@ -103,7 +104,7 @@ def random_regular(n: int, d: int, seed: int, *, max_tries: int = 200) -> Graph:
     if (n * d) % 2 != 0:
         raise InputError("n*d must be even")
     rng = make_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(RANDOM_REGULAR_TRIES):
         stubs = [v for v in range(n) for _ in range(d)]
         shuffle_in_place(stubs, rng)
         edges = set()
@@ -121,7 +122,7 @@ def random_regular(n: int, d: int, seed: int, *, max_tries: int = 200) -> Graph:
         if ok:
             return Graph.from_edges(n, sorted(edges))
     raise GenerationError(
-        f"pairing model failed {max_tries} times for n={n}, d={d}, seed={seed}"
+        f"pairing model failed {RANDOM_REGULAR_TRIES} times for n={n}, d={d}, seed={seed}"
     )
 
 
@@ -180,6 +181,9 @@ def subdivision_to_json(h: SubdividedGraph) -> str:
 
 
 def subdivision_from_json(text: str, graph: Graph) -> SubdividedGraph:
+    """Read a sidecar and check it against its graph: the sidecar is
+    accepted only if subdividing its base graph reproduces the base
+    nodes, the chains and every edge of graph exactly."""
     try:
         payload = json.loads(text)
         k = int(payload["k"])
@@ -188,6 +192,14 @@ def subdivision_from_json(text: str, graph: Graph) -> SubdividedGraph:
             (int(u), int(v), tuple(int(c) for c in inner))
             for u, v, inner in payload["chains"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        h = SubdividedGraph(graph=graph, base_nodes=base, chains=chains, k=k)
+        # the node count first, so a forged k cannot build a huge graph
+        want = None
+        if len(base) + k * len(chains) == graph.n:
+            want = subdivide_edges(h.base_graph(), k)
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, InputError) as exc:
         raise InputError(f"bad subdivision sidecar: {exc}") from None
-    return SubdividedGraph(graph=graph, base_nodes=base, chains=chains, k=k)
+    same = want is not None and (want.base_nodes, want.chains) == (base, chains)
+    if not same or want.graph.adjacency != graph.adjacency:
+        raise InputError("subdivision sidecar does not match its graph")
+    return h

@@ -56,14 +56,27 @@ def build_manifest(
 
 
 def load_manifest(path) -> dict:
+    """Read a manifest: a JSON object whose argv is a list of strings,
+    whose inputs and outputs are objects and whose cwd, when present,
+    is a string."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read manifest {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"manifest {path} is not a JSON object")
     for key in ("tool", "argv", "inputs", "outputs"):
         if key not in data:
             raise InputError(f"manifest {path} lacks key {key!r}")
     if data["tool"] != "xpand":
         raise InputError(f"manifest {path} was not written by this tool")
+    argv = data["argv"]
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise InputError(f"manifest {path}: argv must be a list of strings")
+    for key in ("inputs", "outputs"):
+        if not isinstance(data[key], dict):
+            raise InputError(f"manifest {path}: {key} must be an object")
+    if not isinstance(data.get("cwd", ""), str):
+        raise InputError(f"manifest {path}: cwd must be a string")
     return data

@@ -180,7 +180,6 @@ def _prune_loop(
     alpha: Fraction,
     eps: Fraction,
     mode: str,
-    limit: int,
     method: str = "exact",
 ) -> PruneTrace:
     _validate_params(alpha, eps)
@@ -197,7 +196,7 @@ def _prune_loop(
         if method == "heuristic":
             raw_local = _heuristic_cut(cur, mode, threshold, len(steps))
         else:
-            found = find_sparse_cut(cur, alpha, eps, limit=limit)
+            found = find_sparse_cut(cur, alpha, eps)
             raw_local = None if found is None else found.set
         if raw_local is None:
             break
@@ -254,7 +253,6 @@ def prune(
     alpha: Fraction,
     eps: Fraction,
     *,
-    limit: int = EXACT_EXPANSION_LIMIT,
     method: str = "exact",
 ) -> PruneTrace:
     """Node pruning: repeatedly cull the canonical minimizer S with
@@ -264,7 +262,7 @@ def prune(
     method="heuristic" lifts the size limit but may stop early, so the
     loop-exit contract no longer holds and the trace is not certified.
     """
-    return _prune_loop(g_faulty, Fraction(alpha), Fraction(eps), "node", limit, method)
+    return _prune_loop(g_faulty, Fraction(alpha), Fraction(eps), "node", method)
 
 
 def prune2(
@@ -272,15 +270,12 @@ def prune2(
     alpha_e: Fraction,
     eps: Fraction,
     *,
-    limit: int = EXACT_EXPANSION_LIMIT,
     method: str = "exact",
 ) -> PruneTrace:
     """Edge pruning: like prune but on edge boundaries, and each culled
     set is first compactified, which never worsens its edge ratio.
     alpha_e is the edge expansion of the original fault-free graph."""
-    return _prune_loop(
-        g_faulty, Fraction(alpha_e), Fraction(eps), "edge", limit, method
-    )
+    return _prune_loop(g_faulty, Fraction(alpha_e), Fraction(eps), "edge", method)
 
 
 def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
@@ -362,9 +357,7 @@ class ShatterResult:
         }
 
 
-def shatter_uniform(
-    g: Graph, eps: Fraction, *, limit: int = EXACT_EXPANSION_LIMIT
-) -> ShatterResult:
+def shatter_uniform(g: Graph, eps: Fraction) -> ShatterResult:
     """Fail node boundaries until every component has at most eps*n
     nodes: the lower-bound construction showing how few faults suffice
     to break the graph into small pieces.
@@ -380,8 +373,8 @@ def shatter_uniform(
         raise InputError("shatter needs a nonempty graph")
     if eps * g.n < 1:
         raise InputError("eps*n below 1 would demand empty components")
-    if g.n > limit:
-        raise LimitError(f"shatter is limited to n <= {limit}, got n={g.n}")
+    if g.n > EXACT_EXPANSION_LIMIT:
+        raise LimitError(f"shatter is limited to n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
     target = eps * g.n
     cur = g
     steps = []
@@ -391,7 +384,7 @@ def shatter_uniform(
         if not comps or len(comps[0]) <= target:
             break
         sub = induced_subgraph(cur, comps[0])
-        witness = node_expansion_exact(sub, limit=limit).witness
+        witness = node_expansion_exact(sub).witness
         picked_root = sub.original_ids(witness.set)
         removed_root = sub.original_ids(witness.node_boundary)
         steps.append(

@@ -32,7 +32,7 @@ from .errors import (
     SamplingError,
 )
 from .faults import make_rng, rand_below
-from .generators import mesh_coords, mesh_index
+from .generators import mesh, mesh_coords, mesh_index
 from .graph import Graph, canon_nodes, is_compact, is_connected, node_boundary
 
 COMPACT_ENUM_LIMIT = 18
@@ -69,7 +69,7 @@ class SpanReport:
         }
 
 
-def steiner_tree_min(g: Graph, terminals, *, terminal_limit: int = STEINER_TERMINAL_LIMIT):
+def steiner_tree_min(g: Graph, terminals):
     """Minimum-node tree spanning the terminals: (node_count, edges).
 
     Edges are canonical (min, max) pairs, sorted. Raises
@@ -78,8 +78,8 @@ def steiner_tree_min(g: Graph, terminals, *, terminal_limit: int = STEINER_TERMI
     terms = canon_nodes(g, terminals)
     if not terms:
         raise InputError("steiner tree needs at least one terminal")
-    if len(terms) > terminal_limit:
-        raise LimitError(f"steiner search is limited to {terminal_limit} terminals")
+    if len(terms) > STEINER_TERMINAL_LIMIT:
+        raise LimitError(f"steiner search is limited to {STEINER_TERMINAL_LIMIT} terminals")
     adj = kernels.adjacency_masks(g.adjacency)
     res = kernels.steiner_min_tree(g.n, adj, terms)
     if res is None:
@@ -88,15 +88,17 @@ def steiner_tree_min(g: Graph, terminals, *, terminal_limit: int = STEINER_TERMI
     return count, edges
 
 
-def enumerate_compact_sets(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT):
+def enumerate_compact_sets(g: Graph):
     """All compact sets of g as sorted tuples, canonical order."""
-    if g.n > limit:
-        raise LimitError(f"compact enumeration is limited to n <= {limit}, got n={g.n}")
+    if g.n > COMPACT_ENUM_LIMIT:
+        raise LimitError(
+            f"compact enumeration is limited to n <= {COMPACT_ENUM_LIMIT}, got n={g.n}"
+        )
     adj = kernels.adjacency_masks(g.adjacency)
     return [kernels.mask_nodes(mask) for mask in kernels.compact_masks(g.n, adj).tolist()]
 
 
-def span_exact(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT) -> SpanReport:
+def span_exact(g: Graph) -> SpanReport:
     """Exact span by walking every compact set in canonical order.
 
     The compact sets, their boundaries and a greedy connector bound for
@@ -112,8 +114,8 @@ def span_exact(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT) -> SpanReport:
         raise InputError("span needs at least 2 nodes")
     if not is_connected(g):
         raise InputError("span is defined for connected graphs")
-    if g.n > limit:
-        raise LimitError(f"exact span is limited to n <= {limit}, got n={g.n}")
+    if g.n > COMPACT_ENUM_LIMIT:
+        raise LimitError(f"exact span is limited to n <= {COMPACT_ENUM_LIMIT}, got n={g.n}")
     adj = kernels.adjacency_masks(g.adjacency)
     masks = kernels.compact_masks(g.n, adj)
     num, den = 0, 1  # best ratio so far; 0/1 lets the first set through
@@ -175,7 +177,6 @@ def span_sampled(
     seed: int,
     *,
     max_size: int | None = None,
-    terminal_limit: int = STEINER_TERMINAL_LIMIT,
 ) -> SpanReport:
     """Monte Carlo lower bound on the span from randomly grown compact
     sets. trials counts attempts; rejected growths (non-compact, or
@@ -197,7 +198,7 @@ def span_sampled(
             skipped += 1
             continue
         bnd = node_boundary(g, nodes)
-        if len(bnd) > terminal_limit:
+        if len(bnd) > STEINER_TERMINAL_LIMIT:
             skipped += 1
             continue
         res = kernels.steiner_min_tree(g.n, adj, bnd)
@@ -289,9 +290,8 @@ def _certify_one(g: Graph, dims, nodes):
     nodes."""
     bnd = node_boundary(g, nodes)
     virt = mesh_virtual_boundary_graph(dims, bnd)
-    if not is_connected(virt):
-        return False, None
-    # breadth-first spanning tree from the smallest boundary node
+    # breadth-first spanning tree from the smallest boundary node; the
+    # virtual graph is connected iff it reaches every boundary node
     connector = set(bnd)
     seen = {0}
     queue = [0]
@@ -304,8 +304,9 @@ def _certify_one(g: Graph, dims, nodes):
                 seen.add(y)
                 queue.append(y)
                 connector.update(expand_virtual_edge(dims, bnd[x], bnd[y]))
-    ratio = Fraction(len(connector), len(bnd))
-    return True, ratio
+    if len(seen) < len(bnd):
+        return False, None
+    return True, Fraction(len(connector), len(bnd))
 
 
 def verify_mesh_span_certificate(
@@ -314,47 +315,39 @@ def verify_mesh_span_certificate(
     exhaustive: bool = True,
     samples: int = 0,
     seed: int = 0,
-    limit: int = COMPACT_ENUM_LIMIT,
 ) -> MeshSpanCertificate:
     """Check the two-times-boundary connector certificate on a mesh,
     over every compact set (exhaustive) or over randomly grown ones."""
-    from .generators import mesh as make_mesh
-
     dims = tuple(int(d) for d in dims)
-    g = make_mesh(dims)
-    failures = []
-    max_ratio = Fraction(0)
-    checked = 0
+    g = mesh(dims)
     if exhaustive:
-        if g.n > limit:
+        if g.n > COMPACT_ENUM_LIMIT:
             raise LimitError(
-                f"exhaustive certificate is limited to n <= {limit}, got n={g.n}"
+                f"exhaustive certificate is limited to n <= {COMPACT_ENUM_LIMIT}, "
+                f"got n={g.n}"
             )
         adj = kernels.adjacency_masks(g.adjacency)
-        for mask in kernels.compact_masks(g.n, adj).tolist():
-            nodes = kernels.mask_nodes(mask)
-            ok, ratio = _certify_one(g, dims, nodes)
-            checked += 1
-            if not ok:
-                failures.append(nodes)
-            elif ratio > max_ratio:
-                max_ratio = ratio
+        sets = map(kernels.mask_nodes, kernels.compact_masks(g.n, adj).tolist())
     else:
         if samples < 1:
             raise InputError("sampled certificate needs at least one sample")
         rng = make_rng(seed)
-        for _ in range(int(samples)):
-            nodes = sample_compact_set(g, rng)
-            if nodes is None:
-                continue
-            ok, ratio = _certify_one(g, dims, nodes)
-            checked += 1
-            if not ok:
-                failures.append(nodes)
-            elif ratio > max_ratio:
-                max_ratio = ratio
-        if checked == 0:
-            raise SamplingError("no sample produced a compact set")
+        sets = (sample_compact_set(g, rng) for _ in range(int(samples)))
+    failures = []
+    max_ratio = Fraction(0)
+    checked = 0
+    for nodes in sets:
+        if nodes is None:
+            continue
+        ok, ratio = _certify_one(g, dims, nodes)
+        checked += 1
+        if not ok:
+            failures.append(nodes)
+        elif ratio > max_ratio:
+            max_ratio = ratio
+    if checked == 0:
+        # every mesh has compact sets, so only sampling can end up here
+        raise SamplingError("no sample produced a compact set")
     return MeshSpanCertificate(
         dims=dims,
         checked=checked,

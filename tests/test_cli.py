@@ -1,8 +1,11 @@
 """Command line interface: subcommands, exit codes, manifests, replay."""
 
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -438,6 +441,129 @@ def test_non_utf8_input_is_an_input_error(workdir, capsys):
     assert "not UTF-8" in err
 
 
+def _subdivided_k4(capsys):
+    run(["gen", "--family", "complete", "--n", "4", "-o", "k4.gr"], capsys)
+    run(
+        ["gen", "--family", "subdivide", "--base", "k4.gr", "--k", "2", "-o", "s.gr"],
+        capsys,
+    )
+
+
+def _forge_inner_ids(side):
+    side["chains"][0][2] = [99, 8]
+
+
+def _forge_k(side):
+    side["k"] = 3
+
+
+def _reorder_chains(side):
+    side["chains"].reverse()
+
+
+def _flip_first_chain(side):
+    u, v, inner = side["chains"][0]
+    side["chains"][0] = [v, u, inner[::-1]]
+
+
+def _add_base_node(side):
+    side["base_nodes"].append(4)
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [_forge_inner_ids, _forge_k, _reorder_chains, _flip_first_chain, _add_base_node],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["attack", "s.gr", "--strategy", "chain-centers"],
+        ["expansion", "s.gr", "--node", "--chain-dp"],
+    ],
+    ids=["attack", "chain-dp"],
+)
+def test_sidecar_that_does_not_match_its_graph_is_refused(workdir, capsys, forge, argv):
+    _subdivided_k4(capsys)
+    path = workdir / "s.gr.sub.json"
+    side = json.loads(path.read_text())
+    forge(side)
+    path.write_text(json.dumps(side))
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert err.startswith("error:") and "sidecar" in err
+    assert out == ""
+
+
+def _deep_json(path):
+    path.write_text("[" * 100000)
+
+
+def _set_manifest_key(key, value):
+    def prepare(workdir):
+        path = workdir / "c.gr.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+
+    return prepare
+
+
+REPLAY_C = ["--replay", "c.gr.manifest.json"]
+
+
+@pytest.mark.parametrize(
+    "prepare, argv",
+    [
+        pytest.param(
+            lambda w: (w / "m.json").write_text("5"),
+            ["--replay", "m.json"],
+            id="manifest-int",
+        ),
+        pytest.param(
+            lambda w: (w / "m.json").write_bytes(b'{"tool": "\xff"}'),
+            ["--replay", "m.json"],
+            id="manifest-not-utf8",
+        ),
+        pytest.param(_set_manifest_key("argv", 5), REPLAY_C, id="argv-int"),
+        pytest.param(_set_manifest_key("argv", [5]), REPLAY_C, id="argv-of-ints"),
+        pytest.param(_set_manifest_key("inputs", []), REPLAY_C, id="inputs-list"),
+        pytest.param(_set_manifest_key("outputs", 5), REPLAY_C, id="outputs-int"),
+        pytest.param(_set_manifest_key("cwd", 5), REPLAY_C, id="cwd-int"),
+        pytest.param(_set_manifest_key("cwd", "a\0b"), REPLAY_C, id="cwd-nul"),
+        pytest.param(
+            lambda w: _deep_json(w / "m.json"), ["--replay", "m.json"], id="manifest-deep"
+        ),
+        pytest.param(
+            lambda w: _deep_json(w / "f.json"),
+            ["prune", "c.gr", "--oracle", "--eps", "1/2", "--faults", "f.json"],
+            id="faults-deep",
+        ),
+        pytest.param(
+            lambda w: _deep_json(w / "s.gr.sub.json"),
+            ["attack", "s.gr", "--strategy", "chain-centers"],
+            id="sidecar-deep",
+        ),
+        pytest.param(
+            lambda w: (w / "f.json").write_text('{"kind": "node-faults", "failed": [1e400]}'),
+            ["prune", "c.gr", "--oracle", "--eps", "1/2", "--faults", "f.json"],
+            id="faults-infinite",
+        ),
+        pytest.param(
+            lambda w: (w / "s.gr.sub.json").write_text('{"k": 1e400}'),
+            ["attack", "s.gr", "--strategy", "chain-centers"],
+            id="sidecar-infinite",
+        ),
+    ],
+)
+def test_malformed_json_inputs_are_input_errors(workdir, capsys, prepare, argv):
+    _subdivided_k4(capsys)
+    run(["gen", "--family", "cycle", "--n", "5", "-o", "c.gr"], capsys)
+    prepare(workdir)
+    rc, _, err = run(argv, capsys)
+    assert rc == 2
+    assert err.startswith("error:")
+
+
 def test_replay_detects_tampered_input(workdir, capsys):
     run(["gen", "--family", "cycle", "--n", "12", "-o", "c.gr"], capsys)
     run(
@@ -511,3 +637,31 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout.strip()
+
+
+CAP_KEYWORDS = {
+    "limit",
+    "terminal_limit",
+    "exact_limit",
+    "node_limit",
+    "dim_limit",
+    "max_tries",
+    "max_subsets",
+    "count_cap",
+}
+
+
+def test_caps_are_constants_not_keywords():
+    # every cap is a module constant; no function lets a call move it
+    import xpand
+
+    found = []
+    for info in pkgutil.iter_modules(xpand.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"xpand.{info.name}")
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                hit = CAP_KEYWORDS & set(inspect.signature(fn).parameters)
+                found.extend(f"{info.name}.{name}({p})" for p in sorted(hit))
+    assert found == []

@@ -53,7 +53,7 @@ def test_prune_and_grade_matches_reference_node(data, g):
     eps = 1 - Fraction(1, data.draw(st.integers(2, 4)))
     alpha = node_expansion_exact(g).value
     g_f = remove_nodes(g, faults)
-    trace, expansion = _prune_and_grade(g_f, "node", alpha, eps, 24)
+    trace, expansion = _prune_and_grade(g_f, "node", alpha, eps)
     ref = prune(remove_nodes(g, faults), alpha, eps)
     if ref.h_size >= 2:
         h = remove_nodes(g, sorted(set(range(g.n)) - set(ref.final_nodes)))
@@ -72,7 +72,7 @@ def test_prune_and_grade_matches_reference_edge(data, g):
     g_f = Graph.from_edges(g.n, sorted(kept))
     eps = 1 - Fraction(1, data.draw(st.integers(2, 4)))
     alpha = edge_expansion_exact(g).value
-    trace, expansion = _prune_and_grade(g_f, "edge", alpha, eps, 24)
+    trace, expansion = _prune_and_grade(g_f, "edge", alpha, eps)
     ref = prune2(g_f, alpha, eps)
     if ref.h_size >= 2:
         h = remove_nodes(g_f, sorted(set(range(g.n)) - set(ref.final_nodes)))

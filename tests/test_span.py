@@ -130,9 +130,10 @@ def test_span_sampled_lower_bounds_exact():
     assert r.boundary == node_boundary(mesh([4, 4]), r.argmax)
 
 
-def test_span_sampled_error_when_nothing_usable():
+def test_span_sampled_error_when_nothing_usable(monkeypatch):
+    monkeypatch.setattr(span, "STEINER_TERMINAL_LIMIT", 0)
     with pytest.raises(SamplingError):
-        span_sampled(cycle(8), 5, seed=0, terminal_limit=0)
+        span_sampled(cycle(8), 5, seed=0)
     with pytest.raises(InputError):
         span_sampled(cycle(8), 0, seed=0)
 
