@@ -1,6 +1,7 @@
 """Times the bitmask kernels (numpy ratio sweeps and compact-set
 engine, pure Python elsewhere) and prints the best time of each. The
-last row times span_exact as the package runs it.
+last rows time span_exact as the package runs it and the chain DP of
+subdivided_node_expansion on a dense base (K7) and a sparse one (C10).
 
 Random regular graphs come from the first generator seed at or after
 --seed that yields one, since the pairing model can run out of retries.
@@ -16,7 +17,8 @@ import time
 
 from xpand import kernels
 from xpand.errors import GenerationError
-from xpand.generators import mesh, random_regular
+from xpand.expansion import subdivided_node_expansion
+from xpand.generators import complete, cycle, mesh, random_regular, subdivide_edges
 from xpand.graph import Graph
 from xpand.span import span_exact
 
@@ -96,6 +98,14 @@ def main() -> int:
         args.repeat,
     )
     bench(f"span_exact {label}", lambda: span_exact(r18), args.repeat)
+
+    for name, base in (("K7", complete(7)), ("C10", cycle(10))):
+        h = subdivide_edges(base, 4)
+        bench(
+            f"chain DP {name} k=4 n={h.graph.n}",
+            lambda h=h: subdivided_node_expansion(h),
+            args.repeat,
+        )
     return 0
 
 

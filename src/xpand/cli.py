@@ -111,6 +111,14 @@ def parse_p_grid(text: str) -> list:
     return grid
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 class RunContext:
     """Tracks input and output digests for the manifest, and redirects
     writes during a replay so the original files are never touched."""
@@ -139,9 +147,7 @@ class RunContext:
         return loads(self.load_text(path))
 
     def write_output(self, path: str, text: str) -> None:
-        real = self.redirect.get(path, path)
-        with open(real, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(self.redirect.get(path, path), text)
         self.outputs[path] = sha256_text(text)
 
     def emit(self, text: str) -> None:
@@ -579,8 +585,7 @@ def _execute(argv, *, replaying=False, redirect=None):
                 outputs=ctx.outputs,
                 wall_ms=int(wall_ms),
             )
-            with open(manifest_path, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(doc))
+            _write_text(manifest_path, canonical_json(doc))
     return rc, ctx
 
 

@@ -109,6 +109,8 @@ def _better_cut(a: Cut, b: Cut, mode: str) -> bool:
 def _heuristic(g: Graph, mode: str, trials: int, seed: int) -> ExpansionResult:
     if g.n < 2:
         raise InputError("expansion needs at least 2 nodes")
+    if trials < 1:
+        raise InputError(f"heuristic needs at least 1 trial, got {trials}")
     max_size = g.n // 2
     rng = make_rng(seed)
     if g.n <= trials:
@@ -206,12 +208,18 @@ def subdivided_node_expansion(h: SubdividedGraph) -> ExpansionResult:
     """Exact node expansion of a subdivided graph by dynamic programming
     over its chains, feasible far beyond the full-sweep limit.
 
-    States track which base nodes are in the set and which free base
-    nodes the chains have already pushed onto the boundary; inner nodes
-    only interact through their own chain, so each chain contributes an
-    independent table. The reported witness is rebuilt from the DP and
-    revalidated against the graph; it is a true minimizer but not
-    necessarily the canonical one.
+    For each set B of base nodes in S, one table dp[F, s] holds the
+    fewest inner boundary nodes over the choices with s inner nodes in
+    S whose chains push exactly the free base nodes F (not in B) onto
+    the boundary. Rows F are masks over the free nodes that end some
+    chain, renumbered in ascending order; the table has one (2,) axis
+    per such node, so pushing an endpoint is a view fixing its axis.
+    Inner nodes only interact through their own chain, so each chain is
+    one min-plus step over the whole table. The step records, per
+    entry, the first move in (pushed endpoints, inner count, source row)
+    order that reached its value; the witness is read back along these
+    pointers and revalidated against the graph. It is a true minimizer
+    but not necessarily the canonical one.
     """
     g = h.graph
     nb = len(h.base_nodes)
@@ -226,58 +234,49 @@ def subdivided_node_expansion(h: SubdividedGraph) -> ExpansionResult:
         (a, b): _chain_config_tables(h.k, a, b) for a in (0, 1) for b in (0, 1)
     }
 
-    best = None  # (bnd, size, B, F, s)
-    best_states = None
+    pushable = sorted({b for u, v, _inner in h.chains for b in (u, v)})
+    best = None  # (bnd, size, B, F row, s, steps)
     for bmask in range(1 << nb):
         nb_in = bmask.bit_count()
         if nb_in > half:
             continue
-        cap = half - nb_in  # max total inner nodes
-        width = cap + 1
-        dp = {0: np.full(width, _INF32, dtype=np.int32)}
-        dp[0][0] = 0
-        states = [dict(dp)]
+        index = {b: i for i, b in enumerate(x for x in pushable if not (bmask >> x) & 1)}
+        width = half - nb_in + 1
+        dp = np.full((2,) * len(index) + (width,), _INF32, dtype=np.int32)
+        dp.flat[0] = 0
+        steps = []
         for u, v, _inner in h.chains:
-            a = (bmask >> u) & 1
-            b = (bmask >> v) & 1
-            table = tables[(a, b)]
-            ndp: dict = {}
-            for fmask, arr in dp.items():
-                for (fu, fv), (costs, _args) in table.items():
-                    fbits = (fu << u) | (fv << v)
-                    dest = fmask | fbits
-                    tgt = ndp.get(dest)
-                    if tgt is None:
-                        tgt = np.full(width, _INF32, dtype=np.int32)
-                        ndp[dest] = tgt
-                    for p in range(min(h.k, cap) + 1):
-                        c = costs[p]
-                        if c >= 1 << 20:
-                            continue
-                        if p == 0:
-                            np.minimum(tgt, arr + c, out=tgt)
-                        else:
-                            np.minimum(tgt[p:], arr[:width - p] + c, out=tgt[p:])
-            dp = ndp
-            states.append(dict(dp))
-        for fmask in sorted(dp):
-            arr = dp[fmask]
-            fcount = fmask.bit_count()
-            for s in range(width):
-                size = nb_in + s
-                if size < 1 or arr[s] >= _INF32:
-                    continue
-                bnd = int(arr[s]) + fcount
-                if best is None or bnd * best[1] < best[0] * size or (
-                    bnd * best[1] == best[0] * size and size < best[1]
-                ):
-                    best = (bnd, size, bmask, fmask, s)
-                    best_states = states
+            table = tables[((bmask >> u) & 1, (bmask >> v) & 1)]
+            dp, ptr, moves = _chain_step(dp, table, index.get(u), index.get(v))
+            steps.append((ptr.reshape(-1, width), moves))
+        rows = dp.reshape(-1, width)
+        rows = rows + np.bitwise_count(np.arange(len(rows)))[:, None]
+        # argmin takes the lowest F of each column
+        cols = zip(rows.argmin(axis=0).tolist(), rows.min(axis=0).tolist())
+        for s, (frow, bnd) in enumerate(cols):
+            size = nb_in + s
+            if size < 1 or bnd >= _INF32:
+                continue
+            if best is None or bnd * best[1] < best[0] * size or (
+                bnd * best[1] == best[0] * size and size < best[1]
+            ):
+                best = (bnd, size, bmask, frow, s, steps)
     if best is None:
         raise ContractError("chain DP found no feasible set")
-    value = Fraction(best[0], best[1])
-    witness = _reconstruct_subdiv_witness(h, tables, best, best_states)
-    cut = make_cut(g, witness)
+    bnd, size, bmask, frow, s, best_steps = best
+    value = Fraction(bnd, size)
+    members = [b for b in h.base_nodes if (bmask >> b) & 1]
+    cost = bnd - frow.bit_count()
+    for (ptr, moves), (_u, _v, inner) in zip(reversed(best_steps), reversed(h.chains)):
+        m = int(ptr[frow, s])
+        if m < 0:
+            raise ContractError("chain DP witness has no back-pointer")
+        drop, p, c, pick = moves[m]
+        frow, s, cost = frow ^ drop, s - p, cost - c
+        members.extend(inner[j] for j in range(h.k) if (pick >> j) & 1)
+    if cost or s or frow:
+        raise ContractError("chain DP reconstruction left residual state")
+    cut = make_cut(g, sorted(members))
     if Fraction(len(cut.node_boundary), len(cut.set)) != value:
         raise ContractError("chain DP witness does not match its value")
     if value == 0:
@@ -285,58 +284,48 @@ def subdivided_node_expansion(h: SubdividedGraph) -> ExpansionResult:
     return ExpansionResult("node", "chain-dp", value, cut)
 
 
-def _reconstruct_subdiv_witness(h: SubdividedGraph, tables, best, states) -> list:
-    _bnd, _size, bmask, fmask, s = best
-    inner_total = s
-    cur_f = fmask
-    cur_s = s
-    picks = [None] * len(h.chains)
-    cur_val = int(states[-1][cur_f][cur_s])
-    for i in range(len(h.chains) - 1, -1, -1):
-        u, v, _inner = h.chains[i]
-        a = (bmask >> u) & 1
-        b = (bmask >> v) & 1
-        table = tables[(a, b)]
-        prev_dp = states[i]
-        found = False
-        for (fu, fv) in sorted(table):
-            costs, args = table[(fu, fv)]
-            fbits = (fu << u) | (fv << v)
-            if fbits & ~cur_f:
+def _chain_step(dp, table, iu, iv):
+    """One chain's min-plus step over dp, whose last axis counts inner
+    nodes and whose other axes are the free base nodes, free node i on
+    axis nf-1-i; iu and iv are the free indices of the chain's
+    endpoints, None for members of B.
+
+    Returns (next dp, int16 pointers, moves): moves[ptr] is the
+    (source row xor, p, cost, inner set) that first reached an entry,
+    and ptr is -1 where nothing did. An entry is replaced only on a
+    strictly smaller cost.
+    """
+    nf = dp.ndim - 1
+    width = dp.shape[-1]
+    out = np.full_like(dp, _INF32)
+    ptr = np.full(dp.shape, -1, dtype=np.int16)
+    moves = []
+    for fu, fv in sorted(table):
+        costs, args = table[(fu, fv)]
+        fbits = (fu << iu if fu else 0) | (fv << iv if fv else 0)
+        dst = _fix_rows(nf, fbits, fbits)
+        srcs = [(drop, dp[_fix_rows(nf, fbits, fbits ^ drop)]) for drop in _submasks(fbits)]
+        for p in range(min(len(costs), width)):
+            c = costs[p]
+            if c >= _INF32:
                 continue
-            for p in range(min(h.k, cur_s) + 1):
-                c = costs[p]
-                if c >= 1 << 20:
-                    continue
-                # the source state may or may not already hold fbits
-                for drop in _submasks(fbits):
-                    src_f = cur_f ^ drop
-                    arr = prev_dp.get(src_f)
-                    if arr is None:
-                        continue
-                    if int(arr[cur_s - p]) + c == cur_val:
-                        picks[i] = args[p]
-                        cur_f, cur_s, cur_val = src_f, cur_s - p, cur_val - c
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            raise ContractError("chain DP reconstruction failed")
-    if cur_val or cur_s or cur_f:
-        raise ContractError("chain DP reconstruction left residual state")
-    members = [b for b in h.base_nodes if (bmask >> b) & 1]
-    used_inner = 0
-    for (pick, (_u, _v, inner)) in zip(picks, h.chains):
-        for j in range(h.k):
-            if (pick >> j) & 1:
-                members.append(inner[j])
-                used_inner += 1
-    if used_inner != inner_total:
-        raise ContractError("chain DP reconstruction lost inner nodes")
-    return sorted(members)
+            tgt = out[dst][..., p:]
+            tgt_ptr = ptr[dst][..., p:]
+            for drop, src in srcs:
+                cand = src[..., : width - p] + c
+                better = cand < tgt
+                np.copyto(tgt, cand, where=better)
+                np.copyto(tgt_ptr, len(moves), where=better)
+                moves.append((drop, p, c, args[p]))
+    return out, ptr, moves
+
+
+def _fix_rows(nf: int, bits: int, value: int) -> tuple:
+    """Index into the free-node axes fixing each free node in bits to
+    its bit in value."""
+    return tuple(
+        (value >> i) & 1 if (bits >> i) & 1 else slice(None) for i in reversed(range(nf))
+    )
 
 
 def _submasks(mask: int):

@@ -445,7 +445,6 @@ def chain_attack_report(h: SubdividedGraph) -> ChainAttackReport:
     """Fail one center per chain and measure the wreckage: with one
     fault per original edge every surviving component hugs one base
     node, so its size is at most max_degree * k/2 + 1."""
-    base_max_degree = 0
     degree = [0] * len(h.base_nodes)
     for u, v, _inner in h.chains:
         degree[u] += 1

@@ -39,6 +39,14 @@ def shuffle_in_place(items: list, rng: np.random.Generator) -> None:
         items[i], items[j] = items[j], items[i]
 
 
+def json_int(value) -> int:
+    """A JSON integer as an int: floats, booleans and strings are an
+    InputError, not truncated or coerced."""
+    if type(value) is not int:
+        raise InputError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FaultPattern:
     """A concrete fault outcome plus how it was produced."""
@@ -71,18 +79,18 @@ class FaultPattern:
             if kind == KIND_NODE:
                 return cls(
                     kind=kind,
-                    failed_nodes=tuple(int(v) for v in payload["failed"]),
+                    failed_nodes=tuple(json_int(v) for v in payload["failed"]),
                     provenance=dict(payload.get("provenance", {})),
                 )
             if kind == KIND_EDGE:
                 return cls(
                     kind=kind,
                     kept_edges=tuple(
-                        (int(u), int(v)) for u, v in payload["kept_edges"]
+                        (json_int(u), json_int(v)) for u, v in payload["kept_edges"]
                     ),
                     provenance=dict(payload.get("provenance", {})),
                 )
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError, InputError) as exc:
             raise InputError(f"bad fault pattern: {exc}") from None
         raise InputError(f"unknown fault pattern kind {payload.get('kind')!r}")
 
@@ -139,22 +147,19 @@ def apply_faults(g: Graph, pattern: FaultPattern) -> Graph:
     raise InputError(f"unknown fault pattern kind {pattern.kind!r}")
 
 
-def attack_chain_centers(h, k: int | None = None) -> FaultPattern:
+def attack_chain_centers(h) -> FaultPattern:
     """Fail the central inner node of every chain of a subdivided graph.
 
     The center is position k/2 counted 1-based from the smaller base
     endpoint; k must be even.
     """
-    kk = h.k if k is None else int(k)
-    if kk != h.k:
-        raise InputError(f"k={kk} does not match the subdivision (k={h.k})")
-    if kk % 2 != 0:
+    if h.k % 2 != 0:
         raise InputError("chain-center attack needs even k")
-    failed = tuple(sorted(inner[kk // 2 - 1] for _, _, inner in h.chains))
+    failed = tuple(sorted(inner[h.k // 2 - 1] for _, _, inner in h.chains))
     return FaultPattern(
         kind=KIND_NODE,
         failed_nodes=failed,
-        provenance={"strategy": "chain-centers", "k": kk, "budget": len(failed)},
+        provenance={"strategy": "chain-centers", "k": h.k, "budget": len(failed)},
     )
 
 

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import GenerationError, InputError, LimitError
-from .faults import make_rng, rand_below, shuffle_in_place
+from .faults import json_int, make_rng, rand_below, shuffle_in_place
 from .graph import Graph
 
 MESH_NODE_LIMIT = 1 << 20
@@ -186,10 +186,10 @@ def subdivision_from_json(text: str, graph: Graph) -> SubdividedGraph:
     nodes, the chains and every edge of graph exactly."""
     try:
         payload = json.loads(text)
-        k = int(payload["k"])
-        base = tuple(int(b) for b in payload["base_nodes"])
+        k = json_int(payload["k"])
+        base = tuple(json_int(b) for b in payload["base_nodes"])
         chains = tuple(
-            (int(u), int(v), tuple(int(c) for c in inner))
+            (json_int(u), json_int(v), tuple(json_int(c) for c in inner))
             for u, v, inner in payload["chains"]
         )
         h = SubdividedGraph(graph=graph, base_nodes=base, chains=chains, k=k)

@@ -319,8 +319,3 @@ def dumps(g: Graph) -> str:
 def load_file(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def dump_file(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(g))

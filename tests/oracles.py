@@ -6,17 +6,31 @@ ratio sweeps were first written as; they stay here as the from-scratch
 reference for the vectorized kernels. Likewise `compact_masks` (one
 flood per mask), `_greedy_connector_size` (one breadth-first search per
 terminal) and the per-set walk of `span_exact` are the reference for
-the numpy compact-set engine."""
+the numpy compact-set engine. `subdivided_node_expansion` and
+`_reconstruct_subdiv_witness`, with their own copies of
+`_chain_config_tables` and `_submasks`, are the chain DP as first
+written: a dict of numpy rows per pushed-set state, a snapshot of every
+state after every chain and a backward search for the witness. They
+are the reference for the dense table with back-pointers."""
 
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 
 from xpand import kernels
 from xpand.errors import ContractError, InputError, LimitError
+from xpand.expansion import (
+    _INF32,
+    SUBDIV_BASE_LIMIT,
+    SUBDIV_CHAIN_LIMIT,
+    ExpansionResult,
+)
 from xpand.faults import make_rng, rand_below
-from xpand.graph import Graph, is_connected, node_boundary
+from xpand.generators import SubdividedGraph
+from xpand.graph import Graph, is_connected, make_cut, node_boundary
 from xpand.span import COMPACT_ENUM_LIMIT, SpanReport
 
 
@@ -291,3 +305,181 @@ def span_exact(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT) -> SpanReport:
         considered=considered,
         skipped=skipped,
     )
+
+
+def _chain_config_tables(k: int, a: int, b: int):
+    """Per-chain DP tables for endpoint membership (a, b).
+
+    For every inner subset P of a k-chain: cost is the number of inner
+    nodes outside P adjacent to P or to a member endpoint; fu/fv say
+    whether the chain puts a free endpoint on the boundary. Returns
+    {(fu, fv): (min_cost_by_p, argmin_P_by_p)} with canonical argmin
+    (smallest P bitmask).
+    """
+    tables: dict = {}
+    for pmask in range(1 << k):
+        cost = 0
+        for j in range(k):
+            if (pmask >> j) & 1:
+                continue
+            left = (pmask >> (j - 1)) & 1 if j > 0 else a
+            right = (pmask >> (j + 1)) & 1 if j < k - 1 else b
+            if left or right:
+                cost += 1
+        fu = 0 if a else (pmask & 1)
+        fv = 0 if b else ((pmask >> (k - 1)) & 1)
+        p = pmask.bit_count()
+        key = (fu, fv)
+        if key not in tables:
+            tables[key] = ([1 << 20] * (k + 1), [None] * (k + 1))
+        costs, args = tables[key]
+        if cost < costs[p]:
+            costs[p] = cost
+            args[p] = pmask
+    return tables
+
+
+def subdivided_node_expansion(h: SubdividedGraph) -> ExpansionResult:
+    """Exact node expansion of a subdivided graph by dynamic programming
+    over its chains, feasible far beyond the full-sweep limit.
+
+    States track which base nodes are in the set and which free base
+    nodes the chains have already pushed onto the boundary; inner nodes
+    only interact through their own chain, so each chain contributes an
+    independent table. The reported witness is rebuilt from the DP and
+    revalidated against the graph; it is a true minimizer but not
+    necessarily the canonical one.
+    """
+    g = h.graph
+    nb = len(h.base_nodes)
+    if nb > SUBDIV_BASE_LIMIT:
+        raise LimitError(f"chain DP is limited to base n <= {SUBDIV_BASE_LIMIT}")
+    if h.k > SUBDIV_CHAIN_LIMIT:
+        raise LimitError(f"chain DP is limited to k <= {SUBDIV_CHAIN_LIMIT}")
+    if g.n < 2:
+        raise InputError("expansion needs at least 2 nodes")
+    half = g.n // 2
+    tables = {
+        (a, b): _chain_config_tables(h.k, a, b) for a in (0, 1) for b in (0, 1)
+    }
+
+    best = None  # (bnd, size, B, F, s)
+    best_states = None
+    for bmask in range(1 << nb):
+        nb_in = bmask.bit_count()
+        if nb_in > half:
+            continue
+        cap = half - nb_in  # max total inner nodes
+        width = cap + 1
+        dp = {0: np.full(width, _INF32, dtype=np.int32)}
+        dp[0][0] = 0
+        states = [dict(dp)]
+        for u, v, _inner in h.chains:
+            a = (bmask >> u) & 1
+            b = (bmask >> v) & 1
+            table = tables[(a, b)]
+            ndp: dict = {}
+            for fmask, arr in dp.items():
+                for (fu, fv), (costs, _args) in table.items():
+                    fbits = (fu << u) | (fv << v)
+                    dest = fmask | fbits
+                    tgt = ndp.get(dest)
+                    if tgt is None:
+                        tgt = np.full(width, _INF32, dtype=np.int32)
+                        ndp[dest] = tgt
+                    for p in range(min(h.k, cap) + 1):
+                        c = costs[p]
+                        if c >= 1 << 20:
+                            continue
+                        if p == 0:
+                            np.minimum(tgt, arr + c, out=tgt)
+                        else:
+                            np.minimum(tgt[p:], arr[:width - p] + c, out=tgt[p:])
+            dp = ndp
+            states.append(dict(dp))
+        for fmask in sorted(dp):
+            arr = dp[fmask]
+            fcount = fmask.bit_count()
+            for s in range(width):
+                size = nb_in + s
+                if size < 1 or arr[s] >= _INF32:
+                    continue
+                bnd = int(arr[s]) + fcount
+                if best is None or bnd * best[1] < best[0] * size or (
+                    bnd * best[1] == best[0] * size and size < best[1]
+                ):
+                    best = (bnd, size, bmask, fmask, s)
+                    best_states = states
+    if best is None:
+        raise ContractError("chain DP found no feasible set")
+    value = Fraction(best[0], best[1])
+    witness = _reconstruct_subdiv_witness(h, tables, best, best_states)
+    cut = make_cut(g, witness)
+    if Fraction(len(cut.node_boundary), len(cut.set)) != value:
+        raise ContractError("chain DP witness does not match its value")
+    if value == 0:
+        warnings.warn("graph is disconnected, node expansion is 0", stacklevel=2)
+    return ExpansionResult("node", "chain-dp", value, cut)
+
+
+def _reconstruct_subdiv_witness(h: SubdividedGraph, tables, best, states) -> list:
+    _bnd, _size, bmask, fmask, s = best
+    inner_total = s
+    cur_f = fmask
+    cur_s = s
+    picks = [None] * len(h.chains)
+    cur_val = int(states[-1][cur_f][cur_s])
+    for i in range(len(h.chains) - 1, -1, -1):
+        u, v, _inner = h.chains[i]
+        a = (bmask >> u) & 1
+        b = (bmask >> v) & 1
+        table = tables[(a, b)]
+        prev_dp = states[i]
+        found = False
+        for (fu, fv) in sorted(table):
+            costs, args = table[(fu, fv)]
+            fbits = (fu << u) | (fv << v)
+            if fbits & ~cur_f:
+                continue
+            for p in range(min(h.k, cur_s) + 1):
+                c = costs[p]
+                if c >= 1 << 20:
+                    continue
+                # the source state may or may not already hold fbits
+                for drop in _submasks(fbits):
+                    src_f = cur_f ^ drop
+                    arr = prev_dp.get(src_f)
+                    if arr is None:
+                        continue
+                    if int(arr[cur_s - p]) + c == cur_val:
+                        picks[i] = args[p]
+                        cur_f, cur_s, cur_val = src_f, cur_s - p, cur_val - c
+                        found = True
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if not found:
+            raise ContractError("chain DP reconstruction failed")
+    if cur_val or cur_s or cur_f:
+        raise ContractError("chain DP reconstruction left residual state")
+    members = [b for b in h.base_nodes if (bmask >> b) & 1]
+    used_inner = 0
+    for (pick, (_u, _v, inner)) in zip(picks, h.chains):
+        for j in range(h.k):
+            if (pick >> j) & 1:
+                members.append(inner[j])
+                used_inner += 1
+    if used_inner != inner_total:
+        raise ContractError("chain DP reconstruction lost inner nodes")
+    return sorted(members)
+
+
+def _submasks(mask: int):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask

@@ -80,6 +80,26 @@ def test_gen_errors(workdir, capsys):
     assert rc == 2  # missing --base and -o
 
 
+@pytest.mark.parametrize(
+    "target",
+    [["-o", "missing/x.gr"], ["--manifest", "missing/m.json"]],
+    ids=["output", "manifest"],
+)
+def test_unwritable_output_path_is_an_input_error(workdir, capsys, target):
+    rc, _, err = run(["gen", "--family", "mesh", "--dims", "3x3", *target], capsys)
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {target[1]}:")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_heuristic_trials_below_one_is_an_input_error(workdir, capsys, trials):
+    run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
+    rc, out, err = run(["expansion", "m.gr", "--heuristic", "--trials", trials], capsys)
+    assert rc == 2
+    assert err.startswith("error:") and "trial" in err
+    assert out == ""
+
+
 def test_expansion_node_exact(workdir, capsys):
     run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
     rc, out, _ = run(["expansion", "m.gr", "--node", "--exact"], capsys)
@@ -508,6 +528,13 @@ def _set_manifest_key(key, value):
     return prepare
 
 
+def _set_sidecar_key(workdir, key, value):
+    path = workdir / "s.gr.sub.json"
+    side = json.loads(path.read_text())
+    side[key] = value
+    path.write_text(json.dumps(side))
+
+
 REPLAY_C = ["--replay", "c.gr.manifest.json"]
 
 
@@ -552,6 +579,29 @@ REPLAY_C = ["--replay", "c.gr.manifest.json"]
             lambda w: (w / "s.gr.sub.json").write_text('{"k": 1e400}'),
             ["attack", "s.gr", "--strategy", "chain-centers"],
             id="sidecar-infinite",
+        ),
+        # numbers must be JSON integers: no truncation, no booleans
+        pytest.param(
+            lambda w: (w / "f.json").write_text('{"kind": "node-faults", "failed": [2.7]}'),
+            ["prune", "c.gr", "--oracle", "--eps", "1/2", "--faults", "f.json"],
+            id="faults-float",
+        ),
+        pytest.param(
+            lambda w: (w / "f.json").write_text('{"kind": "node-faults", "failed": [true]}'),
+            ["prune", "c.gr", "--oracle", "--eps", "1/2", "--faults", "f.json"],
+            id="faults-bool",
+        ),
+        pytest.param(
+            lambda w: (w / "f.json").write_text(
+                '{"kind": "edge-survival", "kept_edges": [[0, 1.0]]}'
+            ),
+            ["prune", "c.gr", "--oracle", "--eps", "1/2", "--faults", "f.json"],
+            id="kept-edge-float",
+        ),
+        pytest.param(
+            lambda w: _set_sidecar_key(w, "k", 2.5),
+            ["attack", "s.gr", "--strategy", "chain-centers"],
+            id="sidecar-float-k",
         ),
     ],
 )

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from xpand.errors import LimitError
+from xpand.errors import InputError, LimitError
 from xpand.expansion import (
     edge_expansion_exact,
     edge_expansion_heuristic,
@@ -152,6 +152,13 @@ def test_heuristic_is_seed_deterministic():
     assert (a.value, a.witness) == (b.value, b.witness)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_heuristic_needs_a_trial(trials):
+    for fn in (node_expansion_heuristic, edge_expansion_heuristic):
+        with pytest.raises(InputError):
+            fn(mesh([4, 4]), trials=trials)
+
+
 def test_exact_size_limit():
     with pytest.raises(LimitError):
         node_expansion_exact(complete(30))
@@ -175,6 +182,13 @@ def test_chain_dp_beyond_sweep_limit():
     r = subdivided_node_expansion(s)
     assert r.value == F(1, 7)  # half of one chain plus its light endpoint
     assert make_cut(s.graph, r.witness.set).node_ratio == r.value
+
+
+def test_chain_dp_caps():
+    with pytest.raises(LimitError):
+        subdivided_node_expansion(subdivide_edges(path(11), 1))  # base n = 11
+    with pytest.raises(LimitError):
+        subdivided_node_expansion(subdivide_edges(path(2), 17))  # k = 17
 
 
 def test_chain_dp_on_cycle_subdivision():

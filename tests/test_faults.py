@@ -95,8 +95,6 @@ def test_chain_center_attack():
     assert len(pat.failed_nodes) == len(s.chains)
     with pytest.raises(InputError):
         attack_chain_centers(subdivide_edges(complete(4), 3))  # odd k
-    with pytest.raises(InputError):
-        attack_chain_centers(s, k=4)  # mismatched k
 
 
 def test_greedy_cut_attack_on_path():

@@ -1,31 +1,40 @@
 """Property tests over random graphs: the shared component walk against
 networkx, the shared prune-and-grade path against a from-scratch
-reference, and the warning-free survivor measurement."""
+reference, the chain DP against its first dict-of-states version, and
+the warning-free survivor measurement."""
 
+import contextlib
 import warnings
 from fractions import Fraction
 
 import networkx as nx
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import to_nx
-from xpand.expansion import edge_expansion_exact, node_expansion_exact
+from xpand.errors import InputError
+from xpand.expansion import (
+    edge_expansion_exact,
+    node_expansion_exact,
+    subdivided_node_expansion,
+)
 from xpand.experiments import (
     _prune_and_grade,
     adversary_exhaustive,
     percolation_point,
 )
-from xpand.generators import mesh
-from xpand.graph import Graph, connected_components, remove_nodes
+from xpand.generators import complete, mesh, subdivide_edges
+from xpand.graph import Graph, connected_components, is_connected, remove_nodes
 from xpand.pruning import prune, prune2
 
 
 @st.composite
-def graphs(draw, min_n=0, max_n=12, connected=False):
+def graphs(draw, min_n=0, max_n=12, connected=False, max_edges=None):
     n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = set(draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    edges = set(draw(st.sets(st.sampled_from(pairs), max_size=max_edges)) if pairs else ())
     if connected:
         # a random spanning tree: each node hangs off an earlier one
         for v in range(1, n):
@@ -81,6 +90,41 @@ def test_prune_and_grade_matches_reference_edge(data, g):
         ref_expansion = Fraction(0)
     assert trace.to_payload() == ref.to_payload()
     assert expansion == ref_expansion
+
+
+# Random draws rarely reach a base where the order of a chain's moves
+# decides the witness, so two are given: on K4 with k = 1, replacing an
+# entry on a tie or taking the pushed endpoints in the other order picks
+# another witness of the same value; on this base, taking a chain's
+# source rows in the other order does.
+_SUBMASK_ORDER_CASE = Graph.from_edges(
+    6,
+    [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 5), (4, 5)],
+)
+
+
+# at most 8 chains keeps the reference's dict-of-states loops affordable
+@given(base=graphs(min_n=1, max_n=8, max_edges=8), k=st.integers(1, 5))
+@example(base=complete(4), k=1)
+@example(base=_SUBMASK_ORDER_CASE, k=1)
+@settings(max_examples=150, deadline=None)
+def test_chain_dp_matches_dict_of_states_reference(base, k):
+    h = subdivide_edges(base, k)
+    if h.graph.n < 2:
+        for solver in (subdivided_node_expansion, oracles.subdivided_node_expansion):
+            with pytest.raises(InputError):
+                solver(h)
+        return
+    results = []
+    for solver in (subdivided_node_expansion, oracles.subdivided_node_expansion):
+        # a disconnected graph has expansion 0, which both solvers warn about
+        if is_connected(h.graph):
+            expect = contextlib.nullcontext()
+        else:
+            expect = pytest.warns(UserWarning, match="disconnected")
+        with expect:
+            results.append(solver(h))
+    assert results[0] == results[1]
 
 
 def test_survivor_measurement_raises_no_warning():
