@@ -1,7 +1,8 @@
 """Times the bitmask kernels (numpy ratio sweeps and compact-set
 engine, pure Python elsewhere) and prints the best time of each. The
-last rows time span_exact as the package runs it and the chain DP of
-subdivided_node_expansion on a dense base (K7) and a sparse one (C10).
+last rows time span_exact and the exhaustive mesh span certificate as
+the package runs them, and the chain DP of subdivided_node_expansion
+on a dense base (K7) and a sparse one (C10).
 
 Random regular graphs come from the first generator seed at or after
 --seed that yields one, since the pairing model can run out of retries.
@@ -18,9 +19,16 @@ import time
 from xpand import kernels
 from xpand.errors import GenerationError
 from xpand.expansion import subdivided_node_expansion
-from xpand.generators import complete, cycle, mesh, random_regular, subdivide_edges
+from xpand.generators import (
+    complete,
+    cycle,
+    hypercube,
+    mesh,
+    random_regular,
+    subdivide_edges,
+)
 from xpand.graph import Graph
-from xpand.span import span_exact
+from xpand.span import span_exact, verify_mesh_span_certificate
 
 SEED_TRIES = 100
 
@@ -47,7 +55,7 @@ def bench(name, fn, repeat):
         fn()
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
-    print(f"{name:<32} {best * 1e3:9.2f} ms")
+    print(f"{name:<36} {best * 1e3:9.2f} ms")
 
 
 def main() -> int:
@@ -78,8 +86,14 @@ def main() -> int:
     m = mesh((4, 4))
     madj = _adj_masks(m)
     bench(
+        "connectivity_table mesh 4x4",
+        lambda: kernels.connectivity_table(m.n, madj),
+        args.repeat,
+    )
+    mconn = kernels.connectivity_table(m.n, madj)
+    bench(
         "compact_masks mesh 4x4",
-        lambda: kernels.compact_masks(m.n, madj),
+        lambda: kernels.compact_masks(mconn),
         args.repeat,
     )
     terms = tuple(range(0, m.n, 5))
@@ -93,11 +107,24 @@ def main() -> int:
     radj = _adj_masks(r18)
     label = f"rr(18,4) seed {seed18}"
     bench(
-        f"compact_masks {label}",
-        lambda: kernels.compact_masks(r18.n, radj),
+        f"connectivity_table {label}",
+        lambda: kernels.connectivity_table(r18.n, radj),
         args.repeat,
     )
-    bench(f"span_exact {label}", lambda: span_exact(r18), args.repeat)
+    rconn = kernels.connectivity_table(r18.n, radj)
+    bench(
+        f"compact_masks {label}",
+        lambda: kernels.compact_masks(rconn),
+        args.repeat,
+    )
+    for name, sg in (("mesh 3x6", mesh((3, 6))), ("Q4", hypercube(4)), (label, r18)):
+        bench(f"span_exact {name}", lambda sg=sg: span_exact(sg), args.repeat)
+    for dims in ((3, 6), (2, 3, 3)):
+        bench(
+            "mesh certificate " + "x".join(map(str, dims)),
+            lambda dims=dims: verify_mesh_span_certificate(dims, exhaustive=True),
+            args.repeat,
+        )
 
     for name, base in (("K7", complete(7)), ("C10", cycle(10))):
         h = subdivide_edges(base, 4)

@@ -240,21 +240,17 @@ def _lowbit(s):
     return s & (~s + np.uint32(1))
 
 
-def compact_masks(n: int, adj):
-    """Masks U with induced(U) and induced(V minus U) both connected, as
-    an ascending uint32 array (the canonical enumeration order wherever
-    compact sets are walked or reported).
+def connectivity_table(n: int, adj):
+    """conn[m] for every mask m of n nodes: whether induced(m) is
+    connected, as a bool array of 2^n entries (conn[0] is False).
 
-    One bool per mask of all n nodes records connectivity, so n is
-    capped at 24 (a 16 MiB table); larger n raises LimitError before
-    anything is allocated. The table is filled 2^12 masks at a time by
-    a vectorized flood from each mask's lowest node; a mask is compact
-    iff it and its complement are connected.
+    One bool per mask records connectivity, so n is capped at 24 (a
+    16 MiB table); larger n raises LimitError before anything is
+    allocated. The table is filled 2^12 masks at a time by a vectorized
+    flood from each mask's lowest node.
     """
     if n > _COMPACT_MAX_N:
         raise LimitError(f"compact-set tables are limited to n <= {_COMPACT_MAX_N}, got n={n}")
-    if n < 2:
-        return np.zeros(0, dtype=np.uint32)
     nbr = _or_tables(adj)
     size = 1 << n
     conn = np.zeros(size, dtype=bool)
@@ -267,15 +263,69 @@ def compact_masks(n: int, adj):
                 break
             reached = grown
         conn[b : b + len(m)] = reached == m
-    conn[0] = False  # also keeps the full mask out, as the complement of 0
+    conn[0] = False
+    return conn
+
+
+def compact_masks(conn):
+    """Masks U with induced(U) and induced(V minus U) both connected, as
+    an ascending uint32 array (the canonical enumeration order wherever
+    compact sets are walked or reported), read from a connectivity
+    table: a mask is compact iff it and its complement are connected.
+    Since conn[0] is False, the empty and the full mask are never
+    compact.
+    """
+    size = len(conn)
     full = size - 1
-    parts = []
+    parts = [np.zeros(0, dtype=np.uint32)]
     for b in range(0, size, _BLOCK):
         e = min(b + _BLOCK, size)
         # conn[full ^ m] for m = b..e-1, since full ^ m = full - m
         both = conn[b:e] & conn[full - e + 1 : full - b + 1][::-1]
         parts.append(np.flatnonzero(both).astype(np.uint32) + np.uint32(b))
     return np.concatenate(parts)
+
+
+def connector_lookup(conn):
+    """Steiner sizes decided from a connectivity table.
+
+    Returns fits(terminals, limit): True iff some connected node set of
+    at most limit nodes contains the terminal mask, that is iff the
+    minimum-node tree spanning the terminals has at most limit nodes.
+    It looks up conn[terminals | sub] over the subsets sub of the other
+    nodes with |sub| <= limit - |terminals|, in ascending popcount,
+    at most 2^12 at a time, and stops at the first connected one.
+
+    The subsets are built from masks over f = |free nodes| index bits,
+    deposited onto the free nodes through OR tables. Index masks of
+    popcount j over n - 1 bits are kept in ascending order; those below
+    2^f are the first comb(f, j) of them (colex order), so one list per
+    popcount serves every f.
+    """
+    n = len(conn).bit_length() - 1
+    # at least one terminal, so at most n - 1 free nodes
+    counts = np.bitwise_count(np.arange(1 << max(n - 1, 0), dtype=np.uint32))
+    ranked = []  # ranked[j]: index masks of popcount j, ascending
+
+    def fits(terminals: int, limit: int) -> bool:
+        if not terminals:
+            raise InputError("steiner tree needs at least one terminal")
+        extra = limit - terminals.bit_count()
+        if extra < 0:
+            return False
+        free = [1 << v for v in range(n) if not terminals >> v & 1]
+        extra = min(extra, len(free))
+        while len(ranked) <= extra:
+            ranked.append(np.flatnonzero(counts == len(ranked)).astype(np.uint32))
+        subs = np.concatenate([ranked[j][: comb(len(free), j)] for j in range(extra + 1)])
+        deposit = _or_tables(free)
+        t = np.uint32(terminals)
+        for b in range(0, len(subs), _BLOCK):
+            if conn[_or_lookup(deposit, subs[b : b + _BLOCK]) | t].any():
+                return True
+        return False
+
+    return fits
 
 
 def _bfs_tables(adjacency):
@@ -307,12 +357,25 @@ def _bfs_tables(adjacency):
     return out
 
 
+def boundary_blocks(adj, masks):
+    """Node boundaries nbr(U) & ~U of the masks (a uint32 array, as
+    compact_masks returns it), yielded as uint32 arrays of at most 2^12
+    entries in the order of the masks."""
+    n = len(adj)
+    if n > _COMPACT_MAX_N:
+        raise LimitError(f"compact-set tables are limited to n <= {_COMPACT_MAX_N}, got n={n}")
+    nbr = _or_tables(adj)
+    for b in range(0, len(masks), _BLOCK):
+        u = masks[b : b + _BLOCK]
+        yield _or_lookup(nbr, u) & ~u
+
+
 def compact_set_bounds(adjacency, masks):
     """Boundaries and greedy connector bounds of compact sets, blockwise.
 
     For each run of at most 2^12 masks (a uint32 array, as compact_masks
-    returns it) yields (boundary, t, greedy): the boundary masks
-    nbr(U) & ~U, their sizes, and the node count of the greedy
+    returns it) yields (boundary, t, greedy): the boundary masks from
+    boundary_blocks, their sizes, and the node count of the greedy
     connector of each boundary. The greedy connector starts from the
     lowest boundary node and attaches the other boundary nodes in
     ascending order, each by the breadth-first path (adjacency-list
@@ -324,11 +387,8 @@ def compact_set_bounds(adjacency, masks):
     n = len(adjacency)
     if n > _COMPACT_MAX_N:
         raise LimitError(f"compact-set tables are limited to n <= {_COMPACT_MAX_N}, got n={n}")
-    nbr = _or_tables(adjacency_masks(adjacency))
     bfs = _bfs_tables(adjacency)
-    for b in range(0, len(masks), _BLOCK):
-        u = masks[b : b + _BLOCK]
-        bnd = _or_lookup(nbr, u) & ~u
+    for bnd in boundary_blocks(adjacency_masks(adjacency), masks):
         tree = _lowbit(bnd)
         for v in range(n):
             need = np.flatnonzero(bnd & ~tree & np.uint32(1 << v))

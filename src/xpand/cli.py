@@ -240,6 +240,8 @@ def cmd_span(args, ctx: RunContext) -> int:
             raise InputError("--exact and --sample exclude each other")
         rep = span_sampled(g, args.sample, args.seed, max_size=args.max_size)
     else:
+        if args.max_size is not None:
+            raise InputError("--max-size needs --sample")
         rep = span_exact(g)
     ctx.deliver(args.output, canonical_json(rep.to_payload()))
     return 0

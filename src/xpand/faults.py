@@ -21,7 +21,10 @@ KIND_EDGE = "edge-survival"
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    seed = int(seed)
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def rand_below(rng: np.random.Generator, k: int) -> int:

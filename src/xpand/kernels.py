@@ -5,8 +5,9 @@ the ratio sweeps and the compact-set engine, pure Python for the rest.
 The kernels called once per instance are plain functions of this
 module, not aliases, so that wrapping this module's functions
 (per-kernel call tracing) sees every call without also counting the
-helpers the kernels call internally. mask_nodes and compact_set_bounds
-are aliases and are not traced.
+helpers the kernels call internally. mask_nodes and the block
+generators boundary_blocks and compact_set_bounds are aliases and are
+not traced; neither is the per-set test that connector_lookup returns.
 """
 
 from __future__ import annotations
@@ -32,10 +33,19 @@ def min_ratio_edge_cut(n: int, adj, max_size: int):
     return _py.min_ratio_edge_cut(n, adj, max_size)
 
 
-def compact_masks(n: int, adj):
-    return _py.compact_masks(n, adj)
+def connectivity_table(n: int, adj):
+    return _py.connectivity_table(n, adj)
 
 
+def compact_masks(conn):
+    return _py.compact_masks(conn)
+
+
+def connector_lookup(conn):
+    return _py.connector_lookup(conn)
+
+
+boundary_blocks = _py.boundary_blocks
 compact_set_bounds = _py.compact_set_bounds
 
 

@@ -7,19 +7,21 @@ The span of a graph is the maximum over compact sets U of |P(U)| /
 certificate that this never exceeds 2, checked here edge by edge
 without any Steiner search.
 
-Exact answers walk every compact set. The sets come from one numpy
-table engine in the kernels: a connectivity bit for each of the 2^n
-masks (a mask is compact iff it and its complement are connected),
-then, a block of 2^12 sets at a time, each set's boundary, its size
-and a greedy connector bound read from per-node breadth-first tables.
-Python-level work is left for the few sets whose bound can still beat
-the best ratio: those get an exact Steiner tree.
+Exact answers walk every compact set. They come from one numpy table
+engine in the kernels: a connectivity bit for each of the 2^n masks (a
+mask is compact iff it and its complement are connected), then, a
+block of 2^12 sets at a time, each set's boundary, its size and a
+greedy connector bound read from per-node breadth-first tables. A set
+whose bound can still beat the best ratio has its Steiner size decided
+by lookups in the same connectivity table; only a set that does beat
+it, a new maximum, gets an exact Steiner tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .errors import (
     SamplingError,
 )
 from .faults import make_rng, rand_below
-from .generators import mesh, mesh_coords, mesh_index
+from .generators import mesh, mesh_coords, mesh_strides
 from .graph import Graph, canon_nodes, is_compact, is_connected, node_boundary
 
 COMPACT_ENUM_LIMIT = 18
@@ -47,7 +49,7 @@ class SpanReport:
     boundary: tuple  # its node boundary, the tree's terminals
     tree_edges: tuple  # a minimum-node tree spanning the boundary
     tree_size: int
-    considered: int  # compact sets whose Steiner tree was computed
+    considered: int  # compact sets whose Steiner size was decided
     skipped: int  # compact sets dismissed by upper bounds
 
     @property
@@ -95,20 +97,25 @@ def enumerate_compact_sets(g: Graph):
             f"compact enumeration is limited to n <= {COMPACT_ENUM_LIMIT}, got n={g.n}"
         )
     adj = kernels.adjacency_masks(g.adjacency)
-    return [kernels.mask_nodes(mask) for mask in kernels.compact_masks(g.n, adj).tolist()]
+    masks = kernels.compact_masks(kernels.connectivity_table(g.n, adj))
+    return [kernels.mask_nodes(mask) for mask in masks.tolist()]
 
 
 def span_exact(g: Graph) -> SpanReport:
     """Exact span by walking every compact set in canonical order.
 
-    The compact sets, their boundaries and a greedy connector bound for
-    each come from the table engine (kernels.compact_masks and
+    The connectivity table is built once (kernels.connectivity_table);
+    the compact sets, their boundaries and a greedy connector bound for
+    each come from it (kernels.compact_masks and
     kernels.compact_set_bounds), a block of masks at a time. A set is
     dismissed when its greedy bound over its boundary size cannot
     strictly beat the best ratio so far; since the bound is at most n,
-    this also dismisses every set whose n/|boundary| cannot. Only the
-    remaining sets get an exact Steiner tree, in canonical order. Ties
-    keep the first compact set, and a dismissed set can at best tie.
+    this also dismisses every set whose n/|boundary| cannot. For each
+    remaining set with boundary T, the set beats the best ratio num/den
+    iff its Steiner size exceeds L = floor(num |T| / den), which the
+    table decides (kernels.connector_lookup). Only a new maximum gets an
+    exact Steiner tree. Ties keep the first compact set, and a
+    dismissed set can at best tie.
     """
     if g.n < 2:
         raise InputError("span needs at least 2 nodes")
@@ -117,7 +124,9 @@ def span_exact(g: Graph) -> SpanReport:
     if g.n > COMPACT_ENUM_LIMIT:
         raise LimitError(f"exact span is limited to n <= {COMPACT_ENUM_LIMIT}, got n={g.n}")
     adj = kernels.adjacency_masks(g.adjacency)
-    masks = kernels.compact_masks(g.n, adj)
+    conn = kernels.connectivity_table(g.n, adj)
+    masks = kernels.compact_masks(conn)
+    fits = kernels.connector_lookup(conn)
     num, den = 0, 1  # best ratio so far; 0/1 lets the first set through
     best = None  # (set, boundary, tree_edges)
     considered = 0
@@ -127,14 +136,18 @@ def span_exact(g: Graph) -> SpanReport:
             size = int(t[i])
             if int(greedy[i]) * den <= num * size:
                 continue  # the best ratio rose since the block was screened
-            terms = kernels.mask_nodes(int(bnd[i]))
+            considered += 1
+            tmask = int(bnd[i])
+            if fits(tmask, num * size // den):
+                continue  # a connector of at most L nodes exists: no gain
+            terms = kernels.mask_nodes(tmask)
             res = kernels.steiner_min_tree(g.n, adj, terms)
             if res is None:
                 raise ContractError("boundary of a compact set spans several components")
-            considered += 1
-            if res[0] * den > num * size:
-                num, den = res[0], size
-                best = (kernels.mask_nodes(int(masks[start + i])), terms, tuple(res[1]))
+            if res[0] * den <= num * size:
+                raise ContractError("steiner tree does not beat the ratio as its lookup said")
+            num, den = res[0], size
+            best = (kernels.mask_nodes(int(masks[start + i])), terms, tuple(res[1]))
         start += len(bnd)
     if best is None:
         raise ContractError("connected graph with n >= 2 has no compact set")
@@ -187,6 +200,8 @@ def span_sampled(
         raise InputError("span is defined for connected graphs")
     if trials < 1:
         raise InputError("need at least one trial")
+    if max_size is not None and max_size < 1:
+        raise InputError(f"max_size must be at least 1, got {max_size}")
     rng = make_rng(seed)
     adj = kernels.adjacency_masks(g.adjacency)
     best = None
@@ -222,45 +237,6 @@ def span_sampled(
     )
 
 
-def mesh_virtual_boundary_graph(dims, boundary) -> Graph:
-    """Virtual graph on a mesh boundary: two boundary nodes are joined
-    when they differ in at most two coordinates, each by exactly one.
-    node_map carries the original mesh ids."""
-    dims = tuple(int(d) for d in dims)
-    b = tuple(sorted(set(int(v) for v in boundary)))
-    coords = [mesh_coords(dims, v) for v in b]
-    edges = []
-    for i in range(len(b)):
-        for j in range(i + 1, len(b)):
-            diff = [
-                (axis, cj - ci)
-                for axis, (ci, cj) in enumerate(zip(coords[i], coords[j]))
-                if ci != cj
-            ]
-            if 1 <= len(diff) <= 2 and all(abs(d) == 1 for _axis, d in diff):
-                edges.append((i, j))
-    return Graph.from_edges(len(b), edges, node_map=b)
-
-
-def expand_virtual_edge(dims, u: int, v: int) -> tuple:
-    """Mesh nodes realizing a virtual edge: () when u, v are already
-    mesh-adjacent, otherwise the single intermediate that flips the
-    first differing coordinate of u to v's value."""
-    dims = tuple(int(d) for d in dims)
-    cu = mesh_coords(dims, u)
-    cv = mesh_coords(dims, v)
-    diff = [axis for axis in range(len(dims)) if cu[axis] != cv[axis]]
-    if any(abs(cu[axis] - cv[axis]) != 1 for axis in diff):
-        raise InputError(f"{u} and {v} are not joined by a virtual edge")
-    if len(diff) == 1:
-        return ()
-    if len(diff) != 2:
-        raise InputError(f"{u} and {v} are not joined by a virtual edge")
-    mid = list(cu)
-    mid[diff[0]] = cv[diff[0]]
-    return (mesh_index(dims, mid),)
-
-
 @dataclass(frozen=True)
 class MeshSpanCertificate:
     dims: tuple
@@ -283,30 +259,58 @@ class MeshSpanCertificate:
         }
 
 
-def _certify_one(g: Graph, dims, nodes):
-    """Returns (ok, ratio) for one compact set: the virtual boundary
-    graph must be connected, and a spanning tree expanded back into
-    mesh nodes must connect the boundary with at most 2|boundary|
-    nodes."""
-    bnd = node_boundary(g, nodes)
-    virt = mesh_virtual_boundary_graph(dims, bnd)
-    # breadth-first spanning tree from the smallest boundary node; the
-    # virtual graph is connected iff it reaches every boundary node
-    connector = set(bnd)
-    seen = {0}
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for y in virt.adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-                connector.update(expand_virtual_edge(dims, bnd[x], bnd[y]))
-    if len(seen) < len(bnd):
-        return False, None
-    return True, Fraction(len(connector), len(bnd))
+def _virtual_row(dims, v: int):
+    """Mesh node v's virtual neighbours: the nodes that differ from v in
+    one or two coordinates, each by exactly one, as a mask, and for each
+    two-coordinate neighbour w the midpoint that flips v's first
+    differing coordinate to w's value, as a one-bit mask keyed by w."""
+    steps = []  # (axis, offset) of the mesh neighbours, by ascending axis
+    coords = mesh_coords(dims, v)
+    for axis, (c, side, stride) in enumerate(zip(coords, dims, mesh_strides(dims))):
+        if c > 0:
+            steps.append((axis, -stride))
+        if c + 1 < side:
+            steps.append((axis, stride))
+    virt = 0
+    mids = {}
+    for i, (axis_a, da) in enumerate(steps):
+        virt |= 1 << (v + da)
+        for axis_b, db in steps[i + 1 :]:
+            if axis_b != axis_a:
+                w = v + da + db
+                virt |= 1 << w
+                mids[w] = 1 << (v + da)
+    return virt, mids
+
+
+def _certify_boundary(dims, rows: dict, bnd: int):
+    """Connector size for one compact set's boundary mask, or None when
+    its virtual boundary graph splits.
+
+    A breadth-first spanning tree of the virtual graph on the boundary,
+    from the lowest boundary node, taking neighbours in ascending order;
+    each two-coordinate tree edge adds its midpoint from the parent's
+    side. rows caches _virtual_row per node for the whole certificate.
+    """
+    seen = bnd & -bnd
+    connector = bnd
+    queue = [seen.bit_length() - 1]
+    for x in queue:  # the loop also walks the nodes appended below
+        row = rows.get(x)
+        if row is None:
+            row = rows[x] = _virtual_row(dims, x)
+        virt, mids = row
+        new = virt & bnd & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            y = low.bit_length() - 1
+            queue.append(y)
+            connector |= mids.get(y, 0)
+            new ^= low
+    if seen != bnd:
+        return None
+    return connector.bit_count()
 
 
 def verify_mesh_span_certificate(
@@ -317,7 +321,14 @@ def verify_mesh_span_certificate(
     seed: int = 0,
 ) -> MeshSpanCertificate:
     """Check the two-times-boundary connector certificate on a mesh,
-    over every compact set (exhaustive) or over randomly grown ones."""
+    over every compact set (exhaustive) or over randomly grown ones.
+
+    Each set's virtual boundary graph (boundary nodes joined when they
+    differ in at most two coordinates, each by one) must be connected,
+    and a spanning tree of it, expanded back into mesh nodes, must
+    connect the boundary with at most 2|boundary| nodes. Exhaustive
+    boundaries come blockwise from the table engine.
+    """
     dims = tuple(int(d) for d in dims)
     g = mesh(dims)
     if exhaustive:
@@ -327,24 +338,28 @@ def verify_mesh_span_certificate(
                 f"got n={g.n}"
             )
         adj = kernels.adjacency_masks(g.adjacency)
-        sets = map(kernels.mask_nodes, kernels.compact_masks(g.n, adj).tolist())
+        masks = kernels.compact_masks(kernels.connectivity_table(g.n, adj))
+        bnds = chain.from_iterable(b.tolist() for b in kernels.boundary_blocks(adj, masks))
+        sets = zip(masks.tolist(), bnds)
     else:
         if samples < 1:
             raise InputError("sampled certificate needs at least one sample")
         rng = make_rng(seed)
-        sets = (sample_compact_set(g, rng) for _ in range(int(samples)))
+        sets = (_sampled_masks(g, rng) for _ in range(int(samples)))
+    rows = {}
     failures = []
-    max_ratio = Fraction(0)
+    num, den = 0, 1  # worst connector ratio so far
     checked = 0
-    for nodes in sets:
-        if nodes is None:
+    for pair in sets:
+        if pair is None:
             continue
-        ok, ratio = _certify_one(g, dims, nodes)
+        u, bnd = pair
+        size = _certify_boundary(dims, rows, bnd)
         checked += 1
-        if not ok:
-            failures.append(nodes)
-        elif ratio > max_ratio:
-            max_ratio = ratio
+        if size is None:
+            failures.append(kernels.mask_nodes(u))
+        elif size * den > num * bnd.bit_count():
+            num, den = size, bnd.bit_count()
     if checked == 0:
         # every mesh has compact sets, so only sampling can end up here
         raise SamplingError("no sample produced a compact set")
@@ -352,5 +367,15 @@ def verify_mesh_span_certificate(
         dims=dims,
         checked=checked,
         failures=tuple(failures),
-        max_ratio=max_ratio,
+        max_ratio=Fraction(num, den),
     )
+
+
+def _sampled_masks(g: Graph, rng):
+    """(set mask, boundary mask) of one randomly grown compact set, or
+    None when the growth is rejected. Built from the node lists: a
+    table of adjacency masks would grow with n^2 on large meshes."""
+    nodes = sample_compact_set(g, rng)
+    if nodes is None:
+        return None
+    return sum(1 << v for v in nodes), sum(1 << v for v in node_boundary(g, nodes))

@@ -5,9 +5,15 @@ the package's exact machinery through a second code path.
 ratio sweeps were first written as; they stay here as the from-scratch
 reference for the vectorized kernels. Likewise `compact_masks` (one
 flood per mask), `_greedy_connector_size` (one breadth-first search per
-terminal) and the per-set walk of `span_exact` are the reference for
-the numpy compact-set engine. `subdivided_node_expansion` and
-`_reconstruct_subdiv_witness`, with their own copies of
+terminal) and the per-set walk of `span_exact`, with an exact Steiner
+tree for every set its bounds do not dismiss, are the reference for
+the numpy compact-set engine and the Steiner-size lookups.
+`verify_mesh_span_certificate` with `_certify_one`,
+`mesh_virtual_boundary_graph` and `expand_virtual_edge` is the mesh
+certificate as first written, a virtual Graph per compact set; it is
+the reference for the per-node virtual tables.
+`subdivided_node_expansion` and `_reconstruct_subdiv_witness`, with
+their own copies of
 `_chain_config_tables` and `_submasks`, are the chain DP as first
 written: a dict of numpy rows per pushed-set state, a snapshot of every
 state after every chain and a backward search for the witness. They
@@ -21,7 +27,7 @@ import networkx as nx
 import numpy as np
 
 from xpand import kernels
-from xpand.errors import ContractError, InputError, LimitError
+from xpand.errors import ContractError, InputError, LimitError, SamplingError
 from xpand.expansion import (
     _INF32,
     SUBDIV_BASE_LIMIT,
@@ -29,9 +35,14 @@ from xpand.expansion import (
     ExpansionResult,
 )
 from xpand.faults import make_rng, rand_below
-from xpand.generators import SubdividedGraph
+from xpand.generators import SubdividedGraph, mesh, mesh_coords, mesh_index
 from xpand.graph import Graph, is_connected, make_cut, node_boundary
-from xpand.span import COMPACT_ENUM_LIMIT, SpanReport
+from xpand.span import (
+    COMPACT_ENUM_LIMIT,
+    MeshSpanCertificate,
+    SpanReport,
+    sample_compact_set,
+)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -304,6 +315,118 @@ def span_exact(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT) -> SpanReport:
         tree_size=best[4],
         considered=considered,
         skipped=skipped,
+    )
+
+
+def mesh_virtual_boundary_graph(dims, boundary) -> Graph:
+    """Virtual graph on a mesh boundary: two boundary nodes are joined
+    when they differ in at most two coordinates, each by exactly one.
+    node_map carries the original mesh ids."""
+    dims = tuple(int(d) for d in dims)
+    b = tuple(sorted(set(int(v) for v in boundary)))
+    coords = [mesh_coords(dims, v) for v in b]
+    edges = []
+    for i in range(len(b)):
+        for j in range(i + 1, len(b)):
+            diff = [
+                (axis, cj - ci)
+                for axis, (ci, cj) in enumerate(zip(coords[i], coords[j]))
+                if ci != cj
+            ]
+            if 1 <= len(diff) <= 2 and all(abs(d) == 1 for _axis, d in diff):
+                edges.append((i, j))
+    return Graph.from_edges(len(b), edges, node_map=b)
+
+
+def expand_virtual_edge(dims, u: int, v: int) -> tuple:
+    """Mesh nodes realizing a virtual edge: () when u, v are already
+    mesh-adjacent, otherwise the single intermediate that flips the
+    first differing coordinate of u to v's value."""
+    dims = tuple(int(d) for d in dims)
+    cu = mesh_coords(dims, u)
+    cv = mesh_coords(dims, v)
+    diff = [axis for axis in range(len(dims)) if cu[axis] != cv[axis]]
+    if any(abs(cu[axis] - cv[axis]) != 1 for axis in diff):
+        raise InputError(f"{u} and {v} are not joined by a virtual edge")
+    if len(diff) == 1:
+        return ()
+    if len(diff) != 2:
+        raise InputError(f"{u} and {v} are not joined by a virtual edge")
+    mid = list(cu)
+    mid[diff[0]] = cv[diff[0]]
+    return (mesh_index(dims, mid),)
+
+
+def _certify_one(g: Graph, dims, nodes):
+    """Returns (ok, ratio) for one compact set: the virtual boundary
+    graph must be connected, and a spanning tree expanded back into
+    mesh nodes must connect the boundary with at most 2|boundary|
+    nodes."""
+    bnd = node_boundary(g, nodes)
+    virt = mesh_virtual_boundary_graph(dims, bnd)
+    # breadth-first spanning tree from the smallest boundary node; the
+    # virtual graph is connected iff it reaches every boundary node
+    connector = set(bnd)
+    seen = {0}
+    queue = [0]
+    head = 0
+    while head < len(queue):
+        x = queue[head]
+        head += 1
+        for y in virt.adjacency[x]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                connector.update(expand_virtual_edge(dims, bnd[x], bnd[y]))
+    if len(seen) < len(bnd):
+        return False, None
+    return True, Fraction(len(connector), len(bnd))
+
+
+def verify_mesh_span_certificate(
+    dims,
+    *,
+    exhaustive: bool = True,
+    samples: int = 0,
+    seed: int = 0,
+) -> MeshSpanCertificate:
+    """The certificate as first written: a virtual Graph per compact
+    set, built through mesh_coords, and a breadth-first walk over it.
+    Exhaustive sets come from the per-mask compact_masks above."""
+    dims = tuple(int(d) for d in dims)
+    g = mesh(dims)
+    if exhaustive:
+        if g.n > COMPACT_ENUM_LIMIT:
+            raise LimitError(
+                f"exhaustive certificate is limited to n <= {COMPACT_ENUM_LIMIT}, "
+                f"got n={g.n}"
+            )
+        adj = kernels.adjacency_masks(g.adjacency)
+        sets = map(kernels.mask_nodes, compact_masks(g.n, adj))
+    else:
+        if samples < 1:
+            raise InputError("sampled certificate needs at least one sample")
+        rng = make_rng(seed)
+        sets = (sample_compact_set(g, rng) for _ in range(int(samples)))
+    failures = []
+    max_ratio = Fraction(0)
+    checked = 0
+    for nodes in sets:
+        if nodes is None:
+            continue
+        ok, ratio = _certify_one(g, dims, nodes)
+        checked += 1
+        if not ok:
+            failures.append(nodes)
+        elif ratio > max_ratio:
+            max_ratio = ratio
+    if checked == 0:
+        raise SamplingError("no sample produced a compact set")
+    return MeshSpanCertificate(
+        dims=dims,
+        checked=checked,
+        failures=tuple(failures),
+        max_ratio=max_ratio,
     )
 
 

@@ -100,6 +100,42 @@ def test_heuristic_trials_below_one_is_an_input_error(workdir, capsys, trials):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-mesh-span", "--dims", "2x2", "--sample", "5", "--seed", "-3"],
+        ["span", "m.gr", "--sample", "5", "--seed", "-1"],
+        ["percolate", "m.gr", "--p-grid", "1/2", "--trials", "2", "--seed", "-1"],
+        ["gen", "--family", "random-regular", "--n", "10", "--degree", "3", "--seed", "-1"],
+        ["expansion", "m.gr", "--heuristic", "--seed", "-1"],
+    ],
+    ids=["verify-mesh-span", "span", "percolate", "gen", "expansion"],
+)
+def test_negative_seed_is_an_input_error(workdir, capsys, argv):
+    run(["gen", "--family", "mesh", "--dims", "3x3", "-o", "m.gr"], capsys)
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert err.startswith("error:") and "seed" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sample", "5", "--max-size", "0"], "max_size"),
+        (["--sample", "5", "--max-size", "-2"], "max_size"),
+        (["--max-size", "3"], "--max-size needs --sample"),
+        (["--exact", "--max-size", "3"], "--max-size needs --sample"),
+    ],
+)
+def test_span_max_size_is_checked(workdir, capsys, flags, message):
+    run(["gen", "--family", "mesh", "--dims", "3x3", "-o", "m.gr"], capsys)
+    rc, out, err = run(["span", "m.gr", *flags], capsys)
+    assert rc == 2
+    assert err.startswith("error:") and message in err
+    assert out == ""
+
+
 def test_expansion_node_exact(workdir, capsys):
     run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
     rc, out, _ = run(["expansion", "m.gr", "--node", "--exact"], capsys)

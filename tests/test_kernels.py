@@ -90,9 +90,11 @@ def test_ratio_sweeps_refuse_masks_past_63_bits(name):
 def test_compact_set_engine_refuses_tables_past_24_nodes():
     adj = [0] * 25
     with pytest.raises(LimitError):
-        _kernels_py.compact_masks(25, adj)
+        _kernels_py.connectivity_table(25, adj)
     with pytest.raises(LimitError):
-        kernels.compact_masks(25, adj)
+        kernels.connectivity_table(25, adj)
+    with pytest.raises(LimitError):
+        next(kernels.boundary_blocks(adj, np.zeros(0, dtype=np.uint32)))
     with pytest.raises(LimitError):
         next(kernels.compact_set_bounds([()] * 25, np.zeros(0, dtype=np.uint32)))
 
@@ -138,6 +140,29 @@ def test_steiner_matches_oracle():
             assert len(edges) == count - 1
             assert is_connected_subset(Graph.from_edges(g.n, edges), touched)
     assert methods == {"sweep", "dw"}
+
+
+def test_connector_lookup_decides_steiner_sizes():
+    # the lookup answers "is the Steiner size at most limit" exactly,
+    # also one below and one above the size, and for terminals split
+    # across components of a disconnected graph
+    split = Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+    rng = random.Random(5)
+    checked = 0
+    for g in _graphs(15, n_max=12) + [split]:
+        adj = kernels.adjacency_masks(g.adjacency)
+        fits = kernels.connector_lookup(kernels.connectivity_table(g.n, adj))
+        for _ in range(6):
+            terms = tuple(sorted(rng.sample(range(g.n), rng.randint(1, min(5, g.n)))))
+            res = kernels.steiner_min_tree(g.n, adj, terms)
+            size = g.n + 2 if res is None else res[0]
+            tmask = sum(1 << v for v in terms)
+            for limit in range(len(terms) - 1, min(size + 2, g.n + 1)):
+                assert fits(tmask, limit) == (size <= limit)
+                checked += 1
+    assert checked > 300
+    with pytest.raises(InputError):
+        fits(0, 3)
 
 
 def test_steiner_without_terminals_is_an_input_error():

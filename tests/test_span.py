@@ -11,17 +11,24 @@ from hypothesis import strategies as st
 import oracles
 from xpand import kernels, span
 from xpand.errors import (
+    GenerationError,
     InputError,
     LimitError,
     NoSteinerTreeError,
     SamplingError,
 )
-from xpand.generators import complete, cycle, mesh, mesh_coords, path
+from xpand.generators import (
+    complete,
+    cycle,
+    hypercube,
+    mesh,
+    mesh_coords,
+    path,
+    random_regular,
+)
 from xpand.graph import Graph, is_compact, node_boundary
 from xpand.span import (
     enumerate_compact_sets,
-    expand_virtual_edge,
-    mesh_virtual_boundary_graph,
     span_exact,
     span_sampled,
     steiner_tree_min,
@@ -138,6 +145,13 @@ def test_span_sampled_error_when_nothing_usable(monkeypatch):
         span_sampled(cycle(8), 0, seed=0)
 
 
+def test_span_sampled_max_size_must_be_positive():
+    for bad in (0, -2):
+        with pytest.raises(InputError):
+            span_sampled(cycle(8), 5, seed=0, max_size=bad)
+    assert span_sampled(cycle(8), 5, seed=0, max_size=1).method == "sampled"
+
+
 def test_span_limits():
     with pytest.raises(LimitError):
         span_exact(mesh([5, 5]))
@@ -145,35 +159,47 @@ def test_span_limits():
         span_exact(Graph.from_edges(4, [(0, 1), (2, 3)]))  # disconnected
 
 
-def test_mesh_virtual_boundary_graph():
-    v = mesh_virtual_boundary_graph((3, 3), [1, 3, 5, 7])
-    assert v.n == 4
-    assert sorted(v.edges()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
-    assert v.node_map == (1, 3, 5, 7)
-    # neighbors of a corner in the 2-cube: pairwise within distance 2
-    v2 = mesh_virtual_boundary_graph((2, 2, 2), [1, 2, 4])
-    assert sorted(v2.edges()) == [(0, 1), (0, 2), (1, 2)]
-    # boundary of a 2x2 corner block in the 4x4 mesh stays connected
-    from xpand.graph import is_connected
+def _virtual_pairs(dims, boundary):
+    """Virtual edges among boundary nodes, read from the per-node rows."""
+    bmask = sum(1 << v for v in boundary)
+    return sorted(
+        (u, w)
+        for u in boundary
+        for w in kernels.mask_nodes(span._virtual_row(dims, u)[0] & bmask)
+        if u < w
+    )
 
+
+def test_mesh_virtual_boundary_graph():
+    assert _virtual_pairs((3, 3), [1, 3, 5, 7]) == [(1, 3), (1, 5), (3, 7), (5, 7)]
+    # neighbors of a corner in the 2-cube: pairwise within distance 2
+    assert _virtual_pairs((2, 2, 2), [1, 2, 4]) == [(1, 2), (1, 4), (2, 4)]
+    # boundary of a 2x2 corner block in the 4x4 mesh stays connected
     block = [0, 1, 4, 5]
-    bnd = node_boundary(mesh([4, 4]), block)
-    assert is_connected(mesh_virtual_boundary_graph((4, 4), bnd))
+    bnd = sum(1 << v for v in node_boundary(mesh([4, 4]), block))
+    assert span._certify_boundary((4, 4), {}, bnd) is not None
+    # a row of a 3x3 mesh has the two far rows as its boundary: split
+    assert span._certify_boundary((3, 3), {}, 0b111000111) is None
 
 
 def test_expand_virtual_edge():
-    assert expand_virtual_edge((3, 3), 0, 1) == ()  # already adjacent
-    assert expand_virtual_edge((3, 3), 1, 3) == (4,)
-    assert expand_virtual_edge((3, 3), 1, 5) == (4,)
+    virt0, mids0 = span._virtual_row((3, 3), 0)
+    assert virt0 >> 1 & 1 and 1 not in mids0  # already adjacent
+    _virt1, mids1 = span._virtual_row((3, 3), 1)
+    assert mids1[3] == mids1[5] == 1 << 4
     # connector must stitch the pair into a real path
     g = mesh([3, 3])
     for u, v in [(1, 3), (1, 5), (0, 4)]:
-        mid = expand_virtual_edge((3, 3), u, v)
+        virt, mids = span._virtual_row((3, 3), u)
+        assert virt >> v & 1
+        mid = kernels.mask_nodes(mids.get(v, 0))
         assert len(mid) <= 1
         if mid:
             assert g.has_edge(u, mid[0]) and g.has_edge(mid[0], v)
-    with pytest.raises(InputError):
-        expand_virtual_edge((3, 3), 0, 8)  # too far apart
+    assert not virt0 >> 8 & 1  # too far apart
+    # the midpoint flips the parent's first differing coordinate
+    assert span._virtual_row((3, 3), 4)[1][0] == 1 << 1
+    assert span._virtual_row((3, 3), 0)[1][4] == 1 << 3
 
 
 def test_mesh_span_certificate():
@@ -228,7 +254,7 @@ def connected_graphs(draw):
 def test_compact_set_engine_matches_reference_loops(g):
     adj = kernels.adjacency_masks(g.adjacency)
     want = oracles.compact_masks(g.n, adj)
-    masks = kernels.compact_masks(g.n, adj)
+    masks = kernels.compact_masks(kernels.connectivity_table(g.n, adj))
     assert masks.tolist() == want
     rows = []
     for bnd, t, greedy in kernels.compact_set_bounds(g.adjacency, masks):
@@ -255,8 +281,73 @@ def test_compact_set_results_hold_python_ints(monkeypatch):
     assert all(_all_ints(e) for e in r.tree_edges)
     json.dumps(r.to_payload())
     # every compact set fails, so failures holds what the walk decoded
-    monkeypatch.setattr(span, "_certify_one", lambda _g, _dims, _nodes: (False, None))
+    monkeypatch.setattr(span, "_certify_boundary", lambda _dims, _rows, _bnd: None)
     cert = verify_mesh_span_certificate((3, 3), exhaustive=True)
     assert len(cert.failures) == cert.checked == len(sets)
     assert all(_all_ints(f) for f in cert.failures)
     json.dumps(cert.to_payload())
+
+
+def _regular18(seed: int) -> Graph:
+    """random_regular(18, 4) from the first generator seed at or after
+    seed that yields one (the pairing model fails for some seeds)."""
+    for s in range(seed, seed + 100):
+        try:
+            return random_regular(18, 4, s)
+        except GenerationError:
+            continue
+    raise GenerationError(f"no random_regular(18, 4) in seeds {seed}+100")
+
+
+FULL_SIZE_GRAPHS = {
+    "mesh3x6": lambda: mesh((3, 6)),
+    "mesh2x9": lambda: mesh((2, 9)),
+    "hypercube4": lambda: hypercube(4),
+    **{f"rr18_4_seed{s}": (lambda s=s: _regular18(s)) for s in (0, 3, 7, 42, 99)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SIZE_GRAPHS))
+def test_span_exact_matches_reference_at_full_size(name):
+    g = FULL_SIZE_GRAPHS[name]()
+    assert 16 <= g.n <= 18
+    assert span_exact(g) == oracles.span_exact(g)
+
+
+# every 2- and 3-dimensional mesh with 4 <= n <= 18, sides >= 2, plus
+# a few transposed ones, whose node numbering differs
+CERT_DIMS = [
+    (a, b) for a in range(2, 10) for b in range(a, 10) if a * b <= 18
+] + [
+    (a, b, c)
+    for a in range(2, 5)
+    for b in range(a, 5)
+    for c in range(b, 5)
+    if a * b * c <= 18
+] + [(3, 2), (6, 3), (9, 2), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("dims", CERT_DIMS, ids=lambda d: "x".join(map(str, d)))
+def test_mesh_certificate_matches_reference_exhaustive(dims):
+    cert = verify_mesh_span_certificate(dims, exhaustive=True)
+    assert cert == oracles.verify_mesh_span_certificate(dims, exhaustive=True)
+    assert cert.ok
+
+
+@given(
+    dims=st.sampled_from([(3, 3), (5, 5), (4, 6), (7, 3), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(1, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_mesh_certificate_matches_reference_sampled(dims, seed, samples):
+    try:
+        want = oracles.verify_mesh_span_certificate(
+            dims, exhaustive=False, samples=samples, seed=seed
+        )
+    except SamplingError:
+        with pytest.raises(SamplingError):
+            verify_mesh_span_certificate(dims, exhaustive=False, samples=samples, seed=seed)
+        return
+    got = verify_mesh_span_certificate(dims, exhaustive=False, samples=samples, seed=seed)
+    assert got == want
