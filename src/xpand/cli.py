@@ -375,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads where supported (default: XPAND_THREADS, "
-        f"else the CPU count capped at {MAX_THREADS})",
+        help=f"worker threads where supported (default: the CPU count, capped at {MAX_THREADS})",
     )
 
     sub = top.add_subparsers(dest="command")
@@ -531,17 +530,10 @@ def _render_param(value):
 
 
 def _resolve_threads(args) -> int:
-    """--threads, else XPAND_THREADS, else available parallelism."""
+    """--threads, else available parallelism."""
     threads = args.threads
     if threads is None:
-        env = os.environ.get("XPAND_THREADS", "")
-        if env.strip():
-            try:
-                threads = int(env)
-            except ValueError:
-                raise InputError(f"XPAND_THREADS is not a number: {env!r}") from None
-        else:
-            threads = min(os.cpu_count() or 1, MAX_THREADS)
+        threads = min(os.cpu_count() or 1, MAX_THREADS)
     if not 1 <= threads <= MAX_THREADS:
         raise InputError(f"threads must lie in [1, {MAX_THREADS}]")
     return threads

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, sqrt
+from math import comb
 
 from . import kernels
 from .errors import ContractError, InputError, LimitError
@@ -89,7 +89,6 @@ class PointSummary:
     p: Fraction
     trials: int
     mean_gamma: Fraction
-    std_gamma: float
     mean_h_frac: Fraction
     certified_count: int
 
@@ -238,14 +237,11 @@ def run_percolation_sweep(
         )
         rows.extend(batch)
         mean_gamma = sum((r.gamma for r in batch), Fraction(0)) / len(batch)
-        mu = float(mean_gamma)
-        var = sum((float(r.gamma) - mu) ** 2 for r in batch) / len(batch)
         points.append(
             PointSummary(
                 p=Fraction(p),
                 trials=len(batch),
                 mean_gamma=mean_gamma,
-                std_gamma=sqrt(var),
                 mean_h_frac=sum((r.h_frac for r in batch), Fraction(0)) / len(batch),
                 certified_count=sum(1 for r in batch if r.certified),
             )

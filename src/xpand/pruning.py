@@ -57,7 +57,6 @@ class PruneTrace:
     n_start: int
     steps: tuple
     final_nodes: tuple  # root ids of the surviving subgraph
-    prefix_checks: tuple  # (union_boundary, boundary_sum, union_size) per step
     certified: bool = True  # exact finders used throughout
 
     @property
@@ -107,11 +106,11 @@ def _boundary_size(g: Graph, s, mode: str) -> int:
     return len(edge_boundary(g, s))
 
 
-def _prefix_row(g_f: Graph, mode: str, union_root, bnd_sum: int) -> tuple:
-    """(union_boundary, boundary_sum, union_size) of the sets culled so
-    far, their union measured in the faulty graph g_f."""
+def _prefix_row(g_f: Graph, mode: str, union_root) -> tuple:
+    """(union_boundary, union_size) of the sets culled so far, their
+    union measured in the faulty graph g_f."""
     union_local = g_f.local_ids(union_root)
-    return _boundary_size(g_f, union_local, mode), bnd_sum, len(union_local)
+    return _boundary_size(g_f, union_local, mode), len(union_local)
 
 
 def _compact_cull(g: Graph, s: tuple) -> tuple:
@@ -188,7 +187,6 @@ def _prune_loop(
     find_sparse_cut = find_sparse_node_cut if mode == "node" else find_sparse_edge_cut
     cur = g_f
     steps = []
-    checks = []
     union_root: list = []
     bnd_sum = 0
     threshold = alpha * eps
@@ -228,9 +226,7 @@ def _prune_loop(
         )
         union_root.extend(nodes_root)
         bnd_sum += bnd
-        row = _prefix_row(g_f, mode, union_root, bnd_sum)
-        checks.append(row)
-        union_bnd, _, union_size = row
+        union_bnd, union_size = _prefix_row(g_f, mode, union_root)
         if union_bnd > bnd_sum:
             raise ContractError("union boundary exceeded the per-step boundary sum")
         if bnd_sum > threshold * union_size:
@@ -243,7 +239,6 @@ def _prune_loop(
         n_start=g_f.n,
         steps=tuple(steps),
         final_nodes=cur.original_ids(range(cur.n)),
-        prefix_checks=tuple(checks),
         certified=method == "exact",
     )
 
@@ -289,7 +284,7 @@ def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
     for step in trace.steps:
         union_root.extend(step.nodes)
         bnd_sum += step.boundary_size
-        union_bnd, _, union_size = _prefix_row(g_f, trace.mode, union_root, bnd_sum)
+        union_bnd, union_size = _prefix_row(g_f, trace.mode, union_root)
         ok = union_bnd <= bnd_sum and Fraction(bnd_sum) <= threshold * union_size
         out.append(
             {

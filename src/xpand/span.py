@@ -35,7 +35,7 @@ from .errors import (
 )
 from .faults import make_rng, rand_below
 from .generators import mesh, mesh_coords, mesh_strides
-from .graph import Graph, canon_nodes, is_compact, is_connected, node_boundary
+from .graph import Graph, canon_nodes, connected_components, is_connected, node_boundary
 
 COMPACT_ENUM_LIMIT = 18
 STEINER_TERMINAL_LIMIT = 14
@@ -164,7 +164,14 @@ def span_exact(g: Graph) -> SpanReport:
 
 
 def sample_compact_set(g: Graph, rng, *, max_size: int | None = None):
-    """Grow one random connected set and return it if compact, else None."""
+    """One random compact set of a connected graph, or None.
+
+    Grows a random connected set U, then fills its holes: every
+    component of V minus U but the largest (the first in
+    connected_components order) joins U. Each hole touches U, so U stays
+    connected and its complement is one component. The set is rejected
+    only when max_size is given and the filled set exceeds it.
+    """
     cap = g.n // 2 if max_size is None else min(max_size, g.n // 2)
     if cap < 1:
         return None
@@ -178,10 +185,12 @@ def sample_compact_set(g: Graph, rng, *, max_size: int | None = None):
         frontier = sorted(
             {u for v in members for u in g.adjacency[v] if u not in members}
         )
-    nodes = tuple(sorted(members))
-    if len(nodes) == g.n or not is_compact(g, nodes):
+    rest = [v for v in range(g.n) if v not in members]
+    for hole in connected_components(g, rest)[1:]:
+        members.update(hole)
+    if max_size is not None and len(members) > max_size:
         return None
-    return nodes
+    return tuple(sorted(members))
 
 
 def span_sampled(
@@ -192,7 +201,7 @@ def span_sampled(
     max_size: int | None = None,
 ) -> SpanReport:
     """Monte Carlo lower bound on the span from randomly grown compact
-    sets. trials counts attempts; rejected growths (non-compact, or
+    sets. trials counts attempts; rejected sets (above max_size, or
     boundary above the terminal budget) still consume their draws."""
     if g.n < 2:
         raise InputError("span needs at least 2 nodes")

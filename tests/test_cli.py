@@ -406,6 +406,20 @@ def test_verify_mesh_span_subcommand(workdir, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_mesh_span_samples_are_compact_on_large_meshes(workdir, capsys):
+    # grown sets have their holes filled, so every draw is checked
+    rc, out, _ = run(
+        ["verify-mesh-span", "--dims", "40x40", "--sample", "40", "--seed", "1"], capsys
+    )
+    assert rc == 0
+    assert json.loads(out)["checked"] == 40
+    rc, out, _ = run(
+        ["verify-mesh-span", "--dims", "12x12x12", "--sample", "20", "--seed", "2"], capsys
+    )
+    assert rc == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_replay_reproduces_outputs(workdir, capsys):
     run(["gen", "--family", "cycle", "--n", "12", "-o", "c.gr"], capsys)
     rc, _, _ = run(

@@ -1,9 +1,12 @@
 """The bitmask kernels against brute-force references: adjacency
 masks, connectivity and the connected-set enumeration against the
 graph module, Steiner trees against a networkx oracle, and the
-vectorized ratio sweeps against the per-mask reference loops."""
+vectorized ratio sweeps against the per-mask reference loops. Also the
+module's rule that no kernel calls a public kernel."""
 
+import inspect
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from xpand import _kernels_py, kernels
+from xpand import kernels
 from xpand.errors import InputError, LimitError
 from xpand.generators import cycle, mesh
 from xpand.graph import Graph, is_connected_subset
@@ -37,7 +40,7 @@ def test_mask_connected_matches_components():
         adj = kernels.adjacency_masks(g.adjacency)
         for mask in range(min(1 << g.n, 4096)):
             want = is_connected_subset(g, kernels.mask_nodes(mask))
-            assert _kernels_py.mask_connected(mask, adj) == want
+            assert kernels._mask_connected(mask, adj) == want
 
 
 @st.composite
@@ -74,7 +77,6 @@ def test_ratio_sweeps_match_reference_loops(graph):
     for max_size in (1, n // 2, n, n + 3):
         for name in ("min_ratio_node_cut", "min_ratio_edge_cut"):
             want = getattr(oracles, name)(n, adj, max_size)
-            assert getattr(_kernels_py, name)(n, adj, max_size) == want
             assert getattr(kernels, name)(n, adj, max_size) == want
 
 
@@ -82,15 +84,11 @@ def test_ratio_sweeps_match_reference_loops(graph):
 def test_ratio_sweeps_refuse_masks_past_63_bits(name):
     adj = [0] * 64
     with pytest.raises(LimitError):
-        getattr(_kernels_py, name)(64, adj, 1)
-    with pytest.raises(LimitError):
         getattr(kernels, name)(64, adj, 1)
 
 
 def test_compact_set_engine_refuses_tables_past_24_nodes():
     adj = [0] * 25
-    with pytest.raises(LimitError):
-        _kernels_py.connectivity_table(25, adj)
     with pytest.raises(LimitError):
         kernels.connectivity_table(25, adj)
     with pytest.raises(LimitError):
@@ -166,16 +164,72 @@ def test_connector_lookup_decides_steiner_sizes():
 
 
 def test_steiner_without_terminals_is_an_input_error():
-    adj = _kernels_py.adjacency_masks(((1,), (0, 2), (1,)))
+    adj = kernels.adjacency_masks(((1,), (0, 2), (1,)))
     with pytest.raises(InputError):
-        _kernels_py.steiner_min_tree(3, adj, ())
+        kernels.steiner_min_tree(3, adj, ())
 
 
 def test_wide_graphs_keep_python_int_masks():
     # masks past 63 bits stay Python ints outside the numpy sweeps
     wide = Graph.from_edges(70, [(i, i + 1) for i in range(69)])
     adj = kernels.adjacency_masks(wide.adjacency)
-    assert _kernels_py.mask_connected((1 << 70) - 1, adj)
-    assert not _kernels_py.mask_connected(0b101, adj)
+    assert kernels._mask_connected((1 << 70) - 1, adj)
+    assert not kernels._mask_connected(0b101, adj)
     count, edges, _method = kernels.steiner_min_tree(70, adj, (0, 69))
     assert count == 70 and len(edges) == 69
+
+
+def test_no_kernel_calls_a_public_kernel(monkeypatch):
+    g = mesh([3, 5])  # 15 nodes: the ratio sweeps walk several high halves
+    small = mesh([3, 3])
+    adj = kernels.adjacency_masks(g.adjacency)
+    sadj = kernels.adjacency_masks(small.adjacency)
+    conn = kernels.connectivity_table(small.n, sadj)
+    masks = kernels.compact_masks(conn)
+
+    # wrap every public kernel with a counter under every name bound to
+    # it in every loaded xpand module, as per-kernel call tracing does:
+    # one call from outside must move only its own counter
+    def public(fn):
+        return inspect.isfunction(fn) and fn.__module__ == kernels.__name__
+
+    calls = {name: 0 for name, fn in vars(kernels).items() if name[0] != "_" and public(fn)}
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    wrapped = {id(getattr(kernels, name)): counter(name, getattr(kernels, name)) for name in calls}
+    for modname, module in list(sys.modules.items()):
+        if modname == "xpand" or modname.startswith("xpand."):
+            for attr, value in list(vars(module).items()):
+                if public(value) and id(value) in wrapped:
+                    monkeypatch.setattr(module, attr, wrapped[id(value)])
+
+    cases = [
+        ("adjacency_masks", lambda: kernels.adjacency_masks(g.adjacency)),
+        ("mask_nodes", lambda: kernels.mask_nodes(0b1011)),
+        ("min_ratio_node_cut", lambda: kernels.min_ratio_node_cut(g.n, adj, g.n // 2)),
+        ("min_ratio_edge_cut", lambda: kernels.min_ratio_edge_cut(g.n, adj, g.n // 2)),
+        ("connectivity_table", lambda: kernels.connectivity_table(small.n, sadj)),
+        ("compact_masks", lambda: kernels.compact_masks(conn)),
+        ("connector_lookup", lambda: kernels.connector_lookup(conn)(0b101000101, 5)),
+        ("boundary_blocks", lambda: list(kernels.boundary_blocks(sadj, masks))),
+        ("compact_set_bounds", lambda: list(kernels.compact_set_bounds(small.adjacency, masks))),
+        ("connected_masks", lambda: kernels.connected_masks(small.n, sadj, 10**6)),
+        ("steiner_min_tree", lambda: kernels.steiner_min_tree(small.n, sadj, (0, 2, 6, 8))),
+        ("steiner_min_tree", lambda: kernels.steiner_min_tree(g.n, adj, (0, 14))),
+    ]
+    assert {name for name, _ in cases} == set(calls)
+    methods = []
+    for name, call in cases:
+        for key in calls:
+            calls[key] = 0
+        result = call()
+        if name == "steiner_min_tree":
+            methods.append(result[2])
+        assert {key: count for key, count in calls.items() if count} == {name: 1}
+    assert methods == ["sweep", "dw"]

@@ -26,9 +26,11 @@ from xpand.generators import (
     path,
     random_regular,
 )
+from xpand.faults import make_rng
 from xpand.graph import Graph, is_compact, node_boundary
 from xpand.span import (
     enumerate_compact_sets,
+    sample_compact_set,
     span_exact,
     span_sampled,
     steiner_tree_min,
@@ -135,6 +137,19 @@ def test_span_sampled_lower_bounds_exact():
     again = span_sampled(mesh([4, 4]), 300, seed=2)
     assert (r.value, r.argmax) == (again.value, again.argmax)
     assert r.boundary == node_boundary(mesh([4, 4]), r.argmax)
+
+
+def test_sampled_sets_are_compact_and_respect_max_size():
+    rng = make_rng(4)
+    for g in (mesh([7, 7]), mesh([3, 4, 5]), cycle(9), random_regular(16, 3, seed=1)):
+        for max_size in (None, 3):
+            for _ in range(30):
+                nodes = sample_compact_set(g, rng, max_size=max_size)
+                if max_size is None:
+                    assert nodes is not None
+                if nodes is not None:
+                    assert is_compact(g, nodes)
+                    assert max_size is None or len(nodes) <= max_size
 
 
 def test_span_sampled_error_when_nothing_usable(monkeypatch):
