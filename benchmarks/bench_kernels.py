@@ -2,7 +2,9 @@
 engine, pure Python elsewhere) and prints the best time of each. The
 last rows time span_exact and the exhaustive mesh span certificate as
 the package runs them, and the chain DP of subdivided_node_expansion
-on a dense base (K7) and a sparse one (C10).
+on a dense base (K7), a sparse one (C10) and two sparse bases whose
+nodes mostly end no chain (10 nodes with edges 01, 23; 8 nodes with
+edges 04, 07, 25).
 
 Random regular graphs come from the first generator seed at or after
 --seed that yields one, since the pairing model can run out of retries.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import time
+import warnings
 
 from xpand import kernels
 from xpand.errors import GenerationError
@@ -126,13 +129,22 @@ def main() -> int:
             args.repeat,
         )
 
-    for name, base in (("K7", complete(7)), ("C10", cycle(10))):
-        h = subdivide_edges(base, 4)
-        bench(
-            f"chain DP {name} k=4 n={h.graph.n}",
-            lambda h=h: subdivided_node_expansion(h),
-            args.repeat,
-        )
+    sparse10 = Graph.from_edges(10, [(0, 1), (2, 3)])
+    sparse8 = Graph.from_edges(8, [(0, 4), (0, 7), (2, 5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the sparse bases are disconnected
+        for name, base, k in (
+            ("K7", complete(7), 4),
+            ("C10", cycle(10), 4),
+            ("10 nodes, 2 edges", sparse10, 4),
+            ("8 nodes, 3 edges", sparse8, 5),
+        ):
+            h = subdivide_edges(base, k)
+            bench(
+                f"chain DP {name} k={k} n={h.graph.n}",
+                lambda h=h: subdivided_node_expansion(h),
+                args.repeat,
+            )
     return 0
 
 

@@ -11,6 +11,7 @@ tie-break.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,18 +209,27 @@ def subdivided_node_expansion(h: SubdividedGraph) -> ExpansionResult:
     """Exact node expansion of a subdivided graph by dynamic programming
     over its chains, feasible far beyond the full-sweep limit.
 
-    For each set B of base nodes in S, one table dp[F, s] holds the
-    fewest inner boundary nodes over the choices with s inner nodes in
-    S whose chains push exactly the free base nodes F (not in B) onto
-    the boundary. Rows F are masks over the free nodes that end some
-    chain, renumbered in ascending order; the table has one (2,) axis
-    per such node, so pushing an endpoint is a view fixing its axis.
-    Inner nodes only interact through their own chain, so each chain is
-    one min-plus step over the whole table. The step records, per
-    entry, the first move in (pushed endpoints, inner count, source row)
-    order that reached its value; the witness is read back along these
-    pointers and revalidated against the graph. It is a true minimizer
-    but not necessarily the canonical one.
+    For a set B of base nodes in S, a table dp[F, s] holds the fewest
+    inner boundary nodes over the choices with s inner nodes in S whose
+    chains push exactly the free base nodes F (not in B) onto the
+    boundary. Rows F are masks over the free nodes that end some chain,
+    renumbered in ascending order; the table has one (2,) axis per such
+    node, so pushing an endpoint is a view fixing its axis. Inner nodes
+    only interact through their own chain, so each chain is one min-plus
+    step over the whole table.
+
+    The answer comes in two passes. Pass 1 sweeps every B with a
+    values-only step (_values_step) and picks the minimum of
+    (|F| + dp[F, s]) / (|B| + s), then the size, then B, taking the
+    lowest F of the winning column. A base node that ends no chain only
+    adds to the size, so the table of B depends only on B's chain
+    endpoints: one table per endpoint set E serves every B that adds
+    idle nodes to E, through its first half - |B| + 1 columns. Pass 2
+    reruns the winning B alone with back-pointers (_chain_step), each
+    holding the first move in (pushed endpoints, inner count, source
+    row) order that reached its entry. The witness is read back along
+    them and revalidated against the graph. It is a true minimizer but
+    not necessarily the canonical one.
     """
     g = h.graph
     nb = len(h.base_nodes)
@@ -235,39 +245,48 @@ def subdivided_node_expansion(h: SubdividedGraph) -> ExpansionResult:
     }
 
     pushable = sorted({b for u, v, _inner in h.chains for b in (u, v)})
-    best = None  # (bnd, size, B, F row, s, steps)
-    for bmask in range(1 << nb):
-        nb_in = bmask.bit_count()
-        if nb_in > half:
+    ends = sum(1 << b for b in pushable)
+    idle = [b for b in h.base_nodes if not (ends >> b) & 1]
+    best = None  # (bnd, size, B, F row, s)
+    for emask in _submasks(ends):
+        ne = emask.bit_count()
+        if ne > half:
             continue
-        index = {b: i for i, b in enumerate(x for x in pushable if not (bmask >> x) & 1)}
-        width = half - nb_in + 1
-        dp = np.full((2,) * len(index) + (width,), _INF32, dtype=np.int32)
-        dp.flat[0] = 0
-        steps = []
+        width = half - ne + 1
+        index, dp = _empty_table(pushable, emask, width)
         for u, v, _inner in h.chains:
-            table = tables[((bmask >> u) & 1, (bmask >> v) & 1)]
-            dp, ptr, moves = _chain_step(dp, table, index.get(u), index.get(v))
-            steps.append((ptr.reshape(-1, width), moves))
+            table = tables[((emask >> u) & 1, (emask >> v) & 1)]
+            dp = _values_step(dp, table, index.get(u), index.get(v))
         rows = dp.reshape(-1, width)
         rows = rows + np.bitwise_count(np.arange(len(rows)))[:, None]
         # argmin takes the lowest F of each column
-        cols = zip(rows.argmin(axis=0).tolist(), rows.min(axis=0).tolist())
-        for s, (frow, bnd) in enumerate(cols):
-            size = nb_in + s
-            if size < 1 or bnd >= _INF32:
-                continue
-            if best is None or bnd * best[1] < best[0] * size or (
-                bnd * best[1] == best[0] * size and size < best[1]
-            ):
-                best = (bnd, size, bmask, frow, s, steps)
+        bnds = rows.min(axis=0).tolist()
+        frows = rows.argmin(axis=0).tolist()
+        # the least B adding t idle nodes to E adds the t lowest
+        bmask = emask
+        for t in range(min(len(idle), half - ne) + 1):
+            if t:
+                bmask |= 1 << idle[t - 1]
+            for s in range(width - t):
+                bnd, size = bnds[s], ne + t + s
+                if size < 1 or bnd >= _INF32:
+                    continue
+                if best is None or _before((bnd, size, bmask), best):
+                    best = (bnd, size, bmask, frows[s], s)
     if best is None:
         raise ContractError("chain DP found no feasible set")
-    bnd, size, bmask, frow, s, best_steps = best
+    bnd, size, bmask, frow, s = best
     value = Fraction(bnd, size)
+
+    index, dp = _empty_table(pushable, bmask, half - bmask.bit_count() + 1)
+    steps = []
+    for u, v, _inner in h.chains:
+        table = tables[((bmask >> u) & 1, (bmask >> v) & 1)]
+        dp, ptr, moves = _chain_step(dp, table, index.get(u), index.get(v))
+        steps.append((ptr.reshape(-1, dp.shape[-1]), moves))
     members = [b for b in h.base_nodes if (bmask >> b) & 1]
     cost = bnd - frow.bit_count()
-    for (ptr, moves), (_u, _v, inner) in zip(reversed(best_steps), reversed(h.chains)):
+    for (ptr, moves), (_u, _v, inner) in zip(reversed(steps), reversed(h.chains)):
         m = int(ptr[frow, s])
         if m < 0:
             raise ContractError("chain DP witness has no back-pointer")
@@ -282,6 +301,43 @@ def subdivided_node_expansion(h: SubdividedGraph) -> ExpansionResult:
     if value == 0:
         warnings.warn("graph is disconnected, node expansion is 0", stacklevel=2)
     return ExpansionResult("node", "chain-dp", value, cut)
+
+
+def _before(a: tuple, b: tuple) -> bool:
+    """Whether candidate a = (bnd, size, B) comes before b under the
+    (bnd / size, size, B) order."""
+    lhs, rhs = a[0] * b[1], b[0] * a[1]
+    return lhs < rhs or (lhs == rhs and (a[1], a[2]) < (b[1], b[2]))
+
+
+def _empty_table(pushable: list, bmask: int, width: int):
+    """(free index, dp) before the first chain for base set bmask: the
+    chain endpoints outside bmask numbered in ascending order, and a
+    table that is 0 for no pushed node and no inner node, else INF."""
+    index = {b: i for i, b in enumerate(x for x in pushable if not (bmask >> x) & 1)}
+    dp = np.full((2,) * len(index) + (width,), _INF32, dtype=np.int32)
+    dp.flat[0] = 0
+    return index, dp
+
+
+def _values_step(dp, table, iu, iv):
+    """_chain_step without the pointers: the same next dp, from one
+    elementwise minimum of the source rows per endpoint config and one
+    np.minimum per inner count."""
+    nf = dp.ndim - 1
+    width = dp.shape[-1]
+    out = np.full_like(dp, _INF32)
+    for (fu, fv), (costs, _args) in table.items():
+        fbits = (fu << iu if fu else 0) | (fv << iv if fv else 0)
+        dst = out[_fix_rows(nf, fbits, fbits)]
+        src = functools.reduce(
+            np.minimum, (dp[_fix_rows(nf, fbits, fbits ^ drop)] for drop in _submasks(fbits))
+        )
+        for p in range(min(len(costs), width)):
+            c = costs[p]
+            if c < _INF32:
+                np.minimum(dst[..., p:], src[..., : width - p] + c, out=dst[..., p:])
+    return out
 
 
 def _chain_step(dp, table, iu, iv):

@@ -268,6 +268,16 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     return remove_nodes(g, drop)
 
 
+def _decimals(line: str):
+    """The line's two tokens as ints when both are ASCII decimal digits,
+    else None. int() alone would also take signs, underscores and
+    non-ASCII digits."""
+    parts = line.split()
+    if len(parts) != 2 or not all(t.isascii() and t.isdigit() for t in parts):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
 def loads(text: str) -> Graph:
     """Parse the plain text graph format."""
     rows = []
@@ -277,26 +287,18 @@ def loads(text: str) -> Graph:
             rows.append(line)
     if not rows:
         raise LoadError("empty graph file")
-    head = rows[0].split()
-    if len(head) != 2:
+    head = _decimals(rows[0])
+    if head is None:
         raise LoadError(f"header must be 'n m', got {rows[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise LoadError(f"header must be 'n m', got {rows[0]!r}") from None
-    if n < 0 or m < 0:
-        raise LoadError("n and m must be nonnegative")
+    n, m = head
     if len(rows) - 1 != m:
         raise LoadError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []
     for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
+        pair = _decimals(line)
+        if pair is None:
             raise LoadError(f"bad edge line {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise LoadError(f"bad edge line {line!r}") from None
+        u, v = pair
         if u == v:
             raise LoadError(f"self-loop line {line!r}")
         if not u < v:

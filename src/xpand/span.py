@@ -19,6 +19,7 @@ it, a new maximum, gets an exact Steiner tree.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -178,13 +179,16 @@ def sample_compact_set(g: Graph, rng, *, max_size: int | None = None):
     target = 1 + rand_below(rng, cap)
     start = rand_below(rng, g.n)
     members = {start}
+    # the sorted non-members next to a member, kept as members join
     frontier = sorted(g.adjacency[start])
+    seen = members | set(frontier)
     while len(members) < target and frontier:
-        nxt = frontier[rand_below(rng, len(frontier))]
+        nxt = frontier.pop(rand_below(rng, len(frontier)))
         members.add(nxt)
-        frontier = sorted(
-            {u for v in members for u in g.adjacency[v] if u not in members}
-        )
+        for u in g.adjacency[nxt]:
+            if u not in seen:
+                seen.add(u)
+                bisect.insort(frontier, u)
     rest = [v for v in range(g.n) if v not in members]
     for hole in connected_components(g, rest)[1:]:
         members.update(hole)

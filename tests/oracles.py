@@ -11,13 +11,16 @@ the numpy compact-set engine and the Steiner-size lookups.
 `verify_mesh_span_certificate` with `_certify_one`,
 `mesh_virtual_boundary_graph` and `expand_virtual_edge` is the mesh
 certificate as first written, a virtual Graph per compact set; it is
-the reference for the per-node virtual tables.
+the reference for the per-node virtual tables, and `sample_compact_set`,
+which rebuilds its frontier after every draw, is the reference for the
+incrementally kept one.
 `subdivided_node_expansion` and `_reconstruct_subdiv_witness`, with
 their own copies of
 `_chain_config_tables` and `_submasks`, are the chain DP as first
 written: a dict of numpy rows per pushed-set state, a snapshot of every
 state after every chain and a backward search for the witness. They
-are the reference for the dense table with back-pointers."""
+are the reference for the dense table, its values-only sweep and its
+back-pointers."""
 
 import warnings
 from fractions import Fraction
@@ -36,13 +39,8 @@ from xpand.expansion import (
 )
 from xpand.faults import make_rng, rand_below
 from xpand.generators import SubdividedGraph, mesh, mesh_coords, mesh_index
-from xpand.graph import Graph, is_connected, make_cut, node_boundary
-from xpand.span import (
-    COMPACT_ENUM_LIMIT,
-    MeshSpanCertificate,
-    SpanReport,
-    sample_compact_set,
-)
+from xpand.graph import Graph, connected_components, is_connected, make_cut, node_boundary
+from xpand.span import COMPACT_ENUM_LIMIT, MeshSpanCertificate, SpanReport
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -316,6 +314,30 @@ def span_exact(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT) -> SpanReport:
         considered=considered,
         skipped=skipped,
     )
+
+
+def sample_compact_set(g: Graph, rng, *, max_size: int | None = None):
+    """The sampler as first written: after each draw the frontier is
+    rebuilt from every member. Same draws, same sets."""
+    cap = g.n // 2 if max_size is None else min(max_size, g.n // 2)
+    if cap < 1:
+        return None
+    target = 1 + rand_below(rng, cap)
+    start = rand_below(rng, g.n)
+    members = {start}
+    frontier = sorted(g.adjacency[start])
+    while len(members) < target and frontier:
+        nxt = frontier[rand_below(rng, len(frontier))]
+        members.add(nxt)
+        frontier = sorted(
+            {u for v in members for u in g.adjacency[v] if u not in members}
+        )
+    rest = [v for v in range(g.n) if v not in members]
+    for hole in connected_components(g, rest)[1:]:
+        members.update(hole)
+    if max_size is not None and len(members) > max_size:
+        return None
+    return tuple(sorted(members))
 
 
 def mesh_virtual_boundary_graph(dims, boundary) -> Graph:

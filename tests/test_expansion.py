@@ -1,9 +1,11 @@
 """Exact and heuristic expansion, sparse-cut finders, chain DP."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from xpand import expansion
 from xpand.errors import InputError, LimitError
 from xpand.expansion import (
     edge_expansion_exact,
@@ -195,3 +197,22 @@ def test_chain_dp_on_cycle_subdivision():
     # subdividing a cycle gives a longer cycle, expansion known in closed form
     s = subdivide_edges(cycle(4), 2)
     assert subdivided_node_expansion(s).value == node_expansion_exact(cycle(12)).value
+
+
+def test_pointer_dp_runs_once_per_chain(monkeypatch):
+    calls = []
+    step = expansion._chain_step
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(expansion, "_chain_step", counted)
+    for base in (complete(5), cycle(6), Graph.from_edges(8, [(0, 4), (0, 7), (2, 5)])):
+        h = subdivide_edges(base, 3)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the sparse base is disconnected
+            subdivided_node_expansion(h)
+        # pointers exist for the winning base set only
+        assert len(calls) == len(h.chains)

@@ -1,20 +1,24 @@
 """Property tests over random graphs: the shared component walk against
 networkx, the shared prune-and-grade path against a from-scratch
-reference, the chain DP against its first dict-of-states version, and
-the warning-free survivor measurement."""
+reference, the chain DP against its first dict-of-states version and
+its values-only step against its pointer step, the compact-set sampler
+against its first version, the text format's round trip and token
+checks, and the warning-free survivor measurement."""
 
 import contextlib
 import warnings
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import to_nx
-from xpand.errors import InputError
+from xpand import expansion
+from xpand.errors import InputError, LoadError
 from xpand.expansion import (
     edge_expansion_exact,
     node_expansion_exact,
@@ -25,9 +29,18 @@ from xpand.experiments import (
     adversary_exhaustive,
     percolation_point,
 )
+from xpand.faults import make_rng
 from xpand.generators import complete, mesh, subdivide_edges
-from xpand.graph import Graph, connected_components, is_connected, remove_nodes
+from xpand.graph import (
+    Graph,
+    connected_components,
+    dumps,
+    is_connected,
+    loads,
+    remove_nodes,
+)
 from xpand.pruning import prune, prune2
+from xpand.span import sample_compact_set
 
 
 @st.composite
@@ -101,12 +114,18 @@ _SUBMASK_ORDER_CASE = Graph.from_edges(
     6,
     [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 5), (4, 5)],
 )
+# Sparse bases whose idle base nodes, ending no chain, share one table
+# across the base sets that differ only in them.
+_IDLE_NODES_CASE = Graph.from_edges(10, [(0, 1), (2, 3)])
+_IDLE_NODES_CASE_2 = Graph.from_edges(8, [(0, 4), (0, 7), (2, 5)])
 
 
 # at most 8 chains keeps the reference's dict-of-states loops affordable
 @given(base=graphs(min_n=1, max_n=8, max_edges=8), k=st.integers(1, 5))
 @example(base=complete(4), k=1)
 @example(base=_SUBMASK_ORDER_CASE, k=1)
+@example(base=_IDLE_NODES_CASE, k=4)
+@example(base=_IDLE_NODES_CASE_2, k=5)
 @settings(max_examples=150, deadline=None)
 def test_chain_dp_matches_dict_of_states_reference(base, k):
     h = subdivide_edges(base, k)
@@ -125,6 +144,87 @@ def test_chain_dp_matches_dict_of_states_reference(base, k):
         with expect:
             results.append(solver(h))
     assert results[0] == results[1]
+
+
+@given(data=st.data(), base=graphs(min_n=1, max_n=7, max_edges=9), k=st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_values_step_matches_pointer_step(data, base, k):
+    h = subdivide_edges(base, k)
+    half = h.graph.n // 2
+    bmask = data.draw(st.integers(0, (1 << base.n) - 1))
+    if bmask.bit_count() > half:
+        return
+    tables = {
+        (a, b): expansion._chain_config_tables(k, a, b) for a in (0, 1) for b in (0, 1)
+    }
+    pushable = sorted({b for u, v, _inner in h.chains for b in (u, v)})
+    index, dp = expansion._empty_table(pushable, bmask, half - bmask.bit_count() + 1)
+    values = dp
+    for u, v, _inner in h.chains:
+        table = tables[((bmask >> u) & 1, (bmask >> v) & 1)]
+        dp, _ptr, _moves = expansion._chain_step(dp, table, index.get(u), index.get(v))
+        values = expansion._values_step(values, table, index.get(u), index.get(v))
+        assert values.shape == dp.shape
+        assert np.array_equal(values, dp)
+
+
+@given(
+    g=graphs(min_n=1, max_n=16, connected=True),
+    seed=st.integers(0, 2**32),
+    max_size=st.none() | st.integers(1, 8),
+)
+@settings(max_examples=100, deadline=None)
+def test_sampler_matches_rebuilt_frontier_reference(g, seed, max_size):
+    # one stream per sampler: equal sets also mean equal draws
+    ours, ref = make_rng(seed), make_rng(seed)
+    for _ in range(5):
+        got = sample_compact_set(g, ours, max_size=max_size)
+        assert got == oracles.sample_compact_set(g, ref, max_size=max_size)
+
+
+# comment text stays on its line: no control or line-separator characters
+_COMMENT = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=8)
+
+
+@given(data=st.data(), g=graphs())
+@settings(max_examples=100, deadline=None)
+def test_text_format_round_trips_with_crlf_comments_and_blanks(data, g):
+    lines = []
+    for line in dumps(g).splitlines():
+        if data.draw(st.booleans()):
+            lines.append("# " + data.draw(_COMMENT))
+        if data.draw(st.booleans()):
+            lines.append(data.draw(st.sampled_from(["", " ", "\t"])))
+        if data.draw(st.booleans()):
+            line += " # " + data.draw(_COMMENT)
+        lines.append(line)
+    text = "".join(line + data.draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    again = loads(text)
+    assert (again.n, again.adjacency) == (g.n, g.adjacency)
+
+
+def _spoil(token: str, how: str) -> str:
+    if how == "sign":
+        return "+" + token
+    if how == "underscore":
+        return token[0] + "_" + token[1:] if len(token) > 1 else "0_" + token
+    # the same digits in Arabic-Indic script
+    return "".join(chr(ord("\u0660") + int(d)) for d in token)
+
+
+@given(data=st.data(), g=graphs(min_n=2), how=st.sampled_from(["sign", "underscore", "digit"]))
+@settings(max_examples=100, deadline=None)
+def test_loads_rejects_tokens_int_would_take(data, g, how):
+    lines = dumps(g).splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1))
+    col = data.draw(st.integers(0, 1))
+    tokens = lines[row].split()
+    bad = _spoil(tokens[col], how)
+    assert int(bad) == int(tokens[col])  # int() alone reads it as the same number
+    tokens[col] = bad
+    lines[row] = " ".join(tokens)
+    with pytest.raises(LoadError):
+        loads("\n".join(lines) + "\n")
 
 
 def test_survivor_measurement_raises_no_warning():
