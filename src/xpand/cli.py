@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, kernels
+from . import __version__
 from .errors import ContractError, InputError, LimitError, XpandError
 from .expansion import (
     edge_expansion_exact,
@@ -128,7 +128,6 @@ class RunContext:
         self.redirect = dict(redirect or {})
         self.inputs: dict = {}
         self.outputs: dict = {}
-        self.threads = 1
 
     def load_text(self, path: str) -> str:
         # the digest covers the file's bytes, as replay checks them
@@ -323,7 +322,6 @@ def cmd_percolate(args, ctx: RunContext) -> int:
         args.seed,
         prune_params=prune_params,
         record_ms=args.record_ms,
-        threads=ctx.threads,
     )
     render = rows_to_csv if args.out_format == "csv" else rows_to_jsonl
     ctx.deliver(args.output, render(rows))
@@ -371,11 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--manifest",
         help="write the run manifest here (default: OUTPUT.manifest.json)",
     )
+    # accepted so that recorded argv still parses
     common.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help=f"worker threads where supported (default: the CPU count, capped at {MAX_THREADS})",
+        help=f"accepted for compatibility, no effect (range 1 to {MAX_THREADS})",
     )
 
     sub = top.add_subparsers(dest="command")
@@ -529,16 +527,6 @@ def _render_param(value):
     return value
 
 
-def _resolve_threads(args) -> int:
-    """--threads, else available parallelism."""
-    threads = args.threads
-    if threads is None:
-        threads = min(os.cpu_count() or 1, MAX_THREADS)
-    if not 1 <= threads <= MAX_THREADS:
-        raise InputError(f"threads must lie in [1, {MAX_THREADS}]")
-    return threads
-
-
 def _execute(argv, *, replaying=False, redirect=None):
     """Parse and run one subcommand; returns (exit code, context)."""
     parser = build_parser()
@@ -548,8 +536,9 @@ def _execute(argv, *, replaying=False, redirect=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         raise InputError("a subcommand is required")
+    if args.threads is not None and not 1 <= args.threads <= MAX_THREADS:
+        raise InputError(f"threads must lie in [1, {MAX_THREADS}]")
     ctx = RunContext(replaying=replaying, redirect=redirect)
-    ctx.threads = _resolve_threads(args)
     t0 = time.monotonic_ns()
     rc = args.func(args, ctx)
     wall_ms = (time.monotonic_ns() - t0) // 10**6
@@ -570,8 +559,6 @@ def _execute(argv, *, replaying=False, redirect=None):
             )
             doc = build_manifest(
                 version=__version__,
-                backend=kernels.BACKEND,
-                threads=ctx.threads,
                 cwd=run_dir,
                 argv=list(argv),
                 params=params,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -151,7 +150,6 @@ def percolation_point(
     *,
     prune_params=None,  # (alpha, k) to prune each faulty graph
     record_ms: bool = False,
-    threads: int = 1,
 ) -> list:
     if model not in ("node", "edge"):
         raise InputError(f"unknown percolation model {model!r}")
@@ -164,7 +162,10 @@ def percolation_point(
             raise InputError("pruning is defined for the node fault model only")
         if g.n > EXACT_EXPANSION_LIMIT:
             raise LimitError(f"pruning needs n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
-    def one(j: int) -> TrialResult:
+        alpha, k = prune_params
+        eps = 1 - Fraction(1, k)
+    rows = []
+    for j in range(int(trials)):
         seed = seed_base + point_index * 10**6 + j
         t0 = time.monotonic_ns()
         if model == "node":
@@ -177,8 +178,6 @@ def percolation_point(
             fault_count = g.m - len(pattern.kept_edges)
         gam = gamma(g_f)
         if prune_params is not None:
-            alpha, k = prune_params
-            eps = 1 - Fraction(1, k)
             trace, expansion = _prune_and_grade(g_f, "node", alpha, eps)
             h_size = trace.h_size
             h_frac = Fraction(h_size, g.n)
@@ -191,22 +190,18 @@ def percolation_point(
         else:
             h_frac, expansion, certified = Fraction(0), Fraction(0), False
         ms = (time.monotonic_ns() - t0) // 10**6 if record_ms else 0
-        return TrialResult(
-            p=p,
-            trial=j,
-            gamma=gam,
-            h_frac=h_frac,
-            expansion=expansion,
-            certified=certified,
-            ms=int(ms),
+        rows.append(
+            TrialResult(
+                p=p,
+                trial=j,
+                gamma=gam,
+                h_frac=h_frac,
+                expansion=expansion,
+                certified=certified,
+                ms=int(ms),
+            )
         )
-
-    # trials are seeded independently, so the order of execution cannot
-    # matter; results are gathered back in trial order either way
-    if threads > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return list(pool.map(one, range(int(trials))))
-    return [one(j) for j in range(int(trials))]
+    return rows
 
 
 def run_percolation_sweep(
@@ -218,7 +213,6 @@ def run_percolation_sweep(
     *,
     prune_params=None,
     record_ms: bool = False,
-    threads: int = 1,
 ):
     """Sweep failure probabilities; returns (rows, per-point summaries)."""
     rows = []
@@ -233,7 +227,6 @@ def run_percolation_sweep(
             i,
             prune_params=prune_params,
             record_ms=record_ms,
-            threads=threads,
         )
         rows.extend(batch)
         mean_gamma = sum((r.gamma for r in batch), Fraction(0)) / len(batch)

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 from .errors import GenerationError, InputError, LimitError
 from .faults import json_int, make_rng, rand_below, shuffle_in_place
-from .graph import Graph
+from .graph import Graph, check_size
 
-MESH_NODE_LIMIT = 1 << 20
 HYPERCUBE_DIM_LIMIT = 16
 RANDOM_REGULAR_TRIES = 200
 
@@ -22,8 +21,8 @@ def mesh(dims) -> Graph:
     n = 1
     for d in dims:
         n *= d
-        if n > MESH_NODE_LIMIT:
-            raise LimitError(f"mesh would have more than {MESH_NODE_LIMIT} nodes")
+        check_size(n, 0)  # early, before many sides build a huge product
+    check_size(n, sum(n // d * (d - 1) for d in dims))
     edges = []
     strides = mesh_strides(dims)
     for vid in range(n):
@@ -67,6 +66,7 @@ def hypercube(d: int) -> Graph:
     if d > HYPERCUBE_DIM_LIMIT:
         raise LimitError(f"hypercube dimension above {HYPERCUBE_DIM_LIMIT}")
     n = 1 << d
+    check_size(n, d * n // 2)
     edges = [(v, v | (1 << b)) for v in range(n) for b in range(d) if not v & (1 << b)]
     return Graph.from_edges(n, edges)
 
@@ -75,6 +75,7 @@ def cycle(n: int) -> Graph:
     n = int(n)
     if n < 3:
         raise InputError("cycle needs n >= 3")
+    check_size(n, n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -82,6 +83,7 @@ def path(n: int) -> Graph:
     n = int(n)
     if n < 1:
         raise InputError("path needs n >= 1")
+    check_size(n, n - 1)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -89,6 +91,7 @@ def complete(n: int) -> Graph:
     n = int(n)
     if n < 2:
         raise InputError("complete graph needs n >= 2")
+    check_size(n, n * (n - 1) // 2)
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -103,6 +106,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise InputError("need 0 <= d < n")
     if (n * d) % 2 != 0:
         raise InputError("n*d must be even")
+    check_size(n, n * d // 2)
     rng = make_rng(seed)
     for _ in range(RANDOM_REGULAR_TRIES):
         stubs = [v for v in range(n) for _ in range(d)]
@@ -153,6 +157,7 @@ def subdivide_edges(g: Graph, k: int) -> SubdividedGraph:
     if k < 1:
         raise InputError("chain length k must be >= 1")
     n = g.n
+    check_size(n + k * g.m, (k + 1) * g.m)
     edges = []
     chains = []
     next_id = n

@@ -8,7 +8,8 @@ report sets in original coordinates.
 
 Text format for graph files: '#' starts a comment, the first data line is
 ``n m``, followed by exactly m lines ``u v`` with 0 <= u < v < n. Duplicate
-edges and self-loops are load errors.
+edges and self-loops are load errors. Lines end at ``\n``, ``\r\n`` or
+``\r`` only, and tokens are separated by ASCII spaces and tabs only.
 """
 
 from __future__ import annotations
@@ -17,9 +18,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError, LoadError
+from .errors import InputError, LimitError, LoadError
 
 NodeSet = tuple  # canonical node set: sorted ascending, unique entries
+
+# the largest graph a file or a generator may describe
+NODE_LIMIT = 1 << 20
+EDGE_LIMIT = 1 << 24
+
+
+def check_size(n: int, m: int) -> None:
+    """Refuse n nodes or m edges past the limits, before building anything."""
+    if n > NODE_LIMIT:
+        raise LimitError(f"graph would have {n} nodes, more than {NODE_LIMIT}")
+    if m > EDGE_LIMIT:
+        raise LimitError(f"graph would have {m} edges, more than {EDGE_LIMIT}")
 
 
 class Graph:
@@ -271,18 +284,21 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
 def _decimals(line: str):
     """The line's two tokens as ints when both are ASCII decimal digits,
     else None. int() alone would also take signs, underscores and
-    non-ASCII digits."""
-    parts = line.split()
+    non-ASCII digits. A number past 20 digits exceeds every limit and is
+    refused before int() meets its 4300-digit cap."""
+    parts = [t for t in line.replace("\t", " ").split(" ") if t]
     if len(parts) != 2 or not all(t.isascii() and t.isdigit() for t in parts):
         return None
+    if max(len(t.lstrip("0")) for t in parts) > 20:
+        raise LimitError(f"a number on line {line[:40]!r} has more than 20 digits")
     return int(parts[0]), int(parts[1])
 
 
 def loads(text: str) -> Graph:
     """Parse the plain text graph format."""
     rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+    for raw in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        line = raw.split("#", 1)[0].strip(" \t")
         if line:
             rows.append(line)
     if not rows:
@@ -291,6 +307,7 @@ def loads(text: str) -> Graph:
     if head is None:
         raise LoadError(f"header must be 'n m', got {rows[0]!r}")
     n, m = head
+    check_size(n, m)
     if len(rows) - 1 != m:
         raise LoadError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []

@@ -32,8 +32,6 @@ def sha256_text(text: str) -> str:
 def build_manifest(
     *,
     version: str,
-    backend: str,
-    threads: int,
     cwd: str,
     argv: list,
     params: dict,
@@ -44,8 +42,6 @@ def build_manifest(
     return {
         "tool": "xpand",
         "version": version,
-        "backend": backend,
-        "threads": threads,
         "cwd": cwd,
         "argv": list(argv),
         "params": params,

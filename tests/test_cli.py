@@ -392,6 +392,53 @@ def test_percolate_prune_checks_flags_before_sweeping(
     assert calls == []
 
 
+PERCOLATE_M = ["percolate", "m.gr", "--p-grid", "1/8:1/4:1/8", "--trials", "6", "--seed", "3"]
+
+
+def test_threads_flag_has_no_effect(workdir, capsys):
+    run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
+    outs = []
+    for flags in ([], ["--threads", "1"], ["--threads", "4"]):
+        rc, out, _ = run(PERCOLATE_M + ["--prune", "--k", "2"] + flags, capsys)
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("threads", ["0", "65"])
+def test_threads_outside_its_range_is_an_input_error(workdir, capsys, threads):
+    run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
+    rc, out, err = run(PERCOLATE_M + ["--threads", threads], capsys)
+    assert rc == 2
+    assert err.startswith("error:") and "threads" in err
+    assert out == ""
+
+
+def test_manifest_records_no_backend_or_threads(workdir, capsys):
+    run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
+    rc, _, _ = run(PERCOLATE_M + ["-o", "rows.csv"], capsys)
+    assert rc == 0
+    manifest = json.loads((workdir / "rows.csv.manifest.json").read_text())
+    assert set(manifest) == {
+        "tool", "version", "cwd", "argv", "params", "inputs", "outputs", "wall_ms"
+    }
+
+
+def test_manifest_with_backend_and_threads_still_replays(workdir, capsys):
+    # the shape written while percolation still had a thread pool
+    run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
+    rc, _, _ = run(PERCOLATE_M + ["--threads", "4", "-o", "rows.csv"], capsys)
+    assert rc == 0
+    path = workdir / "rows.csv.manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["argv"][-4:] == ["--threads", "4", "-o", "rows.csv"]
+    manifest.update(backend="python", threads=4)
+    path.write_text(json.dumps(manifest))
+    rc, out, _ = run(["--replay", path.name], capsys)
+    assert rc == 0
+    assert "byte for byte" in out
+
+
 def test_verify_mesh_span_subcommand(workdir, capsys):
     rc, out, _ = run(["verify-mesh-span", "--dims", "3x3", "--exhaustive"], capsys)
     assert rc == 0
@@ -662,6 +709,59 @@ def test_malformed_json_inputs_are_input_errors(workdir, capsys, prepare, argv):
     rc, _, err = run(argv, capsys)
     assert rc == 2
     assert err.startswith("error:")
+
+
+def _write(name, text):
+    return lambda w: (w / name).write_text(text)
+
+
+@pytest.mark.parametrize(
+    "prepare, argv",
+    [
+        pytest.param(_write("big.gr", "1100000 0\n"), ["expansion", "big.gr"], id="file-nodes"),
+        pytest.param(_write("big.gr", "5 16777217\n"), ["expansion", "big.gr"], id="file-edges"),
+        pytest.param(_write("big.gr", "9" * 5000 + " 0\n"), ["expansion", "big.gr"], id="file-digits"),
+        pytest.param(_write("big.gr", "2 1\n0 " + "9" * 30 + "\n"), ["expansion", "big.gr"], id="file-id"),
+        pytest.param(None, ["gen", "--family", "mesh", "--dims", "1025x1025"], id="mesh"),
+        pytest.param(None, ["gen", "--family", "hypercube", "--dim", "17"], id="hypercube"),
+        pytest.param(None, ["gen", "--family", "cycle", "--n", "1048577"], id="cycle"),
+        pytest.param(None, ["gen", "--family", "path", "--n", "1048577"], id="path"),
+        pytest.param(None, ["gen", "--family", "complete", "--n", "6000"], id="complete"),
+        pytest.param(
+            None,
+            ["gen", "--family", "random-regular", "--n", "1048578", "--degree", "2"],
+            id="random-regular-nodes",
+        ),
+        pytest.param(
+            None,
+            ["gen", "--family", "random-regular", "--n", "10000", "--degree", "4000"],
+            id="random-regular-edges",
+        ),
+        pytest.param(
+            None,
+            ["gen", "--family", "subdivide", "--base", "c.gr", "--k", "300000", "-o", "s.gr"],
+            id="subdivide",
+        ),
+    ],
+)
+def test_oversized_graphs_are_refused(workdir, capsys, prepare, argv):
+    run(["gen", "--family", "cycle", "--n", "5", "-o", "c.gr"], capsys)
+    if prepare is not None:
+        prepare(workdir)
+    rc, out, err = run(argv, capsys)
+    assert rc == 1
+    assert err.startswith("refused:")
+    assert out == ""
+    assert not (workdir / "s.gr").exists()
+
+
+@pytest.mark.parametrize("blank", ["\xa0", "\u3000", "\u2028", "\x0c"])
+def test_graph_file_with_a_foreign_blank_is_an_input_error(workdir, capsys, blank):
+    (workdir / "p.gr").write_text(f"2 1\n0{blank}1\n", encoding="utf-8")
+    rc, out, err = run(["expansion", "p.gr"], capsys)
+    assert rc == 2
+    assert err.startswith("error: bad edge line")
+    assert out == ""
 
 
 def test_replay_detects_tampered_input(workdir, capsys):

@@ -2,7 +2,6 @@
 reports, and the connected-subgraph census."""
 
 import statistics
-import sys
 from fractions import Fraction
 
 import pytest
@@ -93,34 +92,12 @@ def test_edge_model_p_is_survival_probability():
     assert statistics.mean(means[F(1, 4)]) < statistics.mean(means[F(3, 4)])
 
 
-def test_sweep_is_deterministic_and_thread_invariant():
+def test_sweep_is_deterministic():
     a, sa = run_percolation_sweep(cycle(12), "edge", [F(1, 4), F(1, 2)], 10, 7)
-    b, sb = run_percolation_sweep(
-        cycle(12), "edge", [F(1, 4), F(1, 2)], 10, 7, threads=4
-    )
+    b, sb = run_percolation_sweep(cycle(12), "edge", [F(1, 4), F(1, 2)], 10, 7)
     assert a == b and sa == sb
     c, _ = run_percolation_sweep(cycle(12), "edge", [F(1, 4), F(1, 2)], 10, 8)
     assert c != a
-
-
-def test_pruned_node_percolation_is_thread_invariant():
-    # every trial runs exact sweeps; a short switch interval interleaves
-    # the threads inside them
-    g = mesh([4, 4])
-    alpha = node_expansion_exact(g).value
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        rows = [
-            percolation_point(
-                g, "node", F(1, 3), 8, 11, 0, prune_params=(alpha, 2), threads=t
-            )
-            for t in (1, 4)
-        ]
-    finally:
-        sys.setswitchinterval(interval)
-    assert rows[0] == rows[1]
-    assert any(r.h_frac > 0 for r in rows[0])
 
 
 def test_point_summaries():

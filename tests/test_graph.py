@@ -4,10 +4,13 @@ import itertools
 
 import pytest
 
-from xpand.errors import InputError, LoadError
+from xpand.errors import InputError, LimitError, LoadError
 from xpand.generators import complete, cycle, mesh, path
 from xpand.graph import (
+    EDGE_LIMIT,
+    NODE_LIMIT,
     Graph,
+    check_size,
     connected_components,
     dumps,
     edge_boundary,
@@ -140,6 +143,14 @@ def test_loads_rejects_malformed_input():
     ):
         with pytest.raises(LoadError):
             loads(text)
+
+
+def test_size_limits_admit_their_bound():
+    check_size(NODE_LIMIT, EDGE_LIMIT)
+    with pytest.raises(LimitError):
+        check_size(NODE_LIMIT + 1, 0)
+    with pytest.raises(LimitError):
+        check_size(0, EDGE_LIMIT + 1)
 
 
 def test_graph_accessors():

@@ -182,8 +182,15 @@ def test_sampler_matches_rebuilt_frontier_reference(g, seed, max_size):
         assert got == oracles.sample_compact_set(g, ref, max_size=max_size)
 
 
-# comment text stays on its line: no control or line-separator characters
-_COMMENT = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=8)
+# blanks and separators other than ASCII space, tab and the line ends
+_FOREIGN_BLANKS = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in " \t\n\r"]
+# comment text stays on its line: any character but \n and \r, among them
+# every separator str.splitlines() would also break at
+_COMMENT = st.text(
+    st.sampled_from(_FOREIGN_BLANKS)
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+    max_size=8,
+)
 
 
 @given(data=st.data(), g=graphs())
@@ -198,7 +205,7 @@ def test_text_format_round_trips_with_crlf_comments_and_blanks(data, g):
         if data.draw(st.booleans()):
             line += " # " + data.draw(_COMMENT)
         lines.append(line)
-    text = "".join(line + data.draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    text = "".join(line + data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
     again = loads(text)
     assert (again.n, again.adjacency) == (g.n, g.adjacency)
 
@@ -227,14 +234,24 @@ def test_loads_rejects_tokens_int_would_take(data, g, how):
         loads("\n".join(lines) + "\n")
 
 
+@given(data=st.data(), g=graphs(min_n=2), blank=st.sampled_from(_FOREIGN_BLANKS))
+@settings(max_examples=100, deadline=None)
+def test_loads_rejects_foreign_blanks_between_tokens(data, g, blank):
+    lines = dumps(g).splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[row].split()
+    lines[row] = blank.join(tokens)
+    assert lines[row].split() == tokens  # str.split() alone reads the same tokens
+    with pytest.raises(LoadError):
+        loads("\n".join(lines) + "\n")
+
+
 def test_survivor_measurement_raises_no_warning():
     g = mesh([4, 4])
     alpha = node_expansion_exact(g).value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         adversary_exhaustive(g, 2, 1)
-        rows = percolation_point(
-            g, "node", Fraction(1, 3), 6, 5, 0, prune_params=(alpha, 2), threads=2
-        )
+        rows = percolation_point(g, "node", Fraction(1, 3), 6, 5, 0, prune_params=(alpha, 2))
     # some faulty graphs fell apart, and pruning left a survivor to measure
     assert any(r.gamma < 1 and r.h_frac > 0 for r in rows)
