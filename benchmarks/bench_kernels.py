@@ -2,9 +2,10 @@
 engine, pure Python elsewhere) and prints the best time of each. The
 last rows time span_exact and the exhaustive mesh span certificate as
 the package runs them, and the chain DP of subdivided_node_expansion
-on a dense base (K7), a sparse one (C10) and two sparse bases whose
-nodes mostly end no chain (10 nodes with edges 01, 23; 8 nodes with
-edges 04, 07, 25).
+on dense bases (K7, and K8 with long chains), sparse ones (C10, and the
+path P10, whose endpoint assignments fall into the most distinct class
+counts) and two sparse bases whose nodes mostly end no chain (10 nodes
+with edges 01, 23; 8 nodes with edges 04, 07, 25).
 
 Random regular graphs come from the first generator seed at or after
 --seed that yields one, since the pairing model can run out of retries.
@@ -27,6 +28,7 @@ from xpand.generators import (
     cycle,
     hypercube,
     mesh,
+    path,
     random_regular,
     subdivide_edges,
 )
@@ -135,7 +137,9 @@ def main() -> int:
         warnings.simplefilter("ignore")  # the sparse bases are disconnected
         for name, base, k in (
             ("K7", complete(7), 4),
+            ("K8", complete(8), 8),
             ("C10", cycle(10), 4),
+            ("P10", path(10), 6),
             ("10 nodes, 2 edges", sparse10, 4),
             ("8 nodes, 3 edges", sparse8, 5),
         ):

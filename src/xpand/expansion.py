@@ -28,6 +28,7 @@ EXACT_EXPANSION_LIMIT = 24
 SUBDIV_BASE_LIMIT = 10
 SUBDIV_CHAIN_LIMIT = 16
 _INF32 = np.int32(1 << 20)
+_INF16 = np.int16(np.iinfo(np.int16).max)
 
 
 @dataclass(frozen=True)
@@ -209,27 +210,27 @@ def subdivided_node_expansion(h: SubdividedGraph) -> ExpansionResult:
     """Exact node expansion of a subdivided graph by dynamic programming
     over its chains, feasible far beyond the full-sweep limit.
 
-    For a set B of base nodes in S, a table dp[F, s] holds the fewest
-    inner boundary nodes over the choices with s inner nodes in S whose
-    chains push exactly the free base nodes F (not in B) onto the
-    boundary. Rows F are masks over the free nodes that end some chain,
-    renumbered in ascending order; the table has one (2,) axis per such
-    node, so pushing an endpoint is a view fixing its axis. Inner nodes
-    only interact through their own chain, so each chain is one min-plus
-    step over the whole table.
+    Fix B, the base nodes in S. Inner nodes only interact through their
+    own chain, so for a set F of free base nodes that the chains may push
+    onto the boundary, the fewest boundary nodes with s inner nodes in S
+    is |F| plus the min-plus product of the chains' cost-by-size
+    vectors, each chain pushing endpoints only into F. The minimum over
+    F is exact, since F = the union of the pushes attains it.
 
-    The answer comes in two passes. Pass 1 sweeps every B with a
-    values-only step (_values_step) and picks the minimum of
-    (|F| + dp[F, s]) / (|B| + s), then the size, then B, taking the
-    lowest F of the winning column. A base node that ends no chain only
-    adds to the size, so the table of B depends only on B's chain
-    endpoints: one table per endpoint set E serves every B that adds
-    idle nodes to E, through its first half - |B| + 1 columns. Pass 2
-    reruns the winning B alone with back-pointers (_chain_step), each
-    holding the first move in (pushed endpoints, inner count, source
-    row) order that reached its entry. The witness is read back along
-    them and revalidated against the graph. It is a true minimizer but
-    not necessarily the canonical one.
+    Pass 1 (_class_minima, _first_candidate) finds the winner of the
+    (bnd / size, size, B) order without tables. Each chain endpoint is
+    in B, in F or in neither (N), so a chain's vector depends only on
+    its unordered pair of endpoint states: six classes, and one product
+    per distinct vector of class counts, solved once from cached
+    min-plus powers.
+    Pass 2 reruns the winning B alone with the values-only table step
+    (_values_step), dp[F, s] over the exact set F of pushed free
+    endpoints, keeping every chain's table. It takes the lowest F of
+    the winning column and walks back through the chains, at each one
+    taking the first move in (pushed endpoints, inner count, dropped
+    endpoints) order that reaches the current entry from the previous
+    table (_first_move). The witness is revalidated against the graph.
+    It is a true minimizer but not necessarily the canonical one.
     """
     g = h.graph
     nb = len(h.base_nodes)
@@ -239,58 +240,39 @@ def subdivided_node_expansion(h: SubdividedGraph) -> ExpansionResult:
         raise LimitError(f"chain DP is limited to k <= {SUBDIV_CHAIN_LIMIT}")
     if g.n < 2:
         raise InputError("expansion needs at least 2 nodes")
-    half = g.n // 2
     tables = {
         (a, b): _chain_config_tables(h.k, a, b) for a in (0, 1) for b in (0, 1)
     }
-
-    pushable = sorted({b for u, v, _inner in h.chains for b in (u, v)})
-    ends = sum(1 << b for b in pushable)
-    idle = [b for b in h.base_nodes if not (ends >> b) & 1]
-    best = None  # (bnd, size, B, F row, s)
-    for emask in _submasks(ends):
-        ne = emask.bit_count()
-        if ne > half:
-            continue
-        width = half - ne + 1
-        index, dp = _empty_table(pushable, emask, width)
-        for u, v, _inner in h.chains:
-            table = tables[((emask >> u) & 1, (emask >> v) & 1)]
-            dp = _values_step(dp, table, index.get(u), index.get(v))
-        rows = dp.reshape(-1, width)
-        rows = rows + np.bitwise_count(np.arange(len(rows)))[:, None]
-        # argmin takes the lowest F of each column
-        bnds = rows.min(axis=0).tolist()
-        frows = rows.argmin(axis=0).tolist()
-        # the least B adding t idle nodes to E adds the t lowest
-        bmask = emask
-        for t in range(min(len(idle), half - ne) + 1):
-            if t:
-                bmask |= 1 << idle[t - 1]
-            for s in range(width - t):
-                bnd, size = bnds[s], ne + t + s
-                if size < 1 or bnd >= _INF32:
-                    continue
-                if best is None or _before((bnd, size, bmask), best):
-                    best = (bnd, size, bmask, frows[s], s)
+    best = _first_candidate(h, _class_minima(h, tables))
     if best is None:
         raise ContractError("chain DP found no feasible set")
-    bnd, size, bmask, frow, s = best
+    bnd, size, bmask, s = best
     value = Fraction(bnd, size)
 
-    index, dp = _empty_table(pushable, bmask, half - bmask.bit_count() + 1)
-    steps = []
+    # entry s reads no column past s
+    width = s + 1
+    pushable = sorted({b for u, v, _inner in h.chains for b in (u, v)})
+    index, dp = _empty_table(pushable, bmask, width)
+    before = []  # the table before each chain, one row per F
     for u, v, _inner in h.chains:
+        # a finite entry counts inner nodes, at most SUBDIV_CHAIN_LIMIT on
+        # each of at most 45 chains, so it fits int16 with INF kept largest
+        before.append(np.minimum(dp, _INF16).astype(np.int16).reshape(-1, width))
         table = tables[((bmask >> u) & 1, (bmask >> v) & 1)]
-        dp, ptr, moves = _chain_step(dp, table, index.get(u), index.get(v))
-        steps.append((ptr.reshape(-1, dp.shape[-1]), moves))
-    members = [b for b in h.base_nodes if (bmask >> b) & 1]
+        dp = _values_step(dp, table, index.get(u), index.get(v))
+    rows = dp.reshape(-1, width)
+    column = rows[:, s] + np.bitwise_count(np.arange(len(rows)))
+    frow = int(column.argmin())  # the lowest F of the winning column
+    if column[frow] != bnd:
+        raise ContractError("chain DP passes disagree on the value")
     cost = bnd - frow.bit_count()
-    for (ptr, moves), (_u, _v, inner) in zip(reversed(steps), reversed(h.chains)):
-        m = int(ptr[frow, s])
-        if m < 0:
-            raise ContractError("chain DP witness has no back-pointer")
-        drop, p, c, pick = moves[m]
+    members = [b for b in h.base_nodes if (bmask >> b) & 1]
+    for prev, (u, v, inner) in zip(reversed(before), reversed(h.chains)):
+        table = tables[((bmask >> u) & 1, (bmask >> v) & 1)]
+        move = _first_move(prev, table, index.get(u), index.get(v), frow, s, cost)
+        if move is None:
+            raise ContractError("chain DP witness has no move to follow")
+        drop, p, c, pick = move
         frow, s, cost = frow ^ drop, s - p, cost - c
         members.extend(inner[j] for j in range(h.k) if (pick >> j) & 1)
     if cost or s or frow:
@@ -301,6 +283,143 @@ def subdivided_node_expansion(h: SubdividedGraph) -> ExpansionResult:
     if value == 0:
         warnings.warn("graph is disconnected, node expansion is 0", stacklevel=2)
     return ExpansionResult("node", "chain-dp", value, cut)
+
+
+# endpoint states of the class sweep, and the class of an ordered pair of
+# them: BB, BF, BN, FF, FN, NN
+_IN_B, _IN_F, _IN_N = 0, 1, 2
+_PAIR_CLASS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]], dtype=np.int64)
+
+
+def _first_candidate(h: SubdividedGraph, minima):
+    """(bnd, size, B, s) of the first candidate under the
+    (bnd / size, size, B) order, or None when no set is feasible, from
+    the (E, bnds) pairs of _class_minima. A base node that ends no chain
+    only adds to the size: the least B adding t of them to the endpoints
+    E in B adds the t lowest."""
+    half = h.graph.n // 2
+    ends = {b for u, v, _inner in h.chains for b in (u, v)}
+    idle = [b for b in h.base_nodes if b not in ends]
+    best = None  # (bnd, size, B, s)
+    for e, bnds in minima:
+        ne = e.bit_count()
+        bmask = e
+        for t in range(min(len(idle), half - ne) + 1):
+            if t:
+                bmask |= 1 << idle[t - 1]
+            for s in range(len(bnds) - t):
+                bnd, size = bnds[s], ne + t + s
+                if size < 1 or bnd >= _INF32:
+                    continue
+                if best is None or _before((bnd, size, bmask), best):
+                    best = (bnd, size, bmask, s)
+    return best
+
+
+def _class_minima(h: SubdividedGraph, tables: dict):
+    """Pass 1 of subdivided_node_expansion, the class sweep: yields
+    (E, bnds) for every set E of chain endpoints in B with
+    |E| <= n/2, where bnds[s], s <= n/2 - |E|, is the fewest boundary
+    nodes with s inner nodes in S, INF or more where none has s.
+
+    Every assignment of B, F or N to the chain endpoints is scored as
+    |F| plus the product of its class counts, and E takes the minimum
+    over its assignments.
+    """
+    half = h.graph.n // 2
+    pushable = sorted({b for u, v, _inner in h.chains for b in (u, v)})
+    col = {b: i for i, b in enumerate(pushable)}
+
+    # digit i of an assignment's number in base 3 is the state of pushable[i]
+    code = np.arange(3 ** len(pushable), dtype=np.int32)
+    states = [(code // 3**i % 3).astype(np.int8) for i in range(len(pushable))]
+    emask = np.zeros(len(code), dtype=np.int32)
+    nfree = np.zeros(len(code), dtype=np.int32)
+    for b, st in zip(pushable, states):
+        emask |= (st == _IN_B).astype(np.int32) << b
+        nfree += st == _IN_F
+    # the six class counts as one number in base len(chains) + 1
+    radix = len(h.chains) + 1
+    weight = radix**_PAIR_CLASS
+    key = np.zeros(len(code), dtype=np.int64)
+    for u, v, _inner in h.chains:
+        key += weight[states[col[u]], states[col[v]]]
+    keys, group = np.unique(key, return_inverse=True)
+    prods = _class_products(keys.tolist(), radix, _class_vectors(tables, half + 1))
+
+    # the lowest |F| of every (E, group) pair, pairs in ascending E
+    pair = emask * np.int64(len(keys)) + group
+    order = np.lexsort((nfree, pair))
+    pair, nfree = pair[order], nfree[order]
+    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    emasks, groups = np.divmod(pair[first], len(keys))
+    nfree = nfree[first]
+    cuts = np.flatnonzero(np.diff(emasks, prepend=-1)).tolist() + [len(first)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        e = int(emasks[lo])
+        if e.bit_count() <= half:
+            rows = prods[groups[lo:hi], : half + 1 - e.bit_count()] + nfree[lo:hi, None]
+            yield e, rows.min(axis=0).tolist()
+
+
+def _class_vectors(tables: dict, width: int) -> list:
+    """The cost-by-size vector of each endpoint class, in _PAIR_CLASS
+    order: per inner count, the cheapest config that pushes endpoints
+    only into F. A chain's costs are the same read from either end."""
+    vectors = [None] * 6
+    for x in range(3):
+        for y in range(x, 3):
+            vec = np.full(width, _INF32, dtype=np.int32)
+            for (fu, fv), (costs, _args) in tables[(x == _IN_B, y == _IN_B)].items():
+                if (fu and x != _IN_F) or (fv and y != _IN_F):
+                    continue
+                m = min(len(costs), width)
+                np.minimum(vec[:m], costs[:m], out=vec[:m])
+            vectors[_PAIR_CLASS[x, y]] = vec
+    return vectors
+
+
+def _class_products(keys: list, radix: int, vectors: list):
+    """(len(keys), width) int32 array: row g is the min-plus product of
+    the class vectors raised to the counts that keys[g] encodes, class c
+    as digit c in base radix. Each power is computed once, and each
+    product of the leading counts, from the last class down, once per
+    run of ascending keys that share it."""
+    width = len(vectors[0])
+    unit = np.full(width, _INF32, dtype=np.int32)
+    unit[0] = 0
+    counts = [tuple(key // radix**c % radix for c in reversed(range(6))) for key in keys]
+    powers = []
+    for d, vec in enumerate(reversed(vectors)):
+        row = [unit]
+        for _ in range(max((cnt[d] for cnt in counts), default=0)):
+            row.append(_min_plus(row[-1], vec))
+        powers.append(row)
+    out = np.empty((len(keys), width), dtype=np.int32)
+    prev = (-1,) * 6
+    heads = [unit]  # heads[d]: the product of the first d counts of prev
+    for g, cnt in enumerate(counts):
+        d = next(d for d in range(6) if cnt[d] != prev[d])
+        del heads[d + 1 :]
+        for j, power in zip(cnt[d:], powers[d:]):
+            heads.append(_min_plus(heads[-1], power[j]) if j else heads[-1])
+        out[g] = heads[6]
+        prev = cnt
+    return out
+
+
+def _min_plus(a, b):
+    """Min-plus product of two cost-by-size vectors of one width,
+    truncated to it; entries stay at most INF."""
+    width = len(a)
+    padded = np.full(2 * width - 1, _INF32, dtype=np.int32)
+    padded[width - 1 :] = b
+    # a view whose row p is b shifted right by p, INF before it
+    step = padded.itemsize
+    shifted = np.ndarray(
+        (width, width), np.int32, buffer=padded, offset=(width - 1) * step, strides=(-step, step)
+    )
+    return np.minimum((a[:, None] + shifted).min(axis=0), _INF32)
 
 
 def _before(a: tuple, b: tuple) -> bool:
@@ -321,9 +440,12 @@ def _empty_table(pushable: list, bmask: int, width: int):
 
 
 def _values_step(dp, table, iu, iv):
-    """_chain_step without the pointers: the same next dp, from one
-    elementwise minimum of the source rows per endpoint config and one
-    np.minimum per inner count."""
+    """One chain's min-plus step over dp, whose last axis counts inner
+    nodes and whose other axes are the free base nodes, free node i on
+    axis nf-1-i; iu and iv are the free indices of the chain's
+    endpoints, None for members of B. One elementwise minimum of the
+    source rows per endpoint config and one np.minimum per inner
+    count."""
     nf = dp.ndim - 1
     width = dp.shape[-1]
     out = np.full_like(dp, _INF32)
@@ -340,40 +462,26 @@ def _values_step(dp, table, iu, iv):
     return out
 
 
-def _chain_step(dp, table, iu, iv):
-    """One chain's min-plus step over dp, whose last axis counts inner
-    nodes and whose other axes are the free base nodes, free node i on
-    axis nf-1-i; iu and iv are the free indices of the chain's
-    endpoints, None for members of B.
-
-    Returns (next dp, int16 pointers, moves): moves[ptr] is the
-    (source row xor, p, cost, inner set) that first reached an entry,
-    and ptr is -1 where nothing did. An entry is replaced only on a
-    strictly smaller cost.
-    """
-    nf = dp.ndim - 1
-    width = dp.shape[-1]
-    out = np.full_like(dp, _INF32)
-    ptr = np.full(dp.shape, -1, dtype=np.int16)
-    moves = []
+def _first_move(prev, table, iu, iv, row: int, s: int, cost: int):
+    """The move of one chain that reaches entry [row, s] of its next
+    table at cost from prev, the chain's previous table with one row per
+    F: the first in (pushed endpoints sorted, inner count ascending,
+    dropped endpoints in _submasks order) order, as (source row xor,
+    inner count, cost, inner set), or None. A step that replaces an
+    entry only on a strictly smaller cost keeps exactly this move."""
     for fu, fv in sorted(table):
-        costs, args = table[(fu, fv)]
         fbits = (fu << iu if fu else 0) | (fv << iv if fv else 0)
-        dst = _fix_rows(nf, fbits, fbits)
-        srcs = [(drop, dp[_fix_rows(nf, fbits, fbits ^ drop)]) for drop in _submasks(fbits)]
-        for p in range(min(len(costs), width)):
+        if (row & fbits) != fbits:
+            continue
+        costs, args = table[(fu, fv)]
+        for p in range(min(len(costs), s + 1)):
             c = costs[p]
             if c >= _INF32:
                 continue
-            tgt = out[dst][..., p:]
-            tgt_ptr = ptr[dst][..., p:]
-            for drop, src in srcs:
-                cand = src[..., : width - p] + c
-                better = cand < tgt
-                np.copyto(tgt, cand, where=better)
-                np.copyto(tgt_ptr, len(moves), where=better)
-                moves.append((drop, p, c, args[p]))
-    return out, ptr, moves
+            for drop in _submasks(fbits):
+                if int(prev[row ^ drop, s - p]) + c == cost:
+                    return drop, p, c, args[p]
+    return None
 
 
 def _fix_rows(nf: int, bits: int, value: int) -> tuple:

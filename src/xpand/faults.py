@@ -79,11 +79,15 @@ class FaultPattern:
         try:
             payload = json.loads(text)
             kind = payload["kind"]
+            provenance = payload.get("provenance", {})
+            if type(provenance) is not dict:
+                got = type(provenance).__name__
+                raise InputError(f"provenance must be a JSON object, got {got}")
             if kind == KIND_NODE:
                 return cls(
                     kind=kind,
                     failed_nodes=tuple(json_int(v) for v in payload["failed"]),
-                    provenance=dict(payload.get("provenance", {})),
+                    provenance=provenance,
                 )
             if kind == KIND_EDGE:
                 return cls(
@@ -91,7 +95,7 @@ class FaultPattern:
                     kept_edges=tuple(
                         (json_int(u), json_int(v)) for u, v in payload["kept_edges"]
                     ),
-                    provenance=dict(payload.get("provenance", {})),
+                    provenance=provenance,
                 )
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError, InputError) as exc:
             raise InputError(f"bad fault pattern: {exc}") from None
@@ -144,7 +148,10 @@ def apply_faults(g: Graph, pattern: FaultPattern) -> Graph:
         g_edges = set(g.edges())
         for e in pattern.kept_edges:
             if tuple(e) not in g_edges:
-                raise InputError(f"kept edge {e} is not an edge of the graph")
+                raise InputError(
+                    f"kept edge {list(e)} is not an edge of the graph"
+                    " (edges are listed as [u, v] with u < v)"
+                )
         nm = g.node_map if g.node_map is not None else tuple(range(g.n))
         return Graph.from_edges(g.n, pattern.kept_edges, node_map=nm)
     raise InputError(f"unknown fault pattern kind {pattern.kind!r}")

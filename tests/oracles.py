@@ -19,8 +19,10 @@ their own copies of
 `_chain_config_tables` and `_submasks`, are the chain DP as first
 written: a dict of numpy rows per pushed-set state, a snapshot of every
 state after every chain and a backward search for the witness. They
-are the reference for the dense table, its values-only sweep and its
-back-pointers."""
+are the reference for the whole solver. `values_minima`, one dense
+table per set of base nodes, is the reference for the class sweep that
+replaced it, and `_chain_step`, the table step with back-pointers, for
+the walk that reads its moves from the values-only tables."""
 
 import warnings
 from fractions import Fraction
@@ -36,6 +38,9 @@ from xpand.expansion import (
     SUBDIV_BASE_LIMIT,
     SUBDIV_CHAIN_LIMIT,
     ExpansionResult,
+    _empty_table,
+    _fix_rows,
+    _values_step,
 )
 from xpand.faults import make_rng, rand_below
 from xpand.generators import SubdividedGraph, mesh, mesh_coords, mesh_index
@@ -628,3 +633,55 @@ def _submasks(mask: int):
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def values_minima(h: SubdividedGraph, tables: dict):
+    """Yields (E, bnds) like expansion._class_minima, from one dense
+    table dp[F, s] per set E of base nodes that end a chain, swept chain
+    by chain with _values_step: bnds[s] is the minimum of |F| + dp[F, s]
+    over F."""
+    half = h.graph.n // 2
+    pushable = sorted({b for u, v, _inner in h.chains for b in (u, v)})
+    ends = sum(1 << b for b in pushable)
+    for emask in _submasks(ends):
+        ne = emask.bit_count()
+        if ne > half:
+            continue
+        width = half - ne + 1
+        index, dp = _empty_table(pushable, emask, width)
+        for u, v, _inner in h.chains:
+            table = tables[((emask >> u) & 1, (emask >> v) & 1)]
+            dp = _values_step(dp, table, index.get(u), index.get(v))
+        rows = dp.reshape(-1, width)
+        rows = rows + np.bitwise_count(np.arange(len(rows)))[:, None]
+        yield emask, rows.min(axis=0).tolist()
+
+
+def _chain_step(dp, table, iu, iv):
+    """_values_step with back-pointers: returns (next dp, int16
+    pointers, moves), where moves[ptr] is the (source row xor, p, cost,
+    inner set) that first reached an entry and ptr is -1 where nothing
+    did. An entry is replaced only on a strictly smaller cost."""
+    nf = dp.ndim - 1
+    width = dp.shape[-1]
+    out = np.full_like(dp, _INF32)
+    ptr = np.full(dp.shape, -1, dtype=np.int16)
+    moves = []
+    for fu, fv in sorted(table):
+        costs, args = table[(fu, fv)]
+        fbits = (fu << iu if fu else 0) | (fv << iv if fv else 0)
+        dst = _fix_rows(nf, fbits, fbits)
+        srcs = [(drop, dp[_fix_rows(nf, fbits, fbits ^ drop)]) for drop in _submasks(fbits)]
+        for p in range(min(len(costs), width)):
+            c = costs[p]
+            if c >= _INF32:
+                continue
+            tgt = out[dst][..., p:]
+            tgt_ptr = ptr[dst][..., p:]
+            for drop, src in srcs:
+                cand = src[..., : width - p] + c
+                better = cand < tgt
+                np.copyto(tgt, cand, where=better)
+                np.copyto(tgt_ptr, len(moves), where=better)
+                moves.append((drop, p, c, args[p]))
+    return out, ptr, moves

@@ -633,6 +633,11 @@ def _set_sidecar_key(workdir, key, value):
 
 
 REPLAY_C = ["--replay", "c.gr.manifest.json"]
+PRUNE_F = ["prune", "c.gr", "--oracle", "--eps", "1/2", "--faults", "f.json"]
+
+
+def _write(name, text):
+    return lambda w: (w / name).write_text(text)
 
 
 @pytest.mark.parametrize(
@@ -700,6 +705,37 @@ REPLAY_C = ["--replay", "c.gr.manifest.json"]
             ["attack", "s.gr", "--strategy", "chain-centers"],
             id="sidecar-float-k",
         ),
+        pytest.param(
+            _write("f.json", '[["kind", "node-faults"], ["failed", [1]]]'),
+            PRUNE_F,
+            id="faults-not-object",
+        ),
+        pytest.param(
+            _write("f.json", '{"kind": "node-faults", "failed": ["1"]}'),
+            PRUNE_F,
+            id="faults-string-id",
+        ),
+        pytest.param(
+            _write("f.json", '{"kind": "edge-survival", "kept_edges": [[0, 1, 2]]}'),
+            PRUNE_F,
+            id="kept-edge-three-ends",
+        ),
+        pytest.param(
+            _write("f.json", '{"kind": "edge-survival", "kept_edges": [[0]]}'),
+            PRUNE_F,
+            id="kept-edge-one-end",
+        ),
+        # a list of pairs would pass dict(), but provenance is an object
+        pytest.param(
+            _write("f.json", '{"kind": "node-faults", "failed": [1], "provenance": [["a", 1]]}'),
+            PRUNE_F,
+            id="faults-provenance-pairs",
+        ),
+        pytest.param(
+            _write("f.json", '{"kind": "node-faults", "failed": [1], "provenance": "a"}'),
+            PRUNE_F,
+            id="faults-provenance-string",
+        ),
     ],
 )
 def test_malformed_json_inputs_are_input_errors(workdir, capsys, prepare, argv):
@@ -709,10 +745,6 @@ def test_malformed_json_inputs_are_input_errors(workdir, capsys, prepare, argv):
     rc, _, err = run(argv, capsys)
     assert rc == 2
     assert err.startswith("error:")
-
-
-def _write(name, text):
-    return lambda w: (w / name).write_text(text)
 
 
 @pytest.mark.parametrize(

@@ -199,20 +199,20 @@ def test_chain_dp_on_cycle_subdivision():
     assert subdivided_node_expansion(s).value == node_expansion_exact(cycle(12)).value
 
 
-def test_pointer_dp_runs_once_per_chain(monkeypatch):
+def test_values_step_runs_once_per_chain(monkeypatch):
     calls = []
-    step = expansion._chain_step
+    step = expansion._values_step
 
     def counted(*args):
         calls.append(1)
         return step(*args)
 
-    monkeypatch.setattr(expansion, "_chain_step", counted)
+    monkeypatch.setattr(expansion, "_values_step", counted)
     for base in (complete(5), cycle(6), Graph.from_edges(8, [(0, 4), (0, 7), (2, 5)])):
         h = subdivide_edges(base, 3)
         calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the sparse base is disconnected
             subdivided_node_expansion(h)
-        # pointers exist for the winning base set only
+        # tables exist for the winning base set only; the class sweep builds none
         assert len(calls) == len(h.chains)

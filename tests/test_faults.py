@@ -86,6 +86,16 @@ def test_apply_rejects_foreign_edges():
         apply_faults(g, bad)
 
 
+def test_reversed_kept_edge_is_rejected_with_the_edge_order():
+    g = cycle(4)
+    # (1, 0) is the edge (0, 1) written backwards
+    reversed_pair = FaultPattern(kind=KIND_EDGE, kept_edges=((1, 0),), provenance={})
+    with pytest.raises(InputError, match=r"kept edge \[1, 0\] .*\[u, v\] with u < v"):
+        apply_faults(g, reversed_pair)
+    ok = FaultPattern(kind=KIND_EDGE, kept_edges=((0, 1),), provenance={})
+    assert list(apply_faults(g, ok).edges()) == [(0, 1)]
+
+
 def test_chain_center_attack():
     s = subdivide_edges(complete(4), 2)
     pat = attack_chain_centers(s)
@@ -129,6 +139,24 @@ def test_pattern_json_rejects_garbage():
         FaultPattern.from_json("{}")
     with pytest.raises(InputError):
         FaultPattern.from_json("not json")
+
+
+@pytest.mark.parametrize(
+    "provenance",
+    [
+        pytest.param('[["a", 1]]', id="pairs"),
+        pytest.param('"ab"', id="string"),
+        pytest.param("3", id="number"),
+        pytest.param("null", id="null"),
+        pytest.param("true", id="bool"),
+    ],
+)
+def test_pattern_json_rejects_non_object_provenance(provenance):
+    text = '{"kind": "node-faults", "failed": [1], "provenance": %s}' % provenance
+    with pytest.raises(InputError, match="provenance must be a JSON object"):
+        FaultPattern.from_json(text)
+    # a missing provenance still reads as an empty one
+    assert FaultPattern.from_json('{"kind": "node-faults", "failed": [1]}').provenance == {}
 
 
 def test_rng_helpers():

@@ -1,11 +1,16 @@
 """Property tests over random graphs: the shared component walk against
 networkx, the shared prune-and-grade path against a from-scratch
-reference, the chain DP against its first dict-of-states version and
-its values-only step against its pointer step, the compact-set sampler
-against its first version, the text format's round trip and token
-checks, and the warning-free survivor measurement."""
+reference, the chain DP against its first dict-of-states version, its
+class sweep against the per-base-set table sweep it replaced, its
+values-only step and its walk against the pointer step, the compact-set
+sampler against its first version, the text format's round trip and
+token checks, the fault-pattern format's round trip and its malformed
+payloads, and the warning-free survivor measurement."""
 
 import contextlib
+import json
+import os
+import tempfile
 import warnings
 from fractions import Fraction
 
@@ -18,6 +23,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import to_nx
 from xpand import expansion
+from xpand.cli import main
 from xpand.errors import InputError, LoadError
 from xpand.expansion import (
     edge_expansion_exact,
@@ -29,8 +35,8 @@ from xpand.experiments import (
     adversary_exhaustive,
     percolation_point,
 )
-from xpand.faults import make_rng
-from xpand.generators import complete, mesh, subdivide_edges
+from xpand.faults import KIND_EDGE, KIND_NODE, FaultPattern, make_rng
+from xpand.generators import complete, cycle, mesh, subdivide_edges
 from xpand.graph import (
     Graph,
     connected_components,
@@ -146,6 +152,28 @@ def test_chain_dp_matches_dict_of_states_reference(base, k):
     assert results[0] == results[1]
 
 
+def _tables(k):
+    return {(a, b): expansion._chain_config_tables(k, a, b) for a in (0, 1) for b in (0, 1)}
+
+
+@given(base=graphs(min_n=0, max_n=8, max_edges=10), k=st.integers(1, 4))
+@example(base=Graph.from_edges(1, []), k=1)  # n < 2: neither finds a set
+@example(base=Graph.from_edges(5, []), k=3)  # edgeless: every base node is idle
+@example(base=_IDLE_NODES_CASE, k=4)
+@example(base=_IDLE_NODES_CASE_2, k=5)
+@example(base=complete(6), k=2)
+@settings(max_examples=150, deadline=None)
+def test_class_sweep_matches_values_sweep(base, k):
+    h = subdivide_edges(base, k)
+    tables = _tables(k)
+    ours = list(expansion._class_minima(h, tables))
+    ref = list(oracles.values_minima(h, tables))
+    assert dict(ours) == dict(ref)
+    got = expansion._first_candidate(h, ours)
+    assert got == expansion._first_candidate(h, ref)
+    assert (got is None) == (h.graph.n < 2)
+
+
 @given(data=st.data(), base=graphs(min_n=1, max_n=7, max_edges=9), k=st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
 def test_values_step_matches_pointer_step(data, base, k):
@@ -154,18 +182,42 @@ def test_values_step_matches_pointer_step(data, base, k):
     bmask = data.draw(st.integers(0, (1 << base.n) - 1))
     if bmask.bit_count() > half:
         return
-    tables = {
-        (a, b): expansion._chain_config_tables(k, a, b) for a in (0, 1) for b in (0, 1)
-    }
+    tables = _tables(k)
     pushable = sorted({b for u, v, _inner in h.chains for b in (u, v)})
     index, dp = expansion._empty_table(pushable, bmask, half - bmask.bit_count() + 1)
     values = dp
     for u, v, _inner in h.chains:
         table = tables[((bmask >> u) & 1, (bmask >> v) & 1)]
-        dp, _ptr, _moves = expansion._chain_step(dp, table, index.get(u), index.get(v))
+        dp, _ptr, _moves = oracles._chain_step(dp, table, index.get(u), index.get(v))
         values = expansion._values_step(values, table, index.get(u), index.get(v))
         assert values.shape == dp.shape
         assert np.array_equal(values, dp)
+
+
+@given(base=graphs(min_n=1, max_n=6, max_edges=6), k=st.integers(1, 3), bmask=st.integers(0, 63))
+@example(base=complete(4), k=1, bmask=0)
+@example(base=_SUBMASK_ORDER_CASE, k=1, bmask=0)
+@settings(max_examples=100, deadline=None)
+def test_first_move_is_the_pointer_steps_move(base, k, bmask):
+    h = subdivide_edges(base, k)
+    half = h.graph.n // 2
+    bmask &= (1 << base.n) - 1
+    if bmask.bit_count() > half:
+        return
+    tables = _tables(k)
+    pushable = sorted({b for u, v, _inner in h.chains for b in (u, v)})
+    width = half - bmask.bit_count() + 1
+    index, dp = expansion._empty_table(pushable, bmask, width)
+    for u, v, _inner in h.chains:
+        table = tables[((bmask >> u) & 1, (bmask >> v) & 1)]
+        iu, iv = index.get(u), index.get(v)
+        prev = dp.reshape(-1, width)
+        dp, ptr, moves = oracles._chain_step(dp, table, iu, iv)
+        cur, ptr = dp.reshape(-1, width), ptr.reshape(-1, width)
+        # every reached entry: the walk picks the move its pointer holds
+        for row, s in zip(*np.nonzero(ptr >= 0)):
+            move = expansion._first_move(prev, table, iu, iv, int(row), int(s), int(cur[row, s]))
+            assert move == moves[ptr[row, s]]
 
 
 @given(
@@ -244,6 +296,90 @@ def test_loads_rejects_foreign_blanks_between_tokens(data, g, blank):
     assert lines[row].split() == tokens  # str.split() alone reads the same tokens
     with pytest.raises(LoadError):
         loads("\n".join(lines) + "\n")
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def fault_patterns(draw, kind=None):
+    kind = kind or draw(st.sampled_from([KIND_NODE, KIND_EDGE]))
+    provenance = draw(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=4))
+    ids = st.integers(0, 2**40)
+    if kind == KIND_NODE:
+        failed = tuple(draw(st.lists(ids, max_size=8)))
+        return FaultPattern(kind=kind, failed_nodes=failed, provenance=provenance)
+    kept = tuple(draw(st.lists(st.tuples(ids, ids), max_size=8)))
+    return FaultPattern(kind=kind, kept_edges=kept, provenance=provenance)
+
+
+@given(pattern=fault_patterns())
+@settings(max_examples=100, deadline=None)
+def test_fault_pattern_json_round_trips(pattern):
+    text = pattern.to_json()
+    again = FaultPattern.from_json(text)
+    assert again == pattern
+    assert again.to_json() == text
+
+
+_NOT_AN_OBJECT = st.sampled_from(
+    [[], [["kind", "node-faults"]], "node-faults", 3, 2.5, True, None]
+)
+_NOT_AN_ID = st.sampled_from([True, False, 1.5, 2.0, "3", None, [1], {"a": 1}])
+
+
+@st.composite
+def spoiled_patterns(draw):
+    """The JSON text of a fault pattern with one malformed part: the
+    payload or its provenance not an object, an id that is not an
+    integer, or a kept edge without exactly two ends."""
+    how = draw(st.sampled_from(["payload", "provenance", "node id", "edge id", "arity"]))
+    kind = KIND_NODE if how == "node id" else KIND_EDGE if how in ("edge id", "arity") else None
+    payload = json.loads(draw(fault_patterns(kind)).to_json())
+    if how == "payload":
+        payload = draw(_NOT_AN_OBJECT)
+    elif how == "provenance":
+        payload["provenance"] = draw(_NOT_AN_OBJECT)
+    elif how == "node id":
+        failed = payload["failed"] or [0]
+        failed[draw(st.integers(0, len(failed) - 1))] = draw(_NOT_AN_ID)
+        payload["failed"] = failed
+    else:
+        edges = payload["kept_edges"] or [[0, 1]]
+        i = draw(st.integers(0, len(edges) - 1))
+        if how == "edge id":
+            edges[i][draw(st.integers(0, 1))] = draw(_NOT_AN_ID)
+        else:
+            edges[i] = (edges[i] + [edges[i][1] + 1])[: draw(st.sampled_from([0, 1, 3]))]
+        payload["kept_edges"] = edges
+    return json.dumps(payload)
+
+
+@given(text=spoiled_patterns())
+@settings(max_examples=100, deadline=None)
+def test_spoiled_fault_patterns_are_input_errors(text):
+    with pytest.raises(InputError):
+        FaultPattern.from_json(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, faults = os.path.join(tmp, "c.gr"), os.path.join(tmp, "f.json")
+        with open(graph, "w", encoding="utf-8") as f:
+            f.write(dumps(cycle(5)))
+        with open(faults, "w", encoding="utf-8") as f:
+            f.write(text)
+        assert main(["prune", graph, "--oracle", "--eps", "1/2", "--faults", faults]) == 2
 
 
 def test_survivor_measurement_raises_no_warning():
