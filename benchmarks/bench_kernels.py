@@ -5,7 +5,9 @@ the package runs them, and the chain DP of subdivided_node_expansion
 on dense bases (K7, and K8 with long chains), sparse ones (C10, and the
 path P10, whose endpoint assignments fall into the most distinct class
 counts) and two sparse bases whose nodes mostly end no chain (10 nodes
-with edges 01, 23; 8 nodes with edges 04, 07, 25).
+with edges 01, 23; 8 nodes with edges 04, 07, 25). The algorithm-layer
+rows time adversary_exhaustive at k = 2 on mesh 4x4 with f = 1 and on
+K16 with f = 2 (120 fault sets, each pruned and its survivor graded).
 
 Random regular graphs come from the first generator seed at or after
 --seed that yields one, since the pairing model can run out of retries.
@@ -23,6 +25,7 @@ import warnings
 from xpand import kernels
 from xpand.errors import GenerationError
 from xpand.expansion import subdivided_node_expansion
+from xpand.experiments import adversary_exhaustive
 from xpand.generators import (
     complete,
     cycle,
@@ -149,6 +152,13 @@ def main() -> int:
                 lambda h=h: subdivided_node_expansion(h),
                 args.repeat,
             )
+
+    for name, ag, f in (("mesh 4x4", mesh((4, 4)), 1), ("K16", complete(16), 2)):
+        bench(
+            f"adversary {name} k=2 f={f}",
+            lambda ag=ag, f=f: adversary_exhaustive(ag, 2, f),
+            args.repeat,
+        )
     return 0
 
 

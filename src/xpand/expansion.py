@@ -15,6 +15,7 @@ import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -78,24 +79,28 @@ def edge_expansion_exact(g: Graph) -> ExpansionResult:
 
 
 def _sparse_cut(g: Graph, mode: str, threshold: Fraction):
+    """(value, cut) of one sweep: value is the minimum ratio over
+    1 <= |S| <= n/2, the graph's exact expansion in mode (None when
+    n < 2, where nothing is swept), and cut its canonical minimizer
+    when value <= threshold, else None."""
     if g.n < 2:
-        return None
+        return None, None
     value, mask = _min_ratio_cut(g, mode, "sparse-cut search")
     if value > threshold:
-        return None
-    return make_cut(g, kernels.mask_nodes(mask))
+        return value, None
+    return value, make_cut(g, kernels.mask_nodes(mask))
 
 
 def find_sparse_node_cut(g: Graph, alpha: Fraction, eps: Fraction):
     """Canonical minimizer S with |boundary(S)| <= alpha*eps*|S| and
     |S| <= floor(n/2), or None when no such set exists."""
-    return _sparse_cut(g, "node", alpha * eps)
+    return _sparse_cut(g, "node", alpha * eps)[1]
 
 
 def find_sparse_edge_cut(g: Graph, alpha_e: Fraction, eps: Fraction):
     """Canonical minimizer S with |edge boundary(S)| <= alpha_e*eps*|S|
     and |S| <= floor(n/2), or None. The winner is always connected."""
-    return _sparse_cut(g, "edge", alpha_e * eps)
+    return _sparse_cut(g, "edge", alpha_e * eps)[1]
 
 
 def _better_cut(a: Cut, b: Cut, mode: str) -> bool:
@@ -174,6 +179,7 @@ def edge_expansion_heuristic(g: Graph, *, trials: int = 16, seed: int = 0) -> Ex
     return _heuristic(g, "edge", int(trials), int(seed))
 
 
+@functools.lru_cache(maxsize=None)
 def _chain_config_tables(k: int, a: int, b: int):
     """Per-chain DP tables for endpoint membership (a, b).
 
@@ -181,18 +187,15 @@ def _chain_config_tables(k: int, a: int, b: int):
     nodes outside P adjacent to P or to a member endpoint; fu/fv say
     whether the chain puts a free endpoint on the boundary. Returns
     {(fu, fv): (min_cost_by_p, argmin_P_by_p)} with canonical argmin
-    (smallest P bitmask).
+    (smallest P bitmask). Built once per (k, a, b) and shared: the
+    mapping is read-only and its rows are tuples.
     """
+    inner = (1 << k) - 1
     tables: dict = {}
     for pmask in range(1 << k):
-        cost = 0
-        for j in range(k):
-            if (pmask >> j) & 1:
-                continue
-            left = (pmask >> (j - 1)) & 1 if j > 0 else a
-            right = (pmask >> (j + 1)) & 1 if j < k - 1 else b
-            if left or right:
-                cost += 1
+        # inner node j is bit j + 1 of x, its neighbours bits j and j + 2
+        x = a | pmask << 1 | b << (k + 1)
+        cost = ((x | x >> 2) & inner & ~pmask).bit_count()
         fu = 0 if a else (pmask & 1)
         fv = 0 if b else ((pmask >> (k - 1)) & 1)
         p = pmask.bit_count()
@@ -203,7 +206,9 @@ def _chain_config_tables(k: int, a: int, b: int):
         if cost < costs[p]:
             costs[p] = cost
             args[p] = pmask
-    return tables
+    return MappingProxyType(
+        {key: (tuple(costs), tuple(args)) for key, (costs, args) in tables.items()}
+    )
 
 
 def subdivided_node_expansion(h: SubdividedGraph) -> ExpansionResult:

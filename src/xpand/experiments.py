@@ -34,7 +34,7 @@ from .faults import (
     random_node_faults,
 )
 from .generators import SubdividedGraph
-from .graph import Graph, connected_components, induced_subgraph, remove_nodes
+from .graph import Graph, connected_components, remove_nodes
 from .pruning import (
     expansion_lower_bound,
     hypothesis_ok,
@@ -120,24 +120,22 @@ def rows_to_jsonl(rows) -> str:
 
 
 def _prune_and_grade(g_f: Graph, mode: str, alpha, eps):
-    """Prune g_f (prune for node mode, prune2 for edge mode), induce the
-    survivor H from g_f and measure it exactly in the same mode.
-    Returns (trace, expansion of H), the expansion 0 when |H| < 2.
+    """Prune g_f (prune for node mode, prune2 for edge mode) and grade
+    the survivor H by its exact expansion in the same mode. Returns
+    (trace, expansion of H), the expansion 0 when |H| < 2.
 
-    H with at least 2 nodes is connected, so its measurement never warns
-    of a disconnected graph: its smallest component would have at most
-    |H|/2 nodes and ratio 0 <= alpha*eps, and the loop would have culled
-    it."""
-    if mode == "node":
-        trace = prune(g_f, alpha, eps)
-        measure = node_expansion_exact
-    else:
-        trace = prune2(g_f, alpha, eps)
-        measure = edge_expansion_exact
+    The grade is the trace's h_expansion: the prune loop ends on a sweep
+    of H that finds no sparse set, and that sweep's minimum ratio is
+    H's exact expansion, so H is neither rebuilt nor swept again. H with
+    at least 2 nodes is connected: its smallest component would have at
+    most |H|/2 nodes and ratio 0 <= alpha*eps, and the loop would have
+    culled it."""
+    trace = (prune if mode == "node" else prune2)(g_f, alpha, eps)
     if trace.h_size < 2:
         return trace, Fraction(0)
-    h_graph = induced_subgraph(g_f, g_f.local_ids(trace.final_nodes))
-    return trace, measure(h_graph).value
+    if trace.h_expansion is None:
+        raise ContractError("exact prune recorded no expansion for its survivor")
+    return trace, trace.h_expansion
 
 
 def percolation_point(

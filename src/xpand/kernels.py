@@ -16,6 +16,7 @@ outside exactly once and never a helper step inside a kernel.
 
 from __future__ import annotations
 
+import functools
 from math import comb
 
 import numpy as np
@@ -112,6 +113,13 @@ def _low_halves(n: int):
     if n > _MAX_MASK_BITS:
         raise LimitError(f"subset sweeps are limited to n <= {_MAX_MASK_BITS}, got n={n}")
     c = min(n, _CHUNK_BITS)
+    return (c, *_scan_order(c))
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_order(c: int):
+    """(order, starts) of _low_halves for width c, built once per c and
+    shared by every sweep: order is read-only, starts a tuple."""
     # key = size * 2^c - (bit-reversed mask) < 2^16, by the doubling
     # recurrence; a stable uint16 argsort keeps the set of numpy code
     # paths, and so the resident code pages, small
@@ -119,10 +127,11 @@ def _low_halves(n: int):
     for i in range(c):
         np.add(key[: 1 << i], (1 << c) - (1 << (c - 1 - i)), out=key[1 << i : 2 << i])
     order = np.argsort(key, kind="stable")
+    order.flags.writeable = False
     starts = [0]
     for s in range(c + 1):
         starts.append(starts[-1] + comb(c, s))
-    return c, order, starts
+    return order, tuple(starts)
 
 
 def _sweep(n: int, max_size: int, c: int, order, starts, score):

@@ -8,6 +8,11 @@ record a full trace and recheck the telescoping boundary invariant on
 every prefix: the boundary of everything culled so far, measured in the
 input graph, never exceeds the sum of per-step boundaries, which never
 exceeds alpha*eps times the culled size.
+
+The exact loop ends on a sweep of the survivor H that finds no sparse
+set, and that sweep's minimum ratio over |S| <= |H|/2 is H's exact
+expansion in the loop's mode, so the trace keeps it (h_expansion) and H
+is graded without a second sweep.
 """
 
 from __future__ import annotations
@@ -18,9 +23,8 @@ from fractions import Fraction
 from .errors import ContractError, InputError, LimitError
 from .expansion import (
     EXACT_EXPANSION_LIMIT,
+    _sparse_cut,
     edge_expansion_heuristic,
-    find_sparse_edge_cut,
-    find_sparse_node_cut,
     node_expansion_exact,
     node_expansion_heuristic,
 )
@@ -51,6 +55,12 @@ class PruneStep:
 
 @dataclass(frozen=True)
 class PruneTrace:
+    """One pruning run. h_expansion is the survivor H's exact expansion
+    in the run's mode, read from the loop's last sweep, the one that
+    found no sparse set; it is set only by the exact method and only when
+    |H| >= 2 (smaller graphs are not swept), and it stays out of the
+    payload, so reports and their digests do not change."""
+
     mode: str  # "node" or "edge"
     alpha: Fraction
     eps: Fraction
@@ -58,6 +68,7 @@ class PruneTrace:
     steps: tuple
     final_nodes: tuple  # root ids of the surviving subgraph
     certified: bool = True  # exact finders used throughout
+    h_expansion: Fraction | None = None
 
     @property
     def removed_total(self) -> int:
@@ -184,17 +195,17 @@ def _prune_loop(
     _validate_params(alpha, eps)
     if method not in ("exact", "heuristic"):
         raise InputError(f"unknown prune method {method!r}")
-    find_sparse_cut = find_sparse_node_cut if mode == "node" else find_sparse_edge_cut
     cur = g_f
     steps = []
     union_root: list = []
     bnd_sum = 0
     threshold = alpha * eps
+    value = None  # the last exact sweep's minimum ratio
     while True:
         if method == "heuristic":
             raw_local = _heuristic_cut(cur, mode, threshold, len(steps))
         else:
-            found = find_sparse_cut(cur, alpha, eps)
+            value, found = _sparse_cut(cur, mode, threshold)
             raw_local = None if found is None else found.set
         if raw_local is None:
             break
@@ -240,6 +251,7 @@ def _prune_loop(
         steps=tuple(steps),
         final_nodes=cur.original_ids(range(cur.n)),
         certified=method == "exact",
+        h_expansion=value,
     )
 
 

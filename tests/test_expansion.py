@@ -27,6 +27,7 @@ from xpand.generators import (
 )
 from xpand.graph import Graph, make_cut
 
+import oracles
 from oracles import edge_expansion_nx, node_expansion_nx, random_connected_graph
 
 F = Fraction
@@ -216,3 +217,19 @@ def test_values_step_runs_once_per_chain(monkeypatch):
             subdivided_node_expansion(h)
         # tables exist for the winning base set only; the class sweep builds none
         assert len(calls) == len(h.chains)
+
+
+def test_chain_config_tables_are_shared_and_read_only():
+    for k in range(1, 9):
+        for a in (0, 1):
+            for b in (0, 1):
+                table = expansion._chain_config_tables(k, a, b)
+                assert expansion._chain_config_tables(k, a, b) is table
+                want = oracles._chain_config_tables(k, a, b)
+                assert list(table) == list(want)
+                assert {key: (list(c), list(p)) for key, (c, p) in table.items()} == want
+    table = expansion._chain_config_tables(3, 0, 1)
+    with pytest.raises(TypeError):
+        table[(0, 0)] = ((), ())
+    with pytest.raises(TypeError):
+        table[(0, 0)][0][0] = 0

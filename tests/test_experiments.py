@@ -1,13 +1,15 @@
-"""Percolation sweeps, resilience trials, adversary search, attack
-reports, and the connected-subgraph census."""
+"""Percolation sweeps, resilience trials, adversary search and its sweep
+count, attack reports, and the connected-subgraph census."""
 
 import statistics
 from fractions import Fraction
 
 import pytest
 
-from xpand.errors import InputError, LimitError
+from xpand import experiments, kernels
+from xpand.errors import ContractError, InputError, LimitError
 from xpand.experiments import (
+    _prune_and_grade,
     adversary_exhaustive,
     chain_attack_report,
     gamma,
@@ -21,6 +23,7 @@ from xpand.experiments import (
 from xpand.expansion import node_expansion_exact
 from xpand.generators import complete, cycle, mesh, subdivide_edges
 from xpand.graph import Graph, remove_nodes
+from xpand.pruning import prune
 
 F = Fraction
 
@@ -198,6 +201,48 @@ def test_adversary_keep_traces():
     for faults, trace in traces:
         assert len(faults) == 1
         assert trace.n_start == 15
+
+
+def _k9_with_pendant() -> Graph:
+    # node 9 hangs off node 0: failing node 0 leaves it to be culled
+    edges = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+    return Graph.from_edges(10, edges + [(0, 9)])
+
+
+@pytest.mark.parametrize(
+    "g, f, steps",
+    [(mesh([4, 4]), 1, 0), (complete(16), 2, 0), (_k9_with_pendant(), 1, 1)],
+    ids=["mesh4x4-f1", "K16-f2", "K9-pendant-f1"],
+)
+def test_adversary_runs_one_sweep_per_fault_set_and_step(monkeypatch, g, f, steps):
+    sweep, measure = kernels.min_ratio_node_cut, experiments.node_expansion_exact
+    swept, measured = [], []
+
+    def counted_sweep(n, adj, max_size):
+        swept.append(n)
+        return sweep(n, adj, max_size)
+
+    def counted_measure(h):
+        measured.append(h.n)
+        return measure(h)
+
+    monkeypatch.setattr(kernels, "min_ratio_node_cut", counted_sweep)
+    monkeypatch.setattr(experiments, "node_expansion_exact", counted_measure)
+    _rep, traces = adversary_exhaustive(g, 2, f, keep_traces=True)
+    assert sum(len(t.steps) for _faults, t in traces) == steps
+    assert all(t.h_size >= 2 for _faults, t in traces)
+    # one sweep for alpha; per fault set one per culled set and one that
+    # finds no sparse set, which also grades the survivor
+    assert len(swept) == 1 + sum(len(t.steps) + 1 for _faults, t in traces)
+    # alpha of the fault-free graph is the only expansion measured
+    assert measured == [g.n]
+
+
+def test_prune_and_grade_needs_the_last_sweeps_value(monkeypatch):
+    # the heuristic loop sweeps nothing, so there is no grade to take
+    monkeypatch.setattr(experiments, "prune", lambda g, a, e: prune(g, a, e, method="heuristic"))
+    with pytest.raises(ContractError):
+        _prune_and_grade(mesh([4, 4]), "node", F(1, 2), F(1, 2))
 
 
 def test_adversary_rejects_hypothesis_violations():

@@ -87,6 +87,17 @@ def test_ratio_sweeps_refuse_masks_past_63_bits(name):
         getattr(kernels, name)(64, adj, 1)
 
 
+def test_scan_order_is_built_once_per_width():
+    c, order, starts = kernels._low_halves(14)
+    assert (c, len(order), len(starts)) == (12, 1 << 12, 14)
+    again = kernels._low_halves(20)  # the same low width
+    assert again[1] is order and again[2] is starts
+    assert isinstance(starts, tuple)
+    with pytest.raises(ValueError):
+        order[0] = 1
+    assert kernels._low_halves(5)[1] is kernels._low_halves(5)[1]
+
+
 def test_compact_set_engine_refuses_tables_past_24_nodes():
     adj = [0] * 25
     with pytest.raises(LimitError):

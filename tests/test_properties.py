@@ -5,9 +5,11 @@ class sweep against the per-base-set table sweep it replaced, its
 values-only step and its walk against the pointer step, the compact-set
 sampler against its first version, the text format's round trip and
 token checks, the fault-pattern format's round trip and its malformed
-payloads, and the warning-free survivor measurement."""
+payloads, manifest replay from foreign directories, and the
+warning-free survivor measurement."""
 
 import contextlib
+import io
 import json
 import os
 import tempfile
@@ -380,6 +382,61 @@ def test_spoiled_fault_patterns_are_input_errors(text):
         with open(faults, "w", encoding="utf-8") as f:
             f.write(text)
         assert main(["prune", graph, "--oracle", "--eps", "1/2", "--faults", faults]) == 2
+
+
+# a directory below the scratch root, as path components; "" is the root
+_DIRS = st.lists(st.sampled_from(["a", "b", "c d", ".e"]), max_size=3).map(
+    lambda parts: os.path.join(*parts) if parts else ""
+)
+
+
+@given(
+    run_dir=_DIRS,
+    graph_dir=_DIRS,
+    out_dir=_DIRS,
+    manifest_dir=st.none() | _DIRS,
+    replay_dir=_DIRS,
+)
+@settings(max_examples=40, deadline=None)
+def test_manifests_replay_from_foreign_directories(
+    run_dir, graph_dir, out_dir, manifest_dir, replay_dir
+):
+    # a run started in run_dir reads and writes through relative paths,
+    # which may climb out of it or descend into nested or sibling
+    # directories; its manifests then replay from replay_dir
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = os.path.realpath(tmp)
+        for d in (run_dir, graph_dir, out_dir, manifest_dir or "", replay_dir):
+            os.makedirs(os.path.join(root, d), exist_ok=True)
+        graph = os.path.join(root, graph_dir, "g.gr")
+        out = os.path.join(root, out_dir, "e.json")
+        manifest = os.path.join(root, manifest_dir or out_dir, "e.manifest.json")
+        here = os.path.normpath(os.path.join(root, run_dir))
+        gen = ["gen", "--family", "mesh", "--dims", "2x3", "-o", os.path.relpath(graph, here)]
+        run = ["expansion", os.path.relpath(graph, here), "--node", "--exact"]
+        run += ["-o", os.path.relpath(out, here)]
+        if manifest_dir is None:
+            manifest = out + ".manifest.json"
+        else:
+            run += ["--manifest", os.path.relpath(manifest, here)]
+        try:
+            os.chdir(here)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(gen) == 0
+                assert main(run) == 0
+            there = os.path.normpath(os.path.join(root, replay_dir))
+            os.chdir(there)
+            for recorded in (graph + ".manifest.json", manifest):
+                said = io.StringIO()
+                with contextlib.redirect_stdout(said):
+                    assert main(["--replay", os.path.relpath(recorded, there)]) == 0
+                assert "byte for byte" in said.getvalue()
+                assert os.getcwd() == there
+            assert not os.path.exists(graph + ".replay")
+            assert not os.path.exists(out + ".replay")
+        finally:
+            os.chdir(start)
 
 
 def test_survivor_measurement_raises_no_warning():

@@ -190,6 +190,26 @@ def test_heuristic_method_on_faulted_mesh():
     assert set(t.final_nodes) <= set(gf.original_ids(range(gf.n)))
 
 
+@pytest.mark.parametrize(
+    "run, measure",
+    [(prune, node_expansion_exact), (prune2, edge_expansion_exact)],
+    ids=["node", "edge"],
+)
+def test_exact_trace_keeps_the_survivors_expansion(run, measure):
+    for g, alpha, eps in (
+        (two_k5_bridge(), F(1, 2), F(1, 2)),
+        (path(7), F(1, 2), F(3, 4)),
+        (remove_nodes(mesh([4, 4]), [5]), F(1, 2), F(1, 2)),
+    ):
+        t = run(g, alpha, eps)
+        h = induced_subgraph(g, g.local_ids(t.final_nodes))
+        assert t.h_expansion == measure(h).value
+        assert "h_expansion" not in t.to_payload()
+        assert run(g, alpha, eps, method="heuristic").h_expansion is None
+    # a survivor below two nodes is not swept, so it has no value
+    assert run(Graph.from_edges(1, []), F(1), F(1, 2)).h_expansion is None
+
+
 def test_theorem_bounds_helpers():
     assert size_lower_bound(16, F(1, 2), 2, 1) == 12
     assert expansion_lower_bound(F(1, 2), 2) == F(1, 4)
