@@ -1,7 +1,8 @@
 """Times the bitmask kernels (numpy ratio sweeps and compact-set
 engine, pure Python elsewhere) and prints the best time of each. The
 last rows time span_exact and the exhaustive mesh span certificate as
-the package runs them, and the chain DP of subdivided_node_expansion
+the package runs them, up to mesh 4x6 (n = 24, the table engine's
+cap), and the chain DP of subdivided_node_expansion
 on dense bases (K7, and K8 with long chains), sparse ones (C10, and the
 path P10, whose endpoint assignments fall into the most distinct class
 counts) and two sparse bases whose nodes mostly end no chain (10 nodes
@@ -125,9 +126,14 @@ def main() -> int:
         lambda: kernels.compact_masks(rconn),
         args.repeat,
     )
-    for name, sg in (("mesh 3x6", mesh((3, 6))), ("Q4", hypercube(4)), (label, r18)):
+    for name, sg in (
+        ("mesh 3x6", mesh((3, 6))),
+        ("Q4", hypercube(4)),
+        (label, r18),
+        ("mesh 4x6", mesh((4, 6))),
+    ):
         bench(f"span_exact {name}", lambda sg=sg: span_exact(sg), args.repeat)
-    for dims in ((3, 6), (2, 3, 3)):
+    for dims in ((3, 6), (2, 3, 3), (4, 6)):
         bench(
             "mesh certificate " + "x".join(map(str, dims)),
             lambda dims=dims: verify_mesh_span_certificate(dims, exhaustive=True),

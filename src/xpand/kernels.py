@@ -134,6 +134,15 @@ def _scan_order(c: int):
     return order, tuple(starts)
 
 
+@functools.lru_cache(maxsize=None)
+def _low_complements(c: int):
+    """~order as uint64 for the _scan_order of width c, read-only: ANDed
+    into a mask, entry k clears the bits of the k-th low half."""
+    out = ~_scan_order(c)[0].astype(np.uint64)
+    out.flags.writeable = False
+    return out
+
+
 def _sweep(n: int, max_size: int, c: int, order, starts, score):
     """Canonical (value, size, mask) minimizing value / size over
     1 <= size <= max_size, or None.
@@ -187,13 +196,11 @@ def min_ratio_node_cut(n: int, adj, max_size: int):
     c, order, starts = _low_halves(n)
     full = (1 << n) - 1
     nbr = np.zeros(1 << c, dtype=np.uint64)
-    outside = np.full(1 << c, full, dtype=np.uint64)
     for i in range(c):
-        half = slice(1 << i, 2 << i)
-        np.bitwise_or(nbr[: 1 << i], np.uint64(adj[i]), out=nbr[half])
-        np.bitwise_and(outside[: 1 << i], np.uint64(full ^ (1 << i)), out=outside[half])
+        np.bitwise_or(nbr[: 1 << i], np.uint64(adj[i]), out=nbr[1 << i : 2 << i])
     nbr = nbr[order]
-    outside = outside[order]
+    # nbr | h stays within the n low bits, and full ^ high clips the high half
+    outside = _low_complements(c)
     buf = np.empty(1 << c, dtype=np.uint64)
 
     def score(high, _flip, end):
@@ -325,12 +332,13 @@ def compact_masks(conn):
 def connector_lookup(conn):
     """Steiner sizes decided from a connectivity table.
 
-    Returns fits(terminals, limit): True iff some connected node set of
-    at most limit nodes contains the terminal mask, that is iff the
-    minimum-node tree spanning the terminals has at most limit nodes.
-    It looks up conn[terminals | sub] over the subsets sub of the other
-    nodes with |sub| <= limit - |terminals|, in ascending popcount,
-    at most 2^12 at a time, and stops at the first connected one.
+    Returns size(terminals): the node count of a minimum-node tree
+    spanning the terminal mask, that is of the smallest connected node
+    set containing it, or None when the terminals span several
+    components. It looks up conn[terminals | sub] over the subsets sub
+    of the other nodes in ascending popcount, at most 2^12 at a time,
+    and stops at the first connected one; so it never scans past a
+    connector already known, such as a greedy one.
 
     The subsets are built from masks over f = |free nodes| index bits,
     deposited onto the free nodes through OR tables. Index masks of
@@ -343,25 +351,24 @@ def connector_lookup(conn):
     counts = np.bitwise_count(np.arange(1 << max(n - 1, 0), dtype=np.uint32))
     ranked = []  # ranked[j]: index masks of popcount j, ascending
 
-    def fits(terminals: int, limit: int) -> bool:
+    def size(terminals: int):
         if not terminals:
             raise InputError("steiner tree needs at least one terminal")
-        extra = limit - terminals.bit_count()
-        if extra < 0:
-            return False
+        if conn[terminals]:
+            return terminals.bit_count()
         free = [1 << v for v in range(n) if not terminals >> v & 1]
-        extra = min(extra, len(free))
-        while len(ranked) <= extra:
-            ranked.append(np.flatnonzero(counts == len(ranked)).astype(np.uint32))
-        subs = np.concatenate([ranked[j][: comb(len(free), j)] for j in range(extra + 1)])
         deposit = _or_tables(free)
         t = np.uint32(terminals)
-        for b in range(0, len(subs), _BLOCK):
-            if conn[_or_lookup(deposit, subs[b : b + _BLOCK]) | t].any():
-                return True
-        return False
+        for j in range(1, len(free) + 1):
+            while len(ranked) <= j:
+                ranked.append(np.flatnonzero(counts == len(ranked)).astype(np.uint32))
+            subs = ranked[j][: comb(len(free), j)]
+            for b in range(0, len(subs), _BLOCK):
+                if conn[_or_lookup(deposit, subs[b : b + _BLOCK]) | t].any():
+                    return terminals.bit_count() + j
+        return None
 
-    return fits
+    return size
 
 
 def _bfs_tables(adjacency):
@@ -512,7 +519,8 @@ def steiner_min_tree(n: int, adj, terminals):
     not share a component. Small instances take the superset sweep,
     whose tie-break is the exact lex-min tree over all minimum node
     sets; larger ones take subset DP, which is deterministic but only
-    guarantees some minimum tree.
+    guarantees some minimum tree and refuses more than 16 terminals
+    with LimitError.
     """
     terms = tuple(sorted({int(v) for v in terminals}))
     t = len(terms)
@@ -529,7 +537,7 @@ def steiner_min_tree(n: int, adj, terminals):
     if free <= 22 and (1 << free) <= 4 * 3**t:
         return _steiner_sweep(n, adj, terms)
     if t > 16:
-        raise InputError(f"steiner subset DP is limited to 16 terminals, got {t}")
+        raise LimitError(f"steiner subset DP is limited to 16 terminals, got {t}")
     return _steiner_dw(n, adj, terms)
 
 

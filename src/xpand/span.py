@@ -7,14 +7,15 @@ The span of a graph is the maximum over compact sets U of |P(U)| /
 certificate that this never exceeds 2, checked here edge by edge
 without any Steiner search.
 
-Exact answers walk every compact set. They come from one numpy table
-engine in the kernels: a connectivity bit for each of the 2^n masks (a
-mask is compact iff it and its complement are connected), then, a
-block of 2^12 sets at a time, each set's boundary, its size and a
-greedy connector bound read from per-node breadth-first tables. A set
-whose bound can still beat the best ratio has its Steiner size decided
-by lookups in the same connectivity table; only a set that does beat
-it, a new maximum, gets an exact Steiner tree.
+Exact answers walk every compact set, for n up to the table engine's
+cap of 24 nodes. They come from one numpy table engine in the kernels:
+a connectivity bit for each of the 2^n masks (a mask is compact iff it
+and its complement are connected), then, a block of 2^12 sets at a
+time, each set's boundary, its size and a greedy connector bound read
+from per-node breadth-first tables. A set whose bound can still beat
+the best ratio has its Steiner size read from the same connectivity
+table, and one exact Steiner tree is built, for the maximizing set
+alone.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .faults import make_rng, rand_below
 from .generators import mesh, mesh_coords, mesh_strides
 from .graph import Graph, canon_nodes, connected_components, is_connected, node_boundary
 
-COMPACT_ENUM_LIMIT = 18
 STEINER_TERMINAL_LIMIT = 14
 
 
@@ -91,45 +91,33 @@ def steiner_tree_min(g: Graph, terminals):
     return count, edges
 
 
-def enumerate_compact_sets(g: Graph):
-    """All compact sets of g as sorted tuples, canonical order."""
-    if g.n > COMPACT_ENUM_LIMIT:
-        raise LimitError(
-            f"compact enumeration is limited to n <= {COMPACT_ENUM_LIMIT}, got n={g.n}"
-        )
-    adj = kernels.adjacency_masks(g.adjacency)
-    masks = kernels.compact_masks(kernels.connectivity_table(g.n, adj))
-    return [kernels.mask_nodes(mask) for mask in masks.tolist()]
-
-
 def span_exact(g: Graph) -> SpanReport:
     """Exact span by walking every compact set in canonical order.
 
-    The connectivity table is built once (kernels.connectivity_table);
-    the compact sets, their boundaries and a greedy connector bound for
-    each come from it (kernels.compact_masks and
-    kernels.compact_set_bounds), a block of masks at a time. A set is
-    dismissed when its greedy bound over its boundary size cannot
+    The connectivity table is built once (kernels.connectivity_table;
+    n > 24 is refused first); the compact sets, their boundaries and a
+    greedy connector bound for each come from it (kernels.compact_masks
+    and kernels.compact_set_bounds), a block of masks at a time. A set
+    is dismissed when its greedy bound over its boundary size cannot
     strictly beat the best ratio so far; since the bound is at most n,
-    this also dismisses every set whose n/|boundary| cannot. For each
-    remaining set with boundary T, the set beats the best ratio num/den
-    iff its Steiner size exceeds L = floor(num |T| / den), which the
-    table decides (kernels.connector_lookup). Only a new maximum gets an
-    exact Steiner tree. Ties keep the first compact set, and a
-    dismissed set can at best tie.
+    this also dismisses every set whose n/|boundary| cannot. Each
+    remaining set has its Steiner size read from the table
+    (kernels.connector_lookup) and is a new maximum iff that size over
+    its boundary size beats the best ratio. Ties keep the first compact
+    set, and a dismissed set can at best tie. One exact Steiner tree is
+    built after the walk, for the maximizing set's boundary.
     """
     if g.n < 2:
         raise InputError("span needs at least 2 nodes")
     if not is_connected(g):
         raise InputError("span is defined for connected graphs")
-    if g.n > COMPACT_ENUM_LIMIT:
-        raise LimitError(f"exact span is limited to n <= {COMPACT_ENUM_LIMIT}, got n={g.n}")
+    kernels._table_limit(g.n)  # before any n-bit mask is built
     adj = kernels.adjacency_masks(g.adjacency)
     conn = kernels.connectivity_table(g.n, adj)
     masks = kernels.compact_masks(conn)
-    fits = kernels.connector_lookup(conn)
+    steiner_size = kernels.connector_lookup(conn)
     num, den = 0, 1  # best ratio so far; 0/1 lets the first set through
-    best = None  # (set, boundary, tree_edges)
+    best = None  # (set mask, boundary mask)
     considered = 0
     start = 0
     for bnd, t, greedy in kernels.compact_set_bounds(g.adjacency, masks):
@@ -138,26 +126,24 @@ def span_exact(g: Graph) -> SpanReport:
             if int(greedy[i]) * den <= num * size:
                 continue  # the best ratio rose since the block was screened
             considered += 1
-            tmask = int(bnd[i])
-            if fits(tmask, num * size // den):
-                continue  # a connector of at most L nodes exists: no gain
-            terms = kernels.mask_nodes(tmask)
-            res = kernels.steiner_min_tree(g.n, adj, terms)
-            if res is None:
-                raise ContractError("boundary of a compact set spans several components")
-            if res[0] * den <= num * size:
-                raise ContractError("steiner tree does not beat the ratio as its lookup said")
-            num, den = res[0], size
-            best = (kernels.mask_nodes(int(masks[start + i])), terms, tuple(res[1]))
+            k = steiner_size(int(bnd[i]))
+            if k * den <= num * size:
+                continue
+            num, den = k, size
+            best = (int(masks[start + i]), int(bnd[i]))
         start += len(bnd)
     if best is None:
         raise ContractError("connected graph with n >= 2 has no compact set")
+    terms = kernels.mask_nodes(best[1])
+    res = kernels.steiner_min_tree(g.n, adj, terms)
+    if res is None or res[0] != num:
+        raise ContractError("steiner tree size differs from the table's")
     return SpanReport(
         method="exact",
         value=Fraction(num, den),
-        argmax=best[0],
-        boundary=best[1],
-        tree_edges=best[2],
+        argmax=kernels.mask_nodes(best[0]),
+        boundary=terms,
+        tree_edges=tuple(res[1]),
         tree_size=num,
         considered=considered,
         skipped=len(masks) - considered,
@@ -340,16 +326,13 @@ def verify_mesh_span_certificate(
     differ in at most two coordinates, each by one) must be connected,
     and a spanning tree of it, expanded back into mesh nodes, must
     connect the boundary with at most 2|boundary| nodes. Exhaustive
-    boundaries come blockwise from the table engine.
+    boundaries come blockwise from the table engine, which refuses
+    n > 24.
     """
     dims = tuple(int(d) for d in dims)
     g = mesh(dims)
     if exhaustive:
-        if g.n > COMPACT_ENUM_LIMIT:
-            raise LimitError(
-                f"exhaustive certificate is limited to n <= {COMPACT_ENUM_LIMIT}, "
-                f"got n={g.n}"
-            )
+        kernels._table_limit(g.n)  # before any n-bit mask is built
         adj = kernels.adjacency_masks(g.adjacency)
         masks = kernels.compact_masks(kernels.connectivity_table(g.n, adj))
         bnds = chain.from_iterable(b.tolist() for b in kernels.boundary_blocks(adj, masks))

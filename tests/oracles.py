@@ -45,7 +45,7 @@ from xpand.expansion import (
 from xpand.faults import make_rng, rand_below
 from xpand.generators import SubdividedGraph, mesh, mesh_coords, mesh_index
 from xpand.graph import Graph, connected_components, is_connected, make_cut, node_boundary
-from xpand.span import COMPACT_ENUM_LIMIT, MeshSpanCertificate, SpanReport
+from xpand.span import MeshSpanCertificate, SpanReport
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -270,7 +270,7 @@ def _greedy_connector_size(g: Graph, terms: tuple) -> int:
     return len(tree)
 
 
-def span_exact(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT) -> SpanReport:
+def span_exact(g: Graph) -> SpanReport:
     """Exact span by walking every compact set in canonical order.
 
     Two skips keep this affordable, and neither can change the result:
@@ -283,8 +283,8 @@ def span_exact(g: Graph, *, limit: int = COMPACT_ENUM_LIMIT) -> SpanReport:
         raise InputError("span needs at least 2 nodes")
     if not is_connected(g):
         raise InputError("span is defined for connected graphs")
-    if g.n > limit:
-        raise LimitError(f"exact span is limited to n <= {limit}, got n={g.n}")
+    if g.n > kernels._COMPACT_MAX_N:
+        raise LimitError(f"exact span is limited to n <= {kernels._COMPACT_MAX_N}, got n={g.n}")
     adj = kernels.adjacency_masks(g.adjacency)
     best = None  # (ratio, set, boundary, tree_edges, tree_size)
     considered = 0
@@ -423,9 +423,9 @@ def verify_mesh_span_certificate(
     dims = tuple(int(d) for d in dims)
     g = mesh(dims)
     if exhaustive:
-        if g.n > COMPACT_ENUM_LIMIT:
+        if g.n > kernels._COMPACT_MAX_N:
             raise LimitError(
-                f"exhaustive certificate is limited to n <= {COMPACT_ENUM_LIMIT}, "
+                f"exhaustive certificate is limited to n <= {kernels._COMPACT_MAX_N}, "
                 f"got n={g.n}"
             )
         adj = kernels.adjacency_masks(g.adjacency)

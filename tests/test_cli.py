@@ -203,6 +203,22 @@ def test_span_exact_and_sampled(workdir, capsys):
     assert sampled["value_num"] / sampled["value_den"] <= 5 / 3
 
 
+def test_span_exact_up_to_the_table_cap(workdir, capsys):
+    # 20 nodes are exact and replay; 25 nodes are refused
+    run(["gen", "--family", "mesh", "--dims", "4x5", "-o", "m20.gr"], capsys)
+    rc, _, _ = run(["span", "m20.gr", "--exact", "-o", "span.json"], capsys)
+    assert rc == 0
+    payload = json.loads((workdir / "span.json").read_text())
+    assert (payload["value_num"], payload["value_den"]) == (7, 4)
+    rc, out, _ = run(["--replay", "span.json.manifest.json"], capsys)
+    assert rc == 0 and "ok" in out
+    run(["gen", "--family", "mesh", "--dims", "5x5", "-o", "m25.gr"], capsys)
+    rc, out, err = run(["span", "m25.gr", "--exact"], capsys)
+    assert rc == 1 and err.startswith("refused:") and out == ""
+    rc, out, err = run(["verify-mesh-span", "--dims", "5x5", "--exhaustive"], capsys)
+    assert rc == 1 and err.startswith("refused:") and out == ""
+
+
 def test_prune_oracle_roundtrip(workdir, capsys):
     run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
     rc, out, _ = run(

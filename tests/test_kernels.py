@@ -152,32 +152,44 @@ def test_steiner_matches_oracle():
 
 
 def test_connector_lookup_decides_steiner_sizes():
-    # the lookup answers "is the Steiner size at most limit" exactly,
-    # also one below and one above the size, and for terminals split
-    # across components of a disconnected graph
+    # the lookup returns the exact Steiner node count, and None for
+    # terminals split across components of a disconnected graph
     split = Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
     rng = random.Random(5)
-    checked = 0
+    checked = split_checked = 0
     for g in _graphs(15, n_max=12) + [split]:
         adj = kernels.adjacency_masks(g.adjacency)
-        fits = kernels.connector_lookup(kernels.connectivity_table(g.n, adj))
-        for _ in range(6):
+        size = kernels.connector_lookup(kernels.connectivity_table(g.n, adj))
+        for _ in range(12):
             terms = tuple(sorted(rng.sample(range(g.n), rng.randint(1, min(5, g.n)))))
             res = kernels.steiner_min_tree(g.n, adj, terms)
-            size = g.n + 2 if res is None else res[0]
-            tmask = sum(1 << v for v in terms)
-            for limit in range(len(terms) - 1, min(size + 2, g.n + 1)):
-                assert fits(tmask, limit) == (size <= limit)
-                checked += 1
-    assert checked > 300
+            got = size(sum(1 << v for v in terms))
+            if res is None:
+                assert got is None
+                split_checked += 1
+            else:
+                assert got == res[0]
+            checked += 1
+    assert checked > 200 and split_checked > 0
     with pytest.raises(InputError):
-        fits(0, 3)
+        size(0)
 
 
 def test_steiner_without_terminals_is_an_input_error():
     adj = kernels.adjacency_masks(((1,), (0, 2), (1,)))
     with pytest.raises(InputError):
         kernels.steiner_min_tree(3, adj, ())
+
+
+def test_steiner_dp_terminal_cap_is_a_limit_error():
+    # 17 terminals spread along a 60-node path leave 43 free nodes, too
+    # many for the superset sweep, so the subset DP is chosen and refuses
+    g = Graph.from_edges(60, [(i, i + 1) for i in range(59)])
+    adj = kernels.adjacency_masks(g.adjacency)
+    terms = tuple(range(2, 60, 3))[:17]
+    assert len(terms) == 17 and g.n - len(terms) > 22
+    with pytest.raises(LimitError):
+        kernels.steiner_min_tree(g.n, adj, terms)
 
 
 def test_wide_graphs_keep_python_int_masks():
@@ -227,7 +239,7 @@ def test_no_kernel_calls_a_public_kernel(monkeypatch):
         ("min_ratio_edge_cut", lambda: kernels.min_ratio_edge_cut(g.n, adj, g.n // 2)),
         ("connectivity_table", lambda: kernels.connectivity_table(small.n, sadj)),
         ("compact_masks", lambda: kernels.compact_masks(conn)),
-        ("connector_lookup", lambda: kernels.connector_lookup(conn)(0b101000101, 5)),
+        ("connector_lookup", lambda: kernels.connector_lookup(conn)(0b101000101)),
         ("boundary_blocks", lambda: list(kernels.boundary_blocks(sadj, masks))),
         ("compact_set_bounds", lambda: list(kernels.compact_set_bounds(small.adjacency, masks))),
         ("connected_masks", lambda: kernels.connected_masks(small.n, sadj, 10**6)),

@@ -1,4 +1,5 @@
-"""Steiner trees, compact-set enumeration, span, and mesh certificates."""
+"""Steiner trees, compact-set enumeration, span, and mesh certificates,
+up to the table engine's cap of n = 24."""
 
 import json
 import random
@@ -27,9 +28,8 @@ from xpand.generators import (
     random_regular,
 )
 from xpand.faults import make_rng
-from xpand.graph import Graph, is_compact, node_boundary
+from xpand.graph import Graph, is_compact, is_connected_subset, node_boundary
 from xpand.span import (
-    enumerate_compact_sets,
     sample_compact_set,
     span_exact,
     span_sampled,
@@ -73,8 +73,15 @@ def test_steiner_errors():
         steiner_tree_min(cycle(8), [])
 
 
+def compact_sets(g: Graph):
+    """All compact sets of g as sorted tuples, in ascending mask order."""
+    adj = kernels.adjacency_masks(g.adjacency)
+    masks = kernels.compact_masks(kernels.connectivity_table(g.n, adj))
+    return [kernels.mask_nodes(mask) for mask in masks.tolist()]
+
+
 def test_enumerate_compact_sets():
-    assert sorted(enumerate_compact_sets(path(4))) == [
+    assert sorted(compact_sets(path(4))) == [
         (0,),
         (0, 1),
         (0, 1, 2),
@@ -82,12 +89,12 @@ def test_enumerate_compact_sets():
         (2, 3),
         (3,),
     ]
-    c5 = enumerate_compact_sets(cycle(5))
+    c5 = compact_sets(cycle(5))
     assert len(c5) == 20  # 5 arcs per length 1..4
-    assert len(enumerate_compact_sets(complete(4))) == 14  # all proper nonempty
+    assert len(compact_sets(complete(4))) == 14  # all proper nonempty
     # closed under complement
     g = mesh([3, 3])
-    sets = set(enumerate_compact_sets(g))
+    sets = set(compact_sets(g))
     for s in sets:
         comp = tuple(v for v in range(g.n) if v not in s)
         assert comp in sets
@@ -168,10 +175,55 @@ def test_span_sampled_max_size_must_be_positive():
 
 
 def test_span_limits():
+    # n = 25 is past the table engine's cap
     with pytest.raises(LimitError):
         span_exact(mesh([5, 5]))
+    with pytest.raises(LimitError):
+        verify_mesh_span_certificate((5, 5), exhaustive=True)
     with pytest.raises(InputError):
         span_exact(Graph.from_edges(4, [(0, 1), (2, 3)]))  # disconnected
+
+
+def _assert_span_tree(g: Graph, r):
+    """r's tree is a tree of g on r.tree_size nodes covering r.boundary."""
+    assert r.boundary == node_boundary(g, r.argmax)
+    assert r.value == F(r.tree_size, len(r.boundary))
+    assert all(v in g.adjacency[u] for u, v in r.tree_edges)
+    touched = {v for e in r.tree_edges for v in e} or set(r.boundary)
+    assert set(r.boundary) <= touched and len(touched) == r.tree_size
+    assert len(r.tree_edges) == r.tree_size - 1
+    assert is_connected_subset(Graph.from_edges(g.n, r.tree_edges), touched)
+
+
+def test_span_exact_past_eighteen_nodes():
+    g = mesh([4, 5])  # n = 20
+    r = span_exact(g)
+    assert (r.value, r.considered, r.skipped) == (F(7, 4), 274, 4668)
+    assert r.tree_size == steiner_node_count_nx(g, r.boundary)
+    _assert_span_tree(g, r)
+
+
+def test_mesh_certificate_past_eighteen_nodes():
+    cert = verify_mesh_span_certificate((4, 5), exhaustive=True)
+    assert cert.ok and cert.checked == 4942
+    assert verify_mesh_span_certificate((2, 2, 5), exhaustive=True).ok
+
+
+def test_span_exact_builds_one_steiner_tree(monkeypatch):
+    # Steiner sizes come from the table; only the argmax gets a tree
+    calls = []
+    tree = kernels.steiner_min_tree
+
+    def counted(*args):
+        calls.append(args[2])
+        return tree(*args)
+
+    monkeypatch.setattr(kernels, "steiner_min_tree", counted)
+    for g in (cycle(6), mesh([3, 3]), mesh([4, 4]), hypercube(4), complete(6)):
+        calls.clear()
+        r = span_exact(g)
+        assert calls == [r.boundary]
+        _assert_span_tree(g, r)
 
 
 def _virtual_pairs(dims, boundary):
@@ -288,7 +340,7 @@ def _all_ints(values) -> bool:
 
 def test_compact_set_results_hold_python_ints(monkeypatch):
     g = mesh([3, 3])
-    sets = enumerate_compact_sets(g)
+    sets = compact_sets(g)
     assert sets and all(_all_ints(s) for s in sets)
     r = span_exact(g)
     assert _all_ints(r.argmax) and _all_ints(r.boundary)
