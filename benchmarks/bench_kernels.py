@@ -1,6 +1,8 @@
 """Times the bitmask kernels (numpy ratio sweeps and compact-set
 engine, pure Python elsewhere) and prints the best time of each. The
-last rows time span_exact and the exhaustive mesh span certificate as
+connector_lookup rows time the build of its Steiner-size table, on a
+random 4-regular graph with 18 nodes and on mesh 4x6. The last rows
+time span_exact and the exhaustive mesh span certificate as
 the package runs them, up to mesh 4x6 (n = 24, the table engine's
 cap), and the chain DP of subdivided_node_expansion
 on dense bases (K7, and K8 with long chains), sparse ones (C10, and the
@@ -126,6 +128,19 @@ def main() -> int:
         lambda: kernels.compact_masks(rconn),
         args.repeat,
     )
+    bench(
+        f"connector_lookup {label}",
+        lambda: kernels.connector_lookup(rconn),
+        args.repeat,
+    )
+    m24 = mesh((4, 6))
+    m24conn = kernels.connectivity_table(m24.n, _adj_masks(m24))
+    bench(
+        "connector_lookup mesh 4x6",
+        lambda: kernels.connector_lookup(m24conn),
+        args.repeat,
+    )
+    del m24conn
     for name, sg in (
         ("mesh 3x6", mesh((3, 6))),
         ("Q4", hypercube(4)),

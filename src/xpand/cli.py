@@ -28,12 +28,7 @@ from .expansion import (
     subdivided_node_expansion,
 )
 from .experiments import rows_to_csv, rows_to_jsonl, run_percolation_sweep
-from .faults import (
-    FaultPattern,
-    apply_faults,
-    attack_chain_centers,
-    attack_greedy_cuts,
-)
+from .faults import FaultPattern, apply_faults, attack_chain_centers
 from .generators import (
     complete,
     cycle,
@@ -54,7 +49,7 @@ from .manifest import (
     sha256_file,
     sha256_text,
 )
-from .pruning import prune, prune2, shatter_uniform
+from .pruning import attack_greedy_cuts, prune, prune2, shatter_uniform
 from .span import span_exact, span_sampled, verify_mesh_span_certificate
 
 MAX_THREADS = 64

@@ -48,7 +48,8 @@ MAX_TRIALS_PER_POINT = 10**6
 ADVERSARY_SUBSET_LIMIT = 10**6
 CENSUS_COUNT_CAP = 1 << 22
 
-CSV_HEADER = "p,trial,gamma,h_frac,expansion_num,expansion_den,certified,ms"
+# the columns of a percolation row, in CSV order
+COLUMNS = ("p", "trial", "gamma", "h_frac", "expansion_num", "expansion_den", "certified", "ms")
 
 
 def gamma(g: Graph) -> Fraction:
@@ -68,18 +69,17 @@ class TrialResult:
     certified: bool
     ms: int
 
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                repr(float(self.p)),
-                str(self.trial),
-                repr(float(self.gamma)),
-                repr(float(self.h_frac)),
-                str(self.expansion.numerator),
-                str(self.expansion.denominator),
-                "true" if self.certified else "false",
-                str(self.ms),
-            ]
+    def fields(self) -> tuple:
+        """The row's values in COLUMNS order, as JSON values."""
+        return (
+            float(self.p),
+            self.trial,
+            float(self.gamma),
+            float(self.h_frac),
+            self.expansion.numerator,
+            self.expansion.denominator,
+            self.certified,
+            self.ms,
         )
 
 
@@ -93,30 +93,20 @@ class PointSummary:
 
 
 def rows_to_csv(rows) -> str:
-    return "\n".join([CSV_HEADER] + [r.csv_row() for r in rows]) + "\n"
+    """A header line, then one line per row; a cell is the JSON of its
+    value, so floats print by repr and booleans as true/false."""
+    lines = [",".join(COLUMNS)]
+    lines += [",".join(json.dumps(v) for v in r.fields()) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_jsonl(rows) -> str:
     """One canonical JSON object per line, same fields as the CSV."""
-    out = []
-    for r in rows:
-        out.append(
-            json.dumps(
-                {
-                    "p": float(r.p),
-                    "trial": r.trial,
-                    "gamma": float(r.gamma),
-                    "h_frac": float(r.h_frac),
-                    "expansion_num": r.expansion.numerator,
-                    "expansion_den": r.expansion.denominator,
-                    "certified": r.certified,
-                    "ms": r.ms,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(out) + "\n"
+    lines = [
+        json.dumps(dict(zip(COLUMNS, r.fields())), sort_keys=True, separators=(",", ":"))
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _prune_and_grade(g_f: Graph, mode: str, alpha, eps):

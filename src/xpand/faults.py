@@ -171,40 +171,3 @@ def attack_chain_centers(h) -> FaultPattern:
         failed_nodes=failed,
         provenance={"strategy": "chain-centers", "k": h.k, "budget": len(failed)},
     )
-
-
-def attack_greedy_cuts(g: Graph, budget: int) -> FaultPattern:
-    """Repeatedly fail the boundary of the sparsest subset of the largest
-    surviving component until the budget is spent: exactly while the
-    component fits the exact sweep, heuristically beyond. Deterministic."""
-    # imported here, not at module top, to avoid an import cycle
-    from .expansion import EXACT_EXPANSION_LIMIT, node_expansion_exact, node_expansion_heuristic
-    from .graph import connected_components, induced_subgraph
-
-    budget = int(budget)
-    if budget < 0:
-        raise InputError("budget must be nonnegative")
-    # work on an unmapped copy so sub.original_ids lands in g's own id space
-    base = g if g.node_map is None else Graph.from_edges(g.n, g.edges())
-    failed: list[int] = []
-    alive = base
-    while len(failed) < budget and alive.n > 0:
-        largest = connected_components(alive)[0]
-        sub = induced_subgraph(alive, largest)
-        if sub.n < 2:
-            break
-        if sub.n <= EXACT_EXPANSION_LIMIT:
-            res = node_expansion_exact(sub)
-        else:
-            res = node_expansion_heuristic(sub, trials=32, seed=len(failed))
-        target = sub.original_ids(res.witness.node_boundary)
-        if not target:
-            break
-        room = budget - len(failed)
-        failed.extend(target[:room])
-        alive = remove_nodes(base, sorted(failed))
-    return FaultPattern(
-        kind=KIND_NODE,
-        failed_nodes=tuple(sorted(failed)),
-        provenance={"strategy": "greedy-cuts", "budget": budget},
-    )

@@ -7,6 +7,12 @@ lexicographically smallest canonical set). For bitmasks, set A is
 lex-smaller than set B iff the lowest bit of A ^ B belongs to A, which
 agrees with comparing the sorted id tuples.
 
+Adjacency travels as one neighbour mask per node (adjacency_masks), and
+components are found on masks alone: _flood grows the component of one
+mask, connectivity_table decides every mask of up to 24 nodes at once,
+connector_lookup reads Steiner sizes from a superset minimum over that
+table, and _kruskal_lex keeps each tree's node mask.
+
 No function here calls a public name of this module, directly or
 through an alias: shared steps are private functions (_bits, _mask_of,
 _mask_connected, ...) that the public ones are built on. So wrapping
@@ -33,6 +39,8 @@ _CHUNK_BITS = 12
 _MAX_MASK_BITS = 63
 # the compact-set engine keeps one bool per mask: 16 MiB at this n
 _COMPACT_MAX_N = 24
+# connector_lookup's table entry for a mask no connected set contains
+_NO_CONNECTOR = 127
 _BLOCK = 1 << _CHUNK_BITS
 
 
@@ -335,57 +343,43 @@ def connector_lookup(conn):
     Returns size(terminals): the node count of a minimum-node tree
     spanning the terminal mask, that is of the smallest connected node
     set containing it, or None when the terminals span several
-    components. It looks up conn[terminals | sub] over the subsets sub
-    of the other nodes in ascending popcount, at most 2^12 at a time,
-    and stops at the first connected one; so it never scans past a
-    connector already known, such as a greedy one.
-
-    The subsets are built from masks over f = |free nodes| index bits,
-    deposited onto the free nodes through OR tables. Index masks of
-    popcount j over n - 1 bits are kept in ascending order; those below
-    2^f are the first comb(f, j) of them (colex order), so one list per
-    popcount serves every f.
+    components. It reads one table, built once: best[m] starts as the
+    popcount of m where conn[m] holds and _NO_CONNECTOR elsewhere, and a
+    superset-minimum pass per node v lowers best[m] to best[m | 1 << v],
+    so in the end best[m] is the minimum over the connected supersets
+    of m. The table holds one int8 per mask.
     """
     n = len(conn).bit_length() - 1
-    # at least one terminal, so at most n - 1 free nodes
-    counts = np.bitwise_count(np.arange(1 << max(n - 1, 0), dtype=np.uint32))
-    ranked = []  # ranked[j]: index masks of popcount j, ascending
+    best = np.zeros(len(conn), dtype=np.int8)
+    for v in range(n):
+        np.add(best[: 1 << v], 1, out=best[1 << v : 2 << v])
+    np.copyto(best, _NO_CONNECTOR, where=~conn)
+    for v in range(n):
+        view = best.reshape(-1, 2, 1 << v)
+        np.minimum(view[:, 0], view[:, 1], out=view[:, 0])
 
     def size(terminals: int):
         if not terminals:
             raise InputError("steiner tree needs at least one terminal")
-        if conn[terminals]:
-            return terminals.bit_count()
-        free = [1 << v for v in range(n) if not terminals >> v & 1]
-        deposit = _or_tables(free)
-        t = np.uint32(terminals)
-        for j in range(1, len(free) + 1):
-            while len(ranked) <= j:
-                ranked.append(np.flatnonzero(counts == len(ranked)).astype(np.uint32))
-            subs = ranked[j][: comb(len(free), j)]
-            for b in range(0, len(subs), _BLOCK):
-                if conn[_or_lookup(deposit, subs[b : b + _BLOCK]) | t].any():
-                    return terminals.bit_count() + j
-        return None
+        k = int(best[terminals])
+        return None if k == _NO_CONNECTOR else k
 
     return size
 
 
-def _bfs_tables(adjacency):
-    """Per source v, the breadth-first search from v in adjacency-list
-    order: OR tables mapping a node mask to the mask of discovery
-    positions of its nodes, and path[k], the tree path from the k-th
-    discovered node back to v as a node mask (0 past the last one)."""
-    n = len(adjacency)
+def _bfs_tables(adj):
+    """Per source v, the breadth-first search from v taking neighbours
+    in ascending order: OR tables mapping a node mask to the mask of
+    discovery positions of its nodes, and path[k], the tree path from
+    the k-th discovered node back to v as a node mask (0 past the last
+    one)."""
+    n = len(adj)
     out = []
     for v in range(n):
         order = [v]
         path_of = {v: 1 << v}
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for u in adjacency[x]:
+        for x in order:  # the loop also walks the nodes appended below
+            for u in _bits(adj[x]):
                 if u not in path_of:
                     path_of[u] = path_of[x] | (1 << u)
                     order.append(u)
@@ -411,7 +405,7 @@ def boundary_blocks(adj, masks):
         yield _or_lookup(nbr, u) & ~u
 
 
-def compact_set_bounds(adjacency, masks):
+def compact_set_bounds(adj, masks):
     """Boundaries and greedy connector bounds of compact sets, blockwise.
 
     For each run of at most 2^12 masks (a uint32 array, as compact_masks
@@ -419,16 +413,16 @@ def compact_set_bounds(adjacency, masks):
     boundary_blocks yields them, their sizes, and the node count of the
     greedy connector of each boundary. The greedy connector starts from the
     lowest boundary node and attaches the other boundary nodes in
-    ascending order, each by the breadth-first path (adjacency-list
-    order) to the first tree node the search from it discovers. Here
-    that is done for a whole block at once: per target v, the first
-    tree node is the lowest set bit of the tree's discovery positions
-    from v, and its path is read from a table.
+    ascending order, each by the breadth-first path (neighbours in
+    ascending order) to the first tree node the search from it
+    discovers. Here that is done for a whole block at once: per target
+    v, the first tree node is the lowest set bit of the tree's discovery
+    positions from v, and its path is read from a table.
     """
-    n = len(adjacency)
+    n = len(adj)
     _table_limit(n)
-    nbr = _or_tables([_mask_of(nbrs) for nbrs in adjacency])
-    bfs = _bfs_tables(adjacency)
+    nbr = _or_tables(adj)
+    bfs = _bfs_tables(adj)
     for b in range(0, len(masks), _BLOCK):
         u = masks[b : b + _BLOCK]
         bnd = _or_lookup(nbr, u) & ~u
@@ -479,35 +473,20 @@ def connected_masks(n: int, adj, cap: int):
     return out
 
 
-class _DSU:
-    __slots__ = ("parent",)
-
-    def __init__(self, nodes):
-        self.parent = {v: v for v in nodes}
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def _kruskal_lex(w: int, adj) -> tuple:
-    """Lex-smallest spanning tree edge list of induced(w); w connected."""
-    nodes = tuple(_bits(w))
-    dsu = _DSU(nodes)
+    """Lex-smallest spanning tree edge list of induced(w); w connected.
+
+    comp[v] is the mask of v's tree so far: an edge (u, v), v > u, joins
+    two trees iff comp[u] lacks v, and the joined mask is written back
+    over its bits."""
+    comp = [1 << v for v in range(len(adj))]
     edges = []
-    for u in nodes:
-        for v in _bits(adj[u] & w):
-            if v > u and dsu.union(u, v):
+    for u in _bits(w):
+        for v in _bits(adj[u] & w & -(2 << u)):
+            if not comp[u] >> v & 1:
+                joined = comp[u] | comp[v]
+                for x in _bits(joined):
+                    comp[x] = joined
                 edges.append((u, v))
     return tuple(edges)
 

@@ -28,6 +28,7 @@ from .expansion import (
     node_expansion_exact,
     node_expansion_heuristic,
 )
+from .faults import KIND_NODE, FaultPattern
 from .graph import (
     Graph,
     canon_nodes,
@@ -364,6 +365,41 @@ class ShatterResult:
         }
 
 
+def _greedy_cuts(g: Graph, stop):
+    """Fail the boundary of the canonical min node-ratio set of the
+    largest surviving component until stop(that component's size, nodes
+    failed so far) holds or it has a single node. The set is exact while
+    the component fits the exact sweep and heuristic beyond, seeded by
+    the nodes failed so far. Returns (the surviving graph, the steps),
+    sets in g's root ids."""
+    cur = g
+    steps = []
+    failed = 0
+    while True:
+        comps = connected_components(cur)
+        if not comps or len(comps[0]) < 2 or stop(len(comps[0]), failed):
+            break
+        sub = induced_subgraph(cur, comps[0])
+        if sub.n <= EXACT_EXPANSION_LIMIT:
+            witness = node_expansion_exact(sub).witness
+        else:
+            witness = node_expansion_heuristic(sub, trials=32, seed=failed).witness
+        removed = sub.original_ids(witness.node_boundary)
+        if not removed:
+            break
+        steps.append(
+            ShatterStep(
+                index=len(steps),
+                component_size=sub.n,
+                picked=sub.original_ids(witness.set),
+                removed=removed,
+            )
+        )
+        failed += len(removed)
+        cur = remove_nodes(cur, cur.local_ids(removed))
+    return cur, steps
+
+
 def shatter_uniform(g: Graph, eps: Fraction) -> ShatterResult:
     """Fail node boundaries until every component has at most eps*n
     nodes: the lower-bound construction showing how few faults suffice
@@ -383,32 +419,29 @@ def shatter_uniform(g: Graph, eps: Fraction) -> ShatterResult:
     if g.n > EXACT_EXPANSION_LIMIT:
         raise LimitError(f"shatter is limited to n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
     target = eps * g.n
-    cur = g
-    steps = []
-    failed_root: list = []
-    while True:
-        comps = connected_components(cur)
-        if not comps or len(comps[0]) <= target:
-            break
-        sub = induced_subgraph(cur, comps[0])
-        witness = node_expansion_exact(sub).witness
-        picked_root = sub.original_ids(witness.set)
-        removed_root = sub.original_ids(witness.node_boundary)
-        steps.append(
-            ShatterStep(
-                index=len(steps),
-                component_size=len(comps[0]),
-                picked=picked_root,
-                removed=removed_root,
-            )
-        )
-        failed_root.extend(removed_root)
-        cur = remove_nodes(cur, cur.local_ids(removed_root))
-    final_comps = tuple(cur.original_ids(c) for c in connected_components(cur))
+    cur, steps = _greedy_cuts(g, lambda size, _failed: size <= target)
     return ShatterResult(
         eps=eps,
         n=g.n,
-        failed=tuple(sorted(failed_root)),
+        failed=tuple(sorted(v for s in steps for v in s.removed)),
         steps=tuple(steps),
-        components=final_comps,
+        components=tuple(cur.original_ids(c) for c in connected_components(cur)),
+    )
+
+
+def attack_greedy_cuts(g: Graph, budget: int) -> FaultPattern:
+    """Repeatedly fail the boundary of the sparsest subset of the largest
+    surviving component until the budget is spent: exactly while the
+    component fits the exact sweep, heuristically beyond. Deterministic."""
+    budget = int(budget)
+    if budget < 0:
+        raise InputError("budget must be nonnegative")
+    # an unmapped copy, so the failed ids land in g's own id space
+    base = g if g.node_map is None else Graph.from_edges(g.n, g.edges())
+    _cur, steps = _greedy_cuts(base, lambda _size, failed: failed >= budget)
+    failed = [v for s in steps for v in s.removed][:budget]
+    return FaultPattern(
+        kind=KIND_NODE,
+        failed_nodes=tuple(sorted(failed)),
+        provenance={"strategy": "greedy-cuts", "budget": budget},
     )

@@ -13,9 +13,10 @@ a connectivity bit for each of the 2^n masks (a mask is compact iff it
 and its complement are connected), then, a block of 2^12 sets at a
 time, each set's boundary, its size and a greedy connector bound read
 from per-node breadth-first tables. A set whose bound can still beat
-the best ratio has its Steiner size read from the same connectivity
-table, and one exact Steiner tree is built, for the maximizing set
-alone.
+the best ratio has its Steiner size read from one more table, built
+once from the connectivity table: per mask, the node count of the
+smallest connected set containing it. One exact Steiner tree is built,
+for the maximizing set alone.
 """
 
 from __future__ import annotations
@@ -101,8 +102,9 @@ def span_exact(g: Graph) -> SpanReport:
     is dismissed when its greedy bound over its boundary size cannot
     strictly beat the best ratio so far; since the bound is at most n,
     this also dismisses every set whose n/|boundary| cannot. Each
-    remaining set has its Steiner size read from the table
-    (kernels.connector_lookup) and is a new maximum iff that size over
+    remaining set has its Steiner size read by one lookup in the
+    superset-minimum table of kernels.connector_lookup, built once
+    from the connectivity table, and is a new maximum iff that size over
     its boundary size beats the best ratio. Ties keep the first compact
     set, and a dismissed set can at best tie. One exact Steiner tree is
     built after the walk, for the maximizing set's boundary.
@@ -120,7 +122,7 @@ def span_exact(g: Graph) -> SpanReport:
     best = None  # (set mask, boundary mask)
     considered = 0
     start = 0
-    for bnd, t, greedy in kernels.compact_set_bounds(g.adjacency, masks):
+    for bnd, t, greedy in kernels.compact_set_bounds(adj, masks):
         for i in np.flatnonzero(greedy * den > t * num).tolist():
             size = int(t[i])
             if int(greedy[i]) * den <= num * size:

@@ -8,6 +8,8 @@ flood per mask), `_greedy_connector_size` (one breadth-first search per
 terminal) and the per-set walk of `span_exact`, with an exact Steiner
 tree for every set its bounds do not dismiss, are the reference for
 the numpy compact-set engine and the Steiner-size lookups.
+`kruskal_lex` with its union-find `_DSU` is the spanning-tree step as
+first written; it is the reference for the component-mask one.
 `verify_mesh_span_certificate` with `_certify_one`,
 `mesh_virtual_boundary_graph` and `expand_virtual_edge` is the mesh
 certificate as first written, a virtual Graph per compact set; it is
@@ -224,6 +226,39 @@ def _flood(start: int, allowed: int, adj) -> int:
         frontier = nxt & allowed & ~reached
         reached |= frontier
     return reached
+
+
+class _DSU:
+    __slots__ = ("parent",)
+
+    def __init__(self, nodes):
+        self.parent = {v: v for v in nodes}
+
+    def find(self, v: int) -> int:
+        p = self.parent
+        while p[v] != v:
+            p[v] = p[p[v]]
+            v = p[v]
+        return v
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+def kruskal_lex(w: int, adj) -> tuple:
+    """Lex-smallest spanning tree edge list of induced(w); w connected."""
+    nodes = kernels.mask_nodes(w)
+    dsu = _DSU(nodes)
+    edges = []
+    for u in nodes:
+        for v in kernels.mask_nodes(adj[u] & w):
+            if v > u and dsu.union(u, v):
+                edges.append((u, v))
+    return tuple(edges)
 
 
 def compact_masks(n: int, adj) -> list:

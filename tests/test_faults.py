@@ -5,21 +5,22 @@ import statistics
 import pytest
 
 from xpand.errors import InputError
+from xpand.expansion import EXACT_EXPANSION_LIMIT
 from xpand.faults import (
     KIND_EDGE,
     KIND_NODE,
     FaultPattern,
     apply_faults,
     attack_chain_centers,
-    attack_greedy_cuts,
     edge_survival_pattern,
     make_rng,
     rand_below,
     random_edge_survival,
     random_node_faults,
 )
-from xpand.generators import complete, cycle, path, subdivide_edges
+from xpand.generators import complete, cycle, mesh, path, subdivide_edges
 from xpand.graph import Graph, connected_components, dumps
+from xpand.pruning import attack_greedy_cuts
 
 
 def test_boundary_probabilities_are_deterministic():
@@ -122,6 +123,21 @@ def test_greedy_attack_spends_full_budget():
     gf = apply_faults(g, pat)
     # cutting a cycle three times leaves at most 3 pieces
     assert len(connected_components(gf)) <= 3
+
+
+@pytest.mark.parametrize(
+    "g, budget, failed",
+    [
+        (path(40), 3, (10, 20, 30)),
+        (cycle(30), 4, (7, 15, 22, 29)),
+        (mesh((5, 6)), 5, (5, 10, 15, 20, 25)),
+    ],
+)
+def test_greedy_attack_past_the_exact_cap(g, budget, failed):
+    # the first component exceeds EXACT_EXPANSION_LIMIT, so its cut is
+    # the seeded heuristic's
+    assert g.n > EXACT_EXPANSION_LIMIT
+    assert attack_greedy_cuts(g, budget).failed_nodes == failed
 
 
 def test_pattern_json_round_trip():

@@ -105,7 +105,7 @@ def test_compact_set_engine_refuses_tables_past_24_nodes():
     with pytest.raises(LimitError):
         next(kernels.boundary_blocks(adj, np.zeros(0, dtype=np.uint32)))
     with pytest.raises(LimitError):
-        next(kernels.compact_set_bounds([()] * 25, np.zeros(0, dtype=np.uint32)))
+        next(kernels.compact_set_bounds(adj, np.zeros(0, dtype=np.uint32)))
 
 
 def test_connected_masks_match_brute_force():
@@ -175,6 +175,40 @@ def test_connector_lookup_decides_steiner_sizes():
         size(0)
 
 
+def test_connector_lookup_matches_steiner_on_every_terminal_set():
+    # small random graphs, a third of them edgeless or split in parts:
+    # every nonempty terminal mask gets the Steiner node count, or None
+    rng = random.Random(11)
+    split = 0
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        p = rng.choice([0.15, 0.3, 0.5, 0.8])
+        g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+        adj = kernels.adjacency_masks(g.adjacency)
+        size = kernels.connector_lookup(kernels.connectivity_table(n, adj))
+        for terms in range(1, 1 << n):
+            res = kernels.steiner_min_tree(n, adj, kernels.mask_nodes(terms))
+            assert size(terms) == (None if res is None else res[0])
+            split += res is None
+    assert split > 0
+
+
+@st.composite
+def connected_mask_cases(draw):
+    """(adjacency masks, a connected mask): the flood from the lowest
+    node of a random mask within it."""
+    n, adj = draw(tie_heavy_adjacency())
+    allowed = draw(st.integers(1, (1 << n) - 1))
+    return adj, kernels._flood(allowed & -allowed, allowed, adj)
+
+
+@given(case=connected_mask_cases())
+@settings(max_examples=150, deadline=None)
+def test_kruskal_lex_matches_union_find_reference(case):
+    adj, w = case
+    assert kernels._kruskal_lex(w, adj) == oracles.kruskal_lex(w, adj)
+
+
 def test_steiner_without_terminals_is_an_input_error():
     adj = kernels.adjacency_masks(((1,), (0, 2), (1,)))
     with pytest.raises(InputError):
@@ -241,7 +275,7 @@ def test_no_kernel_calls_a_public_kernel(monkeypatch):
         ("compact_masks", lambda: kernels.compact_masks(conn)),
         ("connector_lookup", lambda: kernels.connector_lookup(conn)(0b101000101)),
         ("boundary_blocks", lambda: list(kernels.boundary_blocks(sadj, masks))),
-        ("compact_set_bounds", lambda: list(kernels.compact_set_bounds(small.adjacency, masks))),
+        ("compact_set_bounds", lambda: list(kernels.compact_set_bounds(sadj, masks))),
         ("connected_masks", lambda: kernels.connected_masks(small.n, sadj, 10**6)),
         ("steiner_min_tree", lambda: kernels.steiner_min_tree(small.n, sadj, (0, 2, 6, 8))),
         ("steiner_min_tree", lambda: kernels.steiner_min_tree(g.n, adj, (0, 14))),

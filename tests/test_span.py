@@ -324,7 +324,7 @@ def test_compact_set_engine_matches_reference_loops(g):
     masks = kernels.compact_masks(kernels.connectivity_table(g.n, adj))
     assert masks.tolist() == want
     rows = []
-    for bnd, t, greedy in kernels.compact_set_bounds(g.adjacency, masks):
+    for bnd, t, greedy in kernels.compact_set_bounds(adj, masks):
         rows.extend(zip(bnd.tolist(), t.tolist(), greedy.tolist()))
     assert len(rows) == len(want)
     for mask, (bnd, t, greedy) in zip(want, rows):
