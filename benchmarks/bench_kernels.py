@@ -10,7 +10,11 @@ path P10, whose endpoint assignments fall into the most distinct class
 counts) and two sparse bases whose nodes mostly end no chain (10 nodes
 with edges 01, 23; 8 nodes with edges 04, 07, 25). The algorithm-layer
 rows time adversary_exhaustive at k = 2 on mesh 4x4 with f = 1 and on
-K16 with f = 2 (120 fault sets, each pruned and its survivor graded).
+K16 with f = 2 (120 fault sets, each pruned and its survivor graded),
+percolation_point with pruning on the random 4-regular graph with 18
+nodes (p = 1/10, 20 trials, k = 2, as `percolate --prune` runs it), and
+20 run_resilience_trial rounds on mesh 4x4 for each fault model (node
+failure p = 1/5, edge survival p = 4/5, eps = 1/2, alpha given).
 
 Random regular graphs come from the first generator seed at or after
 --seed that yields one, since the pairing model can run out of retries.
@@ -24,11 +28,16 @@ from __future__ import annotations
 import argparse
 import time
 import warnings
+from fractions import Fraction
 
 from xpand import kernels
 from xpand.errors import GenerationError
-from xpand.expansion import subdivided_node_expansion
-from xpand.experiments import adversary_exhaustive
+from xpand.expansion import (
+    edge_expansion_exact,
+    node_expansion_exact,
+    subdivided_node_expansion,
+)
+from xpand.experiments import adversary_exhaustive, percolation_point, run_resilience_trial
 from xpand.generators import (
     complete,
     cycle,
@@ -178,6 +187,28 @@ def main() -> int:
         bench(
             f"adversary {name} k=2 f={f}",
             lambda ag=ag, f=f: adversary_exhaustive(ag, 2, f),
+            args.repeat,
+        )
+
+    alpha18 = node_expansion_exact(r18).value
+    bench(
+        f"percolation --prune {label}",
+        lambda: percolation_point(
+            r18, "node", Fraction(1, 10), 20, 0, 0, prune_params=(alpha18, 2)
+        ),
+        args.repeat,
+    )
+    for model, p, measure in (
+        ("node", Fraction(1, 5), node_expansion_exact),
+        ("edge", Fraction(4, 5), edge_expansion_exact),
+    ):
+        alpha = measure(m).value
+        bench(
+            f"resilience mesh 4x4 {model} x20",
+            lambda model=model, p=p, alpha=alpha: [
+                run_resilience_trial(m, model, p, j, 0, Fraction(1, 2), alpha=alpha)
+                for j in range(20)
+            ],
             args.repeat,
         )
     return 0

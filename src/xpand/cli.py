@@ -247,11 +247,7 @@ def _load_faults(ctx: RunContext, args, g: Graph):
         return g, 0
     pattern = FaultPattern.from_json(ctx.load_text(args.faults))
     g_f = apply_faults(g, pattern)
-    if pattern.kind == "node-faults":
-        count = len(pattern.failed_nodes)
-    else:
-        count = g.m - len(pattern.kept_edges)
-    return g_f, count
+    return g_f, pattern.fault_count(g)
 
 
 def cmd_prune(args, ctx: RunContext) -> int:
@@ -514,14 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _render_param(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_render_param(v) for v in value]
-    return value
-
-
 def _execute(argv, *, replaying=False, redirect=None):
     """Parse and run one subcommand; returns (exit code, context)."""
     parser = build_parser()
@@ -543,7 +531,7 @@ def _execute(argv, *, replaying=False, redirect=None):
             manifest_path = args.output + MANIFEST_SUFFIX
         if manifest_path:
             params = {
-                key: _render_param(val)
+                key: val
                 for key, val in vars(args).items()
                 if key not in ("func", "command", "replay", "manifest")
                 and val is not None

@@ -128,6 +128,39 @@ def _prune_and_grade(g_f: Graph, mode: str, alpha, eps):
     return trace, trace.h_expansion
 
 
+def _trial(g: Graph, model: str, p, trial: int, seed: int, grade, record_ms: bool):
+    """One random-fault trial: draw the model's pattern from seed, apply
+    it and measure gamma. With grade = (alpha, eps, size_ok), also prune
+    in the model's mode with cull threshold alpha*eps and certify H: at
+    least 2 nodes, expansion at least eps*alpha, and size_ok(|H|, fault
+    count) true. Without it the certificate columns stay 0, 0, False."""
+    t0 = time.monotonic_ns()
+    draw = random_node_faults if model == "node" else edge_survival_pattern
+    pattern = draw(g, float(p), seed)
+    g_f = apply_faults(g, pattern)
+    h_frac, expansion, certified = Fraction(0), Fraction(0), False
+    if grade is not None:
+        alpha, eps, size_ok = grade
+        trace, expansion = _prune_and_grade(g_f, model, alpha, eps)
+        h_frac = Fraction(trace.h_size, g.n)
+        certified = (
+            trace.h_size >= 2
+            and expansion >= eps * alpha
+            and size_ok(trace.h_size, pattern.fault_count(g))
+        )
+    gam = gamma(g_f)
+    ms = (time.monotonic_ns() - t0) // 10**6 if record_ms else 0
+    return TrialResult(
+        p=p,
+        trial=trial,
+        gamma=gam,
+        h_frac=h_frac,
+        expansion=expansion,
+        certified=certified,
+        ms=ms,
+    )
+
+
 def percolation_point(
     g: Graph,
     model: str,
@@ -139,57 +172,33 @@ def percolation_point(
     prune_params=None,  # (alpha, k) to prune each faulty graph
     record_ms: bool = False,
 ) -> list:
+    """The rows of one sweep point: `trials` random-fault trials at p,
+    trial j drawn from seed seed_base + point_index * 10**6 + j. With
+    prune_params = (alpha, k), node model only, each faulty graph is
+    pruned with eps = 1 - 1/k and H is certified against the adversarial
+    guarantee for the trial's fault count f: k*f/alpha <= n/4,
+    |H| >= n - k*f/alpha and expansion at least (1 - 1/k)*alpha."""
     if model not in ("node", "edge"):
         raise InputError(f"unknown percolation model {model!r}")
     if not 0 <= p <= 1:
         raise InputError("p must lie in [0,1]")
     if not 1 <= trials <= MAX_TRIALS_PER_POINT:
         raise InputError(f"trials must lie in [1, {MAX_TRIALS_PER_POINT}]")
+    grade = None
     if prune_params is not None:
         if model != "node":
             raise InputError("pruning is defined for the node fault model only")
         if g.n > EXACT_EXPANSION_LIMIT:
             raise LimitError(f"pruning needs n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
         alpha, k = prune_params
-        eps = 1 - Fraction(1, k)
-    rows = []
-    for j in range(int(trials)):
-        seed = seed_base + point_index * 10**6 + j
-        t0 = time.monotonic_ns()
-        if model == "node":
-            pattern = random_node_faults(g, float(p), seed)
-            g_f = apply_faults(g, pattern)
-            fault_count = len(pattern.failed_nodes)
-        else:
-            pattern = edge_survival_pattern(g, float(p), seed)
-            g_f = apply_faults(g, pattern)
-            fault_count = g.m - len(pattern.kept_edges)
-        gam = gamma(g_f)
-        if prune_params is not None:
-            trace, expansion = _prune_and_grade(g_f, "node", alpha, eps)
-            h_size = trace.h_size
-            h_frac = Fraction(h_size, g.n)
-            certified = (
-                hypothesis_ok(g.n, alpha, k, fault_count)
-                and h_size >= size_lower_bound(g.n, alpha, k, fault_count)
-                and h_size >= 2
-                and expansion >= expansion_lower_bound(alpha, k)
-            )
-        else:
-            h_frac, expansion, certified = Fraction(0), Fraction(0), False
-        ms = (time.monotonic_ns() - t0) // 10**6 if record_ms else 0
-        rows.append(
-            TrialResult(
-                p=p,
-                trial=j,
-                gamma=gam,
-                h_frac=h_frac,
-                expansion=expansion,
-                certified=certified,
-                ms=int(ms),
-            )
+        grade = (
+            alpha,
+            1 - Fraction(1, k),
+            lambda h_size, f: hypothesis_ok(g.n, alpha, k, f)
+            and h_size >= size_lower_bound(g.n, alpha, k, f),
         )
-    return rows
+    seed0 = seed_base + point_index * 10**6
+    return [_trial(g, model, p, j, seed0 + j, grade, record_ms) for j in range(int(trials))]
 
 
 def run_percolation_sweep(
@@ -257,34 +266,11 @@ def run_resilience_trial(
         raise InputError("p must lie in [0,1]")
     if g.n > EXACT_EXPANSION_LIMIT:
         raise LimitError(f"exact pruning is limited to n <= {EXACT_EXPANSION_LIMIT}, got {g.n}")
-    seed = seed_base + trial
-    t0 = time.monotonic_ns()
-    if model == "node":
-        g_f = apply_faults(g, random_node_faults(g, float(p), seed))
-        measure = node_expansion_exact
-    else:
-        g_f = apply_faults(g, edge_survival_pattern(g, float(p), seed))
-        measure = edge_expansion_exact
     if alpha is None:
+        measure = node_expansion_exact if model == "node" else edge_expansion_exact
         alpha = measure(g).value
-    trace, expansion = _prune_and_grade(g_f, model, alpha, Fraction(eps))
-    gam = gamma(g_f)
-    h_frac = Fraction(trace.h_size, g.n)
-    certified = (
-        2 * trace.h_size >= g.n
-        and trace.h_size >= 2
-        and expansion >= Fraction(eps) * alpha
-    )
-    ms = (time.monotonic_ns() - t0) // 10**6 if record_ms else 0
-    return TrialResult(
-        p=Fraction(p),
-        trial=trial,
-        gamma=gam,
-        h_frac=h_frac,
-        expansion=expansion,
-        certified=certified,
-        ms=int(ms),
-    )
+    grade = (alpha, Fraction(eps), lambda h_size, _f: 2 * h_size >= g.n)
+    return _trial(g, model, Fraction(p), trial, seed_base + trial, grade, record_ms)
 
 
 @dataclass(frozen=True)
@@ -355,7 +341,7 @@ def adversary_exhaustive(
     eps = 1 - Fraction(1, k)
     size_bound = size_lower_bound(g.n, alpha, k, f)
     exp_bound = expansion_lower_bound(alpha, k)
-    worst = None  # (h_size, expansion, faults, trace)
+    worst = None  # (h_size, expansion, faults)
     iterations = 0
     traces = []
     for faults in combinations(range(g.n), f):
@@ -375,8 +361,8 @@ def adversary_exhaustive(
         if keep_traces:
             traces.append((faults, trace))
         key = (trace.h_size, h_exp, faults)
-        if worst is None or key < worst[:3]:
-            worst = (trace.h_size, h_exp, faults, trace)
+        if worst is None or key < worst:
+            worst = key
     report = AdversaryReport(
         n=g.n,
         alpha=alpha,
@@ -433,7 +419,7 @@ def chain_attack_report(h: SubdividedGraph) -> ChainAttackReport:
     largest = len(comps[0]) if comps else 0
     return ChainAttackReport(
         pattern=pattern,
-        fault_count=len(pattern.failed_nodes),
+        fault_count=pattern.fault_count(h.graph),
         gamma=gamma(g_f),
         largest_component=largest,
         component_bound=base_max_degree * (h.k // 2) + 1,

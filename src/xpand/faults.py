@@ -74,6 +74,13 @@ class FaultPattern:
             }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
+    def fault_count(self, g: Graph) -> int:
+        """Faults the pattern puts on g: its failed nodes for node faults,
+        the edges of g it does not keep for edge survival."""
+        if self.kind == KIND_NODE:
+            return len(self.failed_nodes)
+        return g.m - len(self.kept_edges)
+
     @classmethod
     def from_json(cls, text: str) -> "FaultPattern":
         try:

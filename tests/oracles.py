@@ -24,8 +24,12 @@ state after every chain and a backward search for the witness. They
 are the reference for the whole solver. `values_minima`, one dense
 table per set of base nodes, is the reference for the class sweep that
 replaced it, and `_chain_step`, the table step with back-pointers, for
-the walk that reads its moves from the values-only tables."""
+the walk that reads its moves from the values-only tables.
+`percolation_point` and `run_resilience_trial` are the two random-fault
+trial loops as first written, each with its own draw, prune, grade and
+fault count; they are the reference for the one shared trial function."""
 
+import time
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -37,16 +41,27 @@ from xpand import kernels
 from xpand.errors import ContractError, InputError, LimitError, SamplingError
 from xpand.expansion import (
     _INF32,
+    EXACT_EXPANSION_LIMIT,
     SUBDIV_BASE_LIMIT,
     SUBDIV_CHAIN_LIMIT,
     ExpansionResult,
     _empty_table,
     _fix_rows,
     _values_step,
+    edge_expansion_exact,
+    node_expansion_exact,
 )
-from xpand.faults import make_rng, rand_below
+from xpand.experiments import MAX_TRIALS_PER_POINT, TrialResult, _prune_and_grade, gamma
+from xpand.faults import (
+    apply_faults,
+    edge_survival_pattern,
+    make_rng,
+    rand_below,
+    random_node_faults,
+)
 from xpand.generators import SubdividedGraph, mesh, mesh_coords, mesh_index
 from xpand.graph import Graph, connected_components, is_connected, make_cut, node_boundary
+from xpand.pruning import expansion_lower_bound, hypothesis_ok, size_lower_bound
 from xpand.span import MeshSpanCertificate, SpanReport
 
 
@@ -720,3 +735,114 @@ def _chain_step(dp, table, iu, iv):
                 np.copyto(tgt_ptr, len(moves), where=better)
                 moves.append((drop, p, c, args[p]))
     return out, ptr, moves
+
+
+def percolation_point(
+    g: Graph,
+    model: str,
+    p: Fraction,
+    trials: int,
+    seed_base: int,
+    point_index: int,
+    *,
+    prune_params=None,
+    record_ms: bool = False,
+) -> list:
+    if model not in ("node", "edge"):
+        raise InputError(f"unknown percolation model {model!r}")
+    if not 0 <= p <= 1:
+        raise InputError("p must lie in [0,1]")
+    if not 1 <= trials <= MAX_TRIALS_PER_POINT:
+        raise InputError(f"trials must lie in [1, {MAX_TRIALS_PER_POINT}]")
+    if prune_params is not None:
+        if model != "node":
+            raise InputError("pruning is defined for the node fault model only")
+        if g.n > EXACT_EXPANSION_LIMIT:
+            raise LimitError(f"pruning needs n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
+        alpha, k = prune_params
+        eps = 1 - Fraction(1, k)
+    rows = []
+    for j in range(int(trials)):
+        seed = seed_base + point_index * 10**6 + j
+        t0 = time.monotonic_ns()
+        if model == "node":
+            pattern = random_node_faults(g, float(p), seed)
+            g_f = apply_faults(g, pattern)
+            fault_count = len(pattern.failed_nodes)
+        else:
+            pattern = edge_survival_pattern(g, float(p), seed)
+            g_f = apply_faults(g, pattern)
+            fault_count = g.m - len(pattern.kept_edges)
+        gam = gamma(g_f)
+        if prune_params is not None:
+            trace, expansion = _prune_and_grade(g_f, "node", alpha, eps)
+            h_size = trace.h_size
+            h_frac = Fraction(h_size, g.n)
+            certified = (
+                hypothesis_ok(g.n, alpha, k, fault_count)
+                and h_size >= size_lower_bound(g.n, alpha, k, fault_count)
+                and h_size >= 2
+                and expansion >= expansion_lower_bound(alpha, k)
+            )
+        else:
+            h_frac, expansion, certified = Fraction(0), Fraction(0), False
+        ms = (time.monotonic_ns() - t0) // 10**6 if record_ms else 0
+        rows.append(
+            TrialResult(
+                p=p,
+                trial=j,
+                gamma=gam,
+                h_frac=h_frac,
+                expansion=expansion,
+                certified=certified,
+                ms=int(ms),
+            )
+        )
+    return rows
+
+
+def run_resilience_trial(
+    g: Graph,
+    model: str,
+    p,
+    trial: int,
+    seed_base: int,
+    eps: Fraction,
+    *,
+    alpha: Fraction | None = None,
+    record_ms: bool = False,
+) -> TrialResult:
+    if model not in ("node", "edge"):
+        raise InputError(f"unknown fault model {model!r}")
+    if not 0 <= Fraction(p) <= 1:
+        raise InputError("p must lie in [0,1]")
+    if g.n > EXACT_EXPANSION_LIMIT:
+        raise LimitError(f"exact pruning is limited to n <= {EXACT_EXPANSION_LIMIT}, got {g.n}")
+    seed = seed_base + trial
+    t0 = time.monotonic_ns()
+    if model == "node":
+        g_f = apply_faults(g, random_node_faults(g, float(p), seed))
+        measure = node_expansion_exact
+    else:
+        g_f = apply_faults(g, edge_survival_pattern(g, float(p), seed))
+        measure = edge_expansion_exact
+    if alpha is None:
+        alpha = measure(g).value
+    trace, expansion = _prune_and_grade(g_f, model, alpha, Fraction(eps))
+    gam = gamma(g_f)
+    h_frac = Fraction(trace.h_size, g.n)
+    certified = (
+        2 * trace.h_size >= g.n
+        and trace.h_size >= 2
+        and expansion >= Fraction(eps) * alpha
+    )
+    ms = (time.monotonic_ns() - t0) // 10**6 if record_ms else 0
+    return TrialResult(
+        p=Fraction(p),
+        trial=trial,
+        gamma=gam,
+        h_frac=h_frac,
+        expansion=expansion,
+        certified=certified,
+        ms=int(ms),
+    )

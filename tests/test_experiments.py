@@ -1,6 +1,7 @@
 """Percolation sweeps, resilience trials, adversary search and its sweep
 count, attack reports, and the connected-subgraph census."""
 
+import dataclasses
 import statistics
 from fractions import Fraction
 
@@ -263,6 +264,17 @@ def test_chain_attack_reports_frozen():
     assert r4.fault_count == 6
     assert r4.gamma == F(7, 22)
     assert r4.largest_component == r4.component_bound == 7
+    assert r4.ok
+    assert r4.to_payload() == {
+        "fault_count": 6,
+        "gamma_num": 7,
+        "gamma_den": 22,
+        "largest_component": 7,
+        "component_bound": 7,
+        "ok": True,
+    }
+    over = dataclasses.replace(r4, largest_component=8)
+    assert not over.ok and over.to_payload()["ok"] is False
 
 
 def test_chain_attack_fault_cost_scales_with_edges_only():
@@ -286,6 +298,21 @@ def test_census_subdivided_k4():
     trunc = verify_subgraph_count_bound(s, r_max=3)
     assert trunc.bins == rep.bins[:3]
     assert trunc.total == 14
+    assert rep.ok
+    assert rep.to_payload() == {
+        "n": 4,
+        "delta": 3,
+        "bins": [
+            {"r": 1, "count": 4, "bound": 36, "ok": True},
+            {"r": 2, "count": 6, "bound": 324, "ok": True},
+            {"r": 3, "count": 4, "bound": 2916, "ok": True},
+            {"r": 4, "count": 1, "bound": 26244, "ok": True},
+        ],
+        "total": 15,
+        "ok": True,
+    }
+    over = dataclasses.replace(rep, bins=rep.bins[:3] + ((4, 26245, 26244, False),))
+    assert not over.ok and over.to_payload()["ok"] is False
 
 
 def test_census_on_plain_graph():

@@ -80,6 +80,17 @@ def test_apply_edge_survival_keeps_node_set():
     assert dumps(random_edge_survival(g, 0.5, 3)) == dumps(ge)
 
 
+def test_fault_count_by_kind():
+    g = mesh([3, 3])  # 12 edges
+    assert random_node_faults(g, 0.0, 1).fault_count(g) == 0
+    assert random_node_faults(g, 1.0, 1).fault_count(g) == 9
+    assert FaultPattern(kind=KIND_NODE, failed_nodes=(2, 5)).fault_count(g) == 2
+    # edge survival counts the edges of g it does not keep
+    assert edge_survival_pattern(g, 1.0, 1).fault_count(g) == 0
+    assert edge_survival_pattern(g, 0.0, 1).fault_count(g) == 12
+    assert FaultPattern(kind=KIND_EDGE, kept_edges=((0, 1),)).fault_count(g) == 11
+
+
 def test_apply_rejects_foreign_edges():
     g = cycle(4)
     bad = FaultPattern(kind=KIND_EDGE, kept_edges=((0, 2),), provenance={})

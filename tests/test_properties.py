@@ -1,12 +1,13 @@
 """Property tests over random graphs: the shared component walk against
 networkx, the shared prune-and-grade path against a from-scratch
-reference, the chain DP against its first dict-of-states version, its
-class sweep against the per-base-set table sweep it replaced, its
-values-only step and its walk against the pointer step, the compact-set
-sampler against its first version, the text format's round trip and
-token checks, the fault-pattern format's round trip and its malformed
-payloads, manifest replay from foreign directories, and the
-warning-free survivor measurement."""
+reference, percolation points and resilience trials against their two
+first-written trial loops, the chain DP against its first dict-of-states
+version, its class sweep against the per-base-set table sweep it
+replaced, its values-only step and its walk against the pointer step,
+the compact-set sampler against its first version, the text format's
+round trip and token checks, the fault-pattern format's round trip and
+its malformed payloads, manifest replay from foreign directories, and
+the warning-free survivor measurement."""
 
 import contextlib
 import io
@@ -36,6 +37,7 @@ from xpand.experiments import (
     _prune_and_grade,
     adversary_exhaustive,
     percolation_point,
+    run_resilience_trial,
 )
 from xpand.faults import KIND_EDGE, KIND_NODE, FaultPattern, make_rng
 from xpand.generators import complete, cycle, mesh, subdivide_edges
@@ -111,6 +113,44 @@ def test_prune_and_grade_matches_reference_edge(data, g):
         ref_expansion = Fraction(0)
     assert trace.to_payload() == ref.to_payload()
     assert expansion == ref_expansion
+
+
+_TRIAL_PS = st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)])
+
+
+@given(
+    data=st.data(),
+    g=graphs(min_n=2, max_n=10, connected=True),
+    model=st.sampled_from(["node", "edge"]),
+    p=_TRIAL_PS,
+    pruned=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_percolation_point_matches_reference(data, g, model, p, pruned):
+    prune_params = None
+    if pruned:
+        model = "node"  # pruning is defined for the node model only
+        alpha = data.draw(st.sampled_from([node_expansion_exact(g).value, Fraction(1, 3)]))
+        prune_params = (alpha, data.draw(st.integers(2, 4)))
+    trials, seed_base, index = (data.draw(st.integers(*r)) for r in ((1, 3), (0, 99), (0, 2)))
+    args = (g, model, p, trials, seed_base, index)
+    want = oracles.percolation_point(*args, prune_params=prune_params)
+    assert percolation_point(*args, prune_params=prune_params) == want
+
+
+@given(
+    data=st.data(),
+    g=graphs(min_n=2, max_n=10, connected=True),
+    model=st.sampled_from(["node", "edge"]),
+    p=_TRIAL_PS,
+    eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_resilience_trial_matches_reference(data, g, model, p, eps):
+    alpha = data.draw(st.sampled_from([None, Fraction(1, 3), Fraction(1)]))
+    args = (g, model, p, data.draw(st.integers(0, 20)), data.draw(st.integers(0, 99)), eps)
+    want = oracles.run_resilience_trial(*args, alpha=alpha)
+    assert run_resilience_trial(*args, alpha=alpha) == want
 
 
 # Random draws rarely reach a base where the order of a chain's moves

@@ -167,6 +167,28 @@ def test_span_sampled_error_when_nothing_usable(monkeypatch):
         span_sampled(cycle(8), 0, seed=0)
 
 
+def test_span_sampled_skips_boundaries_past_the_terminal_limit():
+    # in K16 a single node has 15 boundary nodes, one past the limit of
+    # 14, and a pair has 14
+    assert span.STEINER_TERMINAL_LIMIT == 14
+    with pytest.raises(SamplingError):
+        span_sampled(complete(16), 5, seed=0, max_size=1)
+    r = span_sampled(complete(16), 20, seed=0, max_size=2)
+    assert (r.considered, r.skipped) == (10, 10)
+    assert r.to_payload() == {
+        "method": "sampled",
+        "value_num": 1,
+        "value_den": 1,
+        "argmax": [0, 4],
+        "boundary": [1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+        "boundary_size": 14,
+        "tree_edges": [[1, v] for v in (2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)],
+        "tree_size": 14,
+        "considered": 10,
+        "skipped": 10,
+    }
+
+
 def test_span_sampled_max_size_must_be_positive():
     for bad in (0, -2):
         with pytest.raises(InputError):
