@@ -1,11 +1,12 @@
 """Times the bitmask kernels (numpy ratio sweeps and compact-set
 engine, pure Python elsewhere) and prints the best time of each. The
-connector_lookup rows time the build of its Steiner-size table, on a
-random 4-regular graph with 18 nodes and on mesh 4x6. The last rows
-time span_exact and the exhaustive mesh span certificate as
-the package runs them, up to mesh 4x6 (n = 24, the table engine's
-cap), and the chain DP of subdivided_node_expansion
-on dense bases (K7, and K8 with long chains), sparse ones (C10, and the
+connectivity_table rows run on mesh 4x4, a random 4-regular graph with
+18 nodes and mesh 4x6 (n = 24). The connector_lookup rows time the
+build of its Steiner-size table, on the 18-node graph and on mesh
+4x6. The last rows time span_exact and the exhaustive mesh span
+certificate as the package runs them, up to mesh 4x6 (the table
+engine's cap), and the chain DP of subdivided_node_expansion on dense
+bases (K7, and K8 with long chains), sparse ones (C10, and the
 path P10, whose endpoint assignments fall into the most distinct class
 counts) and two sparse bases whose nodes mostly end no chain (10 nodes
 with edges 01, 23; 8 nodes with edges 04, 07, 25). The algorithm-layer
@@ -143,7 +144,13 @@ def main() -> int:
         args.repeat,
     )
     m24 = mesh((4, 6))
-    m24conn = kernels.connectivity_table(m24.n, _adj_masks(m24))
+    m24adj = _adj_masks(m24)
+    bench(
+        "connectivity_table mesh 4x6",
+        lambda: kernels.connectivity_table(m24.n, m24adj),
+        args.repeat,
+    )
+    m24conn = kernels.connectivity_table(m24.n, m24adj)
     bench(
         "connector_lookup mesh 4x6",
         lambda: kernels.connector_lookup(m24conn),

@@ -191,6 +191,8 @@ def percolation_point(
         if g.n > EXACT_EXPANSION_LIMIT:
             raise LimitError(f"pruning needs n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
         alpha, k = prune_params
+        if k < 2:
+            raise InputError("k must be at least 2")
         grade = (
             alpha,
             1 - Fraction(1, k),

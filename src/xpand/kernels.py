@@ -11,7 +11,11 @@ Adjacency travels as one neighbour mask per node (adjacency_masks), and
 components are found on masks alone: _flood grows the component of one
 mask, connectivity_table decides every mask of up to 24 nodes at once,
 connector_lookup reads Steiner sizes from a superset minimum over that
-table, and _kruskal_lex keeps each tree's node mask.
+table, and _kruskal_lex keeps each tree's node mask. The table is built
+level by level on the highest node h of a mask: the component of the
+mask's lowest node either skips h, or is the same component one level
+down joined through h with the other components h touches, each of
+them read from a lower level.
 
 No function here calls a public name of this module, directly or
 through an alias: shared steps are private functions (_bits, _mask_of,
@@ -37,11 +41,16 @@ INF = 1 << 30
 _CHUNK_BITS = 12
 # masks are numpy uint64 inside the sweeps
 _MAX_MASK_BITS = 63
-# the compact-set engine keeps one bool per mask: 16 MiB at this n
+# the compact-set engine keeps one bool per mask and, while it builds
+# that table, a uint32 per mask below 2^(n-1): 48 MiB at this n
 _COMPACT_MAX_N = 24
 # connector_lookup's table entry for a mask no connected set contains
 _NO_CONNECTOR = 127
 _BLOCK = 1 << _CHUNK_BITS
+# masks per vectorized step of connectivity_table: a step's temporaries
+# stay near 0.3 MiB, where steps of 2^16 masks raised a span process's
+# peak resident memory by about 2 MiB
+_TABLE_CHUNK = 1 << 14
 
 
 def _bits(mask: int):
@@ -296,25 +305,55 @@ def connectivity_table(n: int, adj):
     """conn[m] for every mask m of n nodes: whether induced(m) is
     connected, as a bool array of 2^n entries (conn[0] is False).
 
-    One bool per mask records connectivity, so n is capped at 24 (a
-    16 MiB table); larger n raises LimitError before anything is
-    allocated. The table is filled 2^12 masks at a time by a vectorized
-    flood from each mask's lowest node.
+    One bool per mask records connectivity, so n is capped at 24; larger
+    n raises LimitError before anything is allocated. The table comes
+    from a highest-bit recurrence on L[m], the component of m's lowest
+    node within m. With h the highest node of m and m' = m - 2^h:
+    L[2^h] = 2^h; L[m] = L[m'] if adj[h] misses L[m']; otherwise L[m] is
+    L[m'] | 2^h joined with every other component of m' that adj[h]
+    touches. Those are L[r], L[r - L[r]], ... for r = m' - L[m'], since
+    removing whole components leaves the others as they were, so each
+    is one lookup into a lower, finished level, and the walk stops once
+    r misses adj[h]. conn[m] is L[m] == m.
+
+    L is uint32 and kept only below 2^(n-1), as the top level is never
+    read: with the bool table that is 48 MiB at n = 24. Each level is
+    done _TABLE_CHUNK masks at a time.
     """
     _table_limit(n)
-    nbr = _or_tables(adj)
-    size = 1 << n
-    conn = np.zeros(size, dtype=bool)
-    for b in range(0, size, _BLOCK):
-        m = np.arange(b, min(b + _BLOCK, size), dtype=np.uint32)
-        reached = _lowbit(m)
-        while True:
-            grown = (_or_lookup(nbr, reached) | reached) & m
-            if np.array_equal(grown, reached):
-                break
-            reached = grown
-        conn[b : b + len(m)] = reached == m
-    conn[0] = False
+    conn = np.zeros(1 << n, dtype=bool)
+    lowest = np.zeros(1 << max(n - 1, 0), dtype=np.uint32)  # L, bottom half
+    ramp = np.arange(min(_TABLE_CHUNK, len(lowest)), dtype=np.uint32)
+    for h in range(n):
+        bit = 1 << h
+        ah = np.uint32(adj[h] & (bit - 1))
+        for a in range(0, bit, _TABLE_CHUNK):
+            b = min(a + _TABLE_CHUNK, bit)
+            lm = lowest[a:b]  # L[m'] for m' = a..b-1
+            touch = (lm & ah).astype(bool)
+            comp = np.where(touch, lm | np.uint32(bit), lm)
+            # the rest of m' may hold more components that h joins
+            rest = ramp[: b - a] + np.uint32(a)
+            rest ^= lm
+            rest &= ah
+            join = np.flatnonzero(rest.astype(bool) & touch)
+            if join.size:
+                r = (join.astype(np.uint32) + np.uint32(a)) ^ lm[join]
+                got = comp[join]
+                while True:
+                    c = lowest[r]
+                    got |= np.where((c & ah).astype(bool), c, np.uint32(0))
+                    r ^= c
+                    comp[join] = got
+                    more = (r & ah).astype(bool)
+                    if not more.any():
+                        break
+                    join, r, got = join[more], r[more], got[more]
+            if a == 0:
+                comp[0] = bit
+            np.equal(comp, ramp[: b - a] + np.uint32(bit + a), out=conn[bit + a : bit + b])
+            if h < n - 1:
+                lowest[bit + a : bit + b] = comp
     return conn
 
 
@@ -355,8 +394,15 @@ def connector_lookup(conn):
         np.add(best[: 1 << v], 1, out=best[1 << v : 2 << v])
     np.copyto(best, _NO_CONNECTOR, where=~conn)
     for v in range(n):
-        view = best.reshape(-1, 2, 1 << v)
-        np.minimum(view[:, 0], view[:, 1], out=view[:, 0])
+        if v < 4:
+            # 1 << v strided columns: long inner loops where the pair
+            # view below would give numpy runs of 2-8 entries
+            rows = best.reshape(-1, 2 << v)
+            for j in range(1 << v):
+                np.minimum(rows[:, j], rows[:, j + (1 << v)], out=rows[:, j])
+        else:
+            view = best.reshape(-1, 2, 1 << v)
+            np.minimum(view[:, 0], view[:, 1], out=view[:, 0])
 
     def size(terminals: int):
         if not terminals:

@@ -3,9 +3,12 @@ the package's exact machinery through a second code path.
 
 `min_ratio_node_cut` and `min_ratio_edge_cut` are the per-mask loops the
 ratio sweeps were first written as; they stay here as the from-scratch
-reference for the vectorized kernels. Likewise `compact_masks` (one
-flood per mask), `_greedy_connector_size` (one breadth-first search per
-terminal) and the per-set walk of `span_exact`, with an exact Steiner
+reference for the vectorized kernels. `connectivity_table` is the table
+as first vectorized, a breadth-first flood per block of 2^12 masks; it
+is the reference for the highest-bit recurrence. Likewise
+`compact_masks` (one flood per mask), `_greedy_connector_size` (one
+breadth-first search per terminal) and the per-set walk of
+`span_exact`, with an exact Steiner
 tree for every set its bounds do not dismiss, are the reference for
 the numpy compact-set engine and the Steiner-size lookups.
 `kruskal_lex` with its union-find `_DSU` is the spanning-tree step as
@@ -274,6 +277,30 @@ def kruskal_lex(w: int, adj) -> tuple:
             if v > u and dsu.union(u, v):
                 edges.append((u, v))
     return tuple(edges)
+
+
+def connectivity_table(n: int, adj):
+    """conn[m] for every mask m of n nodes: whether induced(m) is
+    connected, as a bool array of 2^n entries (conn[0] is False).
+
+    The table is filled 2^12 masks at a time by a vectorized flood from
+    each mask's lowest node, one breadth-first layer per numpy round.
+    """
+    kernels._table_limit(n)
+    nbr = kernels._or_tables(adj)
+    size = 1 << n
+    conn = np.zeros(size, dtype=bool)
+    for b in range(0, size, kernels._BLOCK):
+        m = np.arange(b, min(b + kernels._BLOCK, size), dtype=np.uint32)
+        reached = kernels._lowbit(m)
+        while True:
+            grown = (kernels._or_lookup(nbr, reached) | reached) & m
+            if np.array_equal(grown, reached):
+                break
+            reached = grown
+        conn[b : b + len(m)] = reached == m
+    conn[0] = False
+    return conn
 
 
 def compact_masks(n: int, adj) -> list:

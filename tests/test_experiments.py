@@ -150,6 +150,14 @@ def test_percolation_validation():
         )
 
 
+@pytest.mark.parametrize("k", [-1, 0, 1])
+@pytest.mark.parametrize("p", [F(0), F(1, 2)])
+def test_pruned_percolation_refuses_k_below_2_up_front(k, p):
+    # k = 0 used to divide by zero and k = +-1 to fail inside a trial
+    with pytest.raises(InputError, match="k must be at least 2"):
+        percolation_point(mesh([3, 3]), "node", p, 1, 0, 0, prune_params=(F(1, 2), k))
+
+
 def test_resilience_trial_identity_cases():
     r = run_resilience_trial(mesh([4, 4]), "node", F(0), 0, 5, F(1, 2))
     assert (r.gamma, r.h_frac, r.expansion, r.certified) == (1, 1, F(1, 2), True)

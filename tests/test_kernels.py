@@ -7,6 +7,7 @@ module's rule that no kernel calls a public kernel."""
 import inspect
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from xpand import kernels
 from xpand.errors import InputError, LimitError
-from xpand.generators import cycle, mesh
+from xpand.generators import cycle, hypercube, mesh, path, random_regular
 from xpand.graph import Graph, is_connected_subset
 
 from oracles import random_connected_graph, steiner_node_count_nx
@@ -44,11 +45,11 @@ def test_mask_connected_matches_components():
 
 
 @st.composite
-def tie_heavy_adjacency(draw):
-    """(n, adjacency masks) for 1 <= n <= 15: complete, edgeless,
+def tie_heavy_adjacency(draw, n_max=15):
+    """(n, adjacency masks) for 1 <= n <= n_max: complete, edgeless,
     disjoint cliques over shuffled ids, or random. Past 12 nodes a sweep
     spans more than one chunk of low halves."""
-    n = draw(st.integers(1, 15))
+    n = draw(st.integers(1, n_max))
     kind = draw(st.sampled_from(["complete", "edgeless", "disconnected", "random"]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     part = [rng.randrange(3) for _ in range(n)]
@@ -96,6 +97,42 @@ def test_scan_order_is_built_once_per_width():
     with pytest.raises(ValueError):
         order[0] = 1
     assert kernels._low_halves(5)[1] is kernels._low_halves(5)[1]
+
+
+@given(graph=tie_heavy_adjacency(n_max=14))
+@settings(max_examples=150, deadline=None)
+def test_connectivity_table_matches_flood_reference(graph):
+    n, adj = graph
+    assert np.array_equal(kernels.connectivity_table(n, adj), oracles.connectivity_table(n, adj))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: mesh([3, 6]), lambda: hypercube(4), lambda: random_regular(18, 4, 0), lambda: path(20)],
+    ids=["mesh3x6", "Q4", "rr18-4", "P20"],
+)
+def test_connectivity_table_matches_flood_reference_on_named_graphs(make):
+    g = make()
+    adj = kernels.adjacency_masks(g.adjacency)
+    assert np.array_equal(kernels.connectivity_table(g.n, adj), oracles.connectivity_table(g.n, adj))
+
+
+@pytest.mark.parametrize(
+    "dims, limit_mib",
+    # the bool table plus the uint32 bottom half of L is 48 MiB at n = 24;
+    # at n = 18 the 0.75 MiB of tables plus the chunk temporaries
+    [((4, 6), 56), ((3, 6), 1.5)],
+)
+def test_connectivity_table_peak_memory(dims, limit_mib):
+    g = mesh(list(dims))
+    adj = kernels.adjacency_masks(g.adjacency)
+    tracemalloc.start()
+    try:
+        kernels.connectivity_table(g.n, adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 def test_compact_set_engine_refuses_tables_past_24_nodes():
