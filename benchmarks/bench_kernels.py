@@ -15,7 +15,14 @@ K16 with f = 2 (120 fault sets, each pruned and its survivor graded),
 percolation_point with pruning on the random 4-regular graph with 18
 nodes (p = 1/10, 20 trials, k = 2, as `percolate --prune` runs it), and
 20 run_resilience_trial rounds on mesh 4x4 for each fault model (node
-failure p = 1/5, edge survival p = 4/5, eps = 1/2, alpha given).
+failure p = 1/5, edge survival p = 4/5, eps = 1/2, alpha given). The
+last rows time the other callers of the prune and greedy cut loops:
+prune2 on the random 4-regular graph with 18 nodes after edge survival
+p = 1/2 (seed 0, eps = 1/2, its fault-free alpha_e; six culls at
+--seed 0), shatter_uniform (eps = 1/4) and the greedy attack (budget 3)
+on a random 5-regular graph with 18 nodes, and heuristic prune on mesh
+6x6 after node failure p = 0.15 (seed 4, alpha = 1, eps = 1/2; four
+culls).
 
 Random regular graphs come from the first generator seed at or after
 --seed that yields one, since the pairing model can run out of retries.
@@ -39,6 +46,7 @@ from xpand.expansion import (
     subdivided_node_expansion,
 )
 from xpand.experiments import adversary_exhaustive, percolation_point, run_resilience_trial
+from xpand.faults import apply_faults, edge_survival_pattern, random_node_faults
 from xpand.generators import (
     complete,
     cycle,
@@ -49,6 +57,7 @@ from xpand.generators import (
     subdivide_edges,
 )
 from xpand.graph import Graph
+from xpand.pruning import attack_greedy_cuts, prune, prune2, shatter_uniform
 from xpand.span import span_exact, verify_mesh_span_certificate
 
 SEED_TRIES = 100
@@ -218,6 +227,25 @@ def main() -> int:
             ],
             args.repeat,
         )
+
+    r18_f = apply_faults(r18, edge_survival_pattern(r18, 0.5, 0))
+    alpha_e18 = edge_expansion_exact(r18).value
+    bench(
+        f"prune2 {label} survival p=1/2",
+        lambda: prune2(r18_f, alpha_e18, Fraction(1, 2)),
+        args.repeat,
+    )
+    seed5, r5 = _regular(18, 5, args.seed)
+    label5 = f"rr(18,5) seed {seed5}"
+    bench(f"shatter_uniform {label5}", lambda: shatter_uniform(r5, Fraction(1, 4)), args.repeat)
+    bench(f"attack greedy {label5} budget 3", lambda: attack_greedy_cuts(r5, 3), args.repeat)
+    m66 = mesh((6, 6))
+    m66_f = apply_faults(m66, random_node_faults(m66, 0.15, 4))
+    bench(
+        "prune heuristic mesh 6x6 p=0.15",
+        lambda: prune(m66_f, Fraction(1), Fraction(1, 2), method="heuristic"),
+        args.repeat,
+    )
     return 0
 
 

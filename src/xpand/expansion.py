@@ -51,20 +51,22 @@ class ExpansionResult:
         return out
 
 
-def _min_ratio_cut(g: Graph, mode: str, what: str):
-    """(ratio, mask) of the canonical minimizer over 1 <= |S| <= n/2;
-    needs n >= 2."""
-    if g.n > EXACT_EXPANSION_LIMIT:
-        raise LimitError(f"{what} is limited to n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
+def _min_ratio_cut(adjacency, mode: str, what: str):
+    """(ratio, mask) of the canonical minimizer over 1 <= |S| <= n/2 of
+    the graph on 0..n-1 with these neighbour lists; needs n >= 2. The
+    cap is checked before any mask is built."""
+    n = len(adjacency)
+    if n > EXACT_EXPANSION_LIMIT:
+        raise LimitError(f"{what} is limited to n <= {EXACT_EXPANSION_LIMIT}, got n={n}")
     sweep = kernels.min_ratio_node_cut if mode == "node" else kernels.min_ratio_edge_cut
-    bnd, size, mask = sweep(g.n, kernels.adjacency_masks(g.adjacency), g.n // 2)
+    bnd, size, mask = sweep(n, kernels.adjacency_masks(adjacency), n // 2)
     return Fraction(bnd, size), mask
 
 
 def _expansion_exact(g: Graph, mode: str) -> ExpansionResult:
     if g.n < 2:
         raise InputError("expansion needs at least 2 nodes")
-    value, mask = _min_ratio_cut(g, mode, "exact expansion")
+    value, mask = _min_ratio_cut(g.adjacency, mode, "exact expansion")
     if value == 0:
         warnings.warn(f"graph is disconnected, {mode} expansion is 0", stacklevel=3)
     return ExpansionResult(mode, "exact", value, make_cut(g, kernels.mask_nodes(mask)))
@@ -79,28 +81,26 @@ def edge_expansion_exact(g: Graph) -> ExpansionResult:
 
 
 def _sparse_cut(g: Graph, mode: str, threshold: Fraction):
-    """(value, cut) of one sweep: value is the minimum ratio over
-    1 <= |S| <= n/2, the graph's exact expansion in mode (None when
-    n < 2, where nothing is swept), and cut its canonical minimizer
-    when value <= threshold, else None."""
+    """The canonical minimizer over 1 <= |S| <= n/2 when its ratio is at
+    most threshold, else None (also when n < 2)."""
     if g.n < 2:
-        return None, None
-    value, mask = _min_ratio_cut(g, mode, "sparse-cut search")
+        return None
+    value, mask = _min_ratio_cut(g.adjacency, mode, "sparse-cut search")
     if value > threshold:
-        return value, None
-    return value, make_cut(g, kernels.mask_nodes(mask))
+        return None
+    return make_cut(g, kernels.mask_nodes(mask))
 
 
 def find_sparse_node_cut(g: Graph, alpha: Fraction, eps: Fraction):
     """Canonical minimizer S with |boundary(S)| <= alpha*eps*|S| and
     |S| <= floor(n/2), or None when no such set exists."""
-    return _sparse_cut(g, "node", alpha * eps)[1]
+    return _sparse_cut(g, "node", alpha * eps)
 
 
 def find_sparse_edge_cut(g: Graph, alpha_e: Fraction, eps: Fraction):
     """Canonical minimizer S with |edge boundary(S)| <= alpha_e*eps*|S|
     and |S| <= floor(n/2), or None. The winner is always connected."""
-    return _sparse_cut(g, "edge", alpha_e * eps)[1]
+    return _sparse_cut(g, "edge", alpha_e * eps)
 
 
 def _better_cut(a: Cut, b: Cut, mode: str) -> bool:

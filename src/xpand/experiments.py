@@ -34,8 +34,9 @@ from .faults import (
     random_node_faults,
 )
 from .generators import SubdividedGraph
-from .graph import Graph, connected_components, remove_nodes
+from .graph import Graph, connected_components
 from .pruning import (
+    _prune_loop,
     expansion_lower_bound,
     hypothesis_ok,
     prune,
@@ -109,10 +110,11 @@ def rows_to_jsonl(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prune_and_grade(g_f: Graph, mode: str, alpha, eps):
-    """Prune g_f (prune for node mode, prune2 for edge mode) and grade
-    the survivor H by its exact expansion in the same mode. Returns
-    (trace, expansion of H), the expansion 0 when |H| < 2.
+def _prune_and_grade(g: Graph, mode: str, alpha, eps, start=None):
+    """Prune g (prune for node mode, prune2 for edge mode), or its
+    subgraph induced by the node set start, and grade the survivor H by
+    its exact expansion in the same mode. Returns (trace, expansion of
+    H), the expansion 0 when |H| < 2.
 
     The grade is the trace's h_expansion: the prune loop ends on a sweep
     of H that finds no sparse set, and that sweep's minimum ratio is
@@ -120,7 +122,10 @@ def _prune_and_grade(g_f: Graph, mode: str, alpha, eps):
     at least 2 nodes is connected: its smallest component would have at
     most |H|/2 nodes and ratio 0 <= alpha*eps, and the loop would have
     culled it."""
-    trace = (prune if mode == "node" else prune2)(g_f, alpha, eps)
+    if start is None:
+        trace = (prune if mode == "node" else prune2)(g, alpha, eps)
+    else:
+        trace = _prune_loop(g, alpha, eps, mode, start=start)
     if trace.h_size < 2:
         return trace, Fraction(0)
     if trace.h_expansion is None:
@@ -348,8 +353,9 @@ def adversary_exhaustive(
     traces = []
     for faults in combinations(range(g.n), f):
         iterations += 1
-        g_f = remove_nodes(g, faults)
-        trace, h_exp = _prune_and_grade(g_f, "node", alpha, eps)
+        # G - F is pruned as g's nodes outside F, with no graph built
+        start = set(range(g.n)).difference(faults)
+        trace, h_exp = _prune_and_grade(g, "node", alpha, eps, start)
         if Fraction(trace.h_size) < size_bound:
             raise ContractError(
                 f"faults {faults}: |H| = {trace.h_size} below bound {size_bound}"
@@ -358,7 +364,7 @@ def adversary_exhaustive(
             raise ContractError(
                 f"faults {faults}: expansion {h_exp} below bound {exp_bound}"
             )
-        if not all(c["ok"] for c in union_boundary_check(g_f, trace)):
+        if not all(c["ok"] for c in union_boundary_check(g, trace)):
             raise ContractError(f"faults {faults}: prefix boundary invariant failed")
         if keep_traces:
             traces.append((faults, trace))

@@ -137,7 +137,14 @@ class Graph:
         if self._node_map is None:
             return canon_nodes(self, roots)
         index = {r: v for v, r in enumerate(self._node_map)}
-        return tuple(sorted(index[r] for r in roots))
+        out = set()
+        for r in roots:
+            if r not in index:
+                raise InputError(f"root id {r} is not in this graph")
+            if index[r] in out:
+                raise InputError(f"duplicate root id {r} in set")
+            out.add(index[r])
+        return tuple(sorted(out))
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < len(self._adj):

@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import kernels
 from .errors import ContractError, InputError, LimitError
 from .expansion import (
     EXACT_EXPANSION_LIMIT,
-    _sparse_cut,
+    _min_ratio_cut,
     edge_expansion_heuristic,
-    node_expansion_exact,
     node_expansion_heuristic,
 )
 from .faults import KIND_NODE, FaultPattern
@@ -39,7 +39,6 @@ from .graph import (
     is_connected,
     is_connected_subset,
     node_boundary,
-    remove_nodes,
 )
 
 
@@ -111,36 +110,42 @@ def _validate_params(alpha: Fraction, eps: Fraction) -> None:
         raise InputError("eps must lie strictly between 0 and 1")
 
 
-def _boundary_size(g: Graph, s, mode: str) -> int:
-    """|node boundary| or |edge boundary| of s in g, by mode."""
+def _boundary(g: Graph, s, mode: str, alive) -> tuple:
+    """The node or edge boundary of s, by mode, in the subgraph of g
+    induced by alive, a set holding s."""
     if mode == "node":
-        return len(node_boundary(g, s))
-    return len(edge_boundary(g, s))
+        return tuple(v for v in node_boundary(g, s) if v in alive)
+    return tuple(e for e in edge_boundary(g, s) if e[0] in alive and e[1] in alive)
 
 
-def _prefix_row(g_f: Graph, mode: str, union_root) -> tuple:
-    """(union_boundary, union_size) of the sets culled so far, their
-    union measured in the faulty graph g_f."""
-    union_local = g_f.local_ids(union_root)
-    return _boundary_size(g_f, union_local, mode), len(union_local)
+def _min_ratio_set(g: Graph, alive, mode: str):
+    """(ratio, set) of the canonical minimizer over 1 <= |S| <= |alive|/2
+    in the subgraph of g induced by alive (at least 2 nodes), the set in
+    g's ids. alive is numbered in ascending order, as remove_nodes
+    numbers it, and that order is kept both ways, so the (ratio, size,
+    lex) winner is the one remove_nodes' graph would give."""
+    keep = sorted(alive)
+    index = {v: i for i, v in enumerate(keep)}
+    adjacency = [[index[u] for u in g.adjacency[v] if u in index] for v in keep]
+    value, mask = _min_ratio_cut(adjacency, mode, "sparse-cut search")
+    return value, tuple(keep[i] for i in kernels.mask_nodes(mask))
 
 
-def _compact_cull(g: Graph, s: tuple) -> tuple:
-    """Turn a connected set with 2|s| <= n into a compact one whose
-    edge ratio is no worse; see compactify for the three cases."""
-    if 2 * len(s) > g.n:
+def _compact_cull(g: Graph, alive: set, s: tuple) -> tuple:
+    """Turn a connected set with 2|s| <= |alive| into one that is compact
+    in the subgraph of g induced by alive and whose edge ratio there is
+    no worse; see compactify for the three cases."""
+    if 2 * len(s) > len(alive):
         raise ContractError("compact cull needs 2|s| <= n")
-    rest = sorted(set(range(g.n)) - set(s))
-    comps = connected_components(g, rest)
+    comps = connected_components(g, alive.difference(s))
     if len(comps) == 1:
         return s
-    big = [c for c in comps if 2 * len(c) >= g.n]
+    big = [c for c in comps if 2 * len(c) >= len(alive)]
     if big:
-        keep = set(big[0])
-        return tuple(v for v in range(g.n) if v not in keep)
+        return tuple(sorted(alive.difference(big[0])))
     best = None
     for c in comps:
-        ratio = Fraction(len(edge_boundary(g, c)), len(c))
+        ratio = Fraction(len(_boundary(g, c, "edge", alive)), len(c))
         key = (ratio, len(c), c)
         if best is None or key < best:
             best = key
@@ -166,93 +171,98 @@ def compactify(g: Graph, s) -> tuple:
         raise InputError("compactify needs a connected set")
     if 2 * len(s_t) >= g.n:
         raise InputError("compactify needs 2|s| < n")
-    out = _compact_cull(g, s_t)
+    out = _compact_cull(g, set(range(g.n)), s_t)
     if not is_compact(g, out):
         raise ContractError("compactify produced a non-compact set")
     return out
 
 
-def _heuristic_cut(cur: Graph, mode: str, threshold: Fraction, index: int):
+def _heuristic_cut(g: Graph, alive, mode: str, threshold: Fraction, index: int):
     """Propose a cull set without the exact sweep: take the heuristic
-    expansion witness and accept it only if it meets the loop condition.
-    Misses cuts the exact finder would see, hence certified=False."""
+    expansion witness of the subgraph of g induced by alive and accept
+    it only if it meets the loop condition. Misses cuts the exact finder
+    would see, hence certified=False."""
+    keep = sorted(alive)
     fn = node_expansion_heuristic if mode == "node" else edge_expansion_heuristic
-    wit = fn(cur, trials=8, seed=index).witness
-    s = () if wit is None else wit.set
-    if not s or 2 * len(s) > cur.n:
-        return None
-    if Fraction(_boundary_size(cur, s, mode), len(s)) <= threshold:
-        return tuple(s)
+    wit = fn(induced_subgraph(g, keep), trials=8, seed=index).witness
+    bnd = len(wit.node_boundary) if mode == "node" else wit.edge_boundary_size
+    if Fraction(bnd, len(wit.set)) <= threshold:
+        return tuple(keep[i] for i in wit.set)
     return None
 
 
 def _prune_loop(
-    g_f: Graph,
+    g: Graph,
     alpha: Fraction,
     eps: Fraction,
     mode: str,
     method: str = "exact",
+    start=None,
 ) -> PruneTrace:
+    """Prune the subgraph of g induced by start, all of g by default.
+    The loop keeps its nodes in g's own ids and writes culls and the
+    survivor out in g's root ids."""
     _validate_params(alpha, eps)
     if method not in ("exact", "heuristic"):
         raise InputError(f"unknown prune method {method!r}")
-    cur = g_f
+    nodes = frozenset(range(g.n) if start is None else start)
+    alive = set(nodes)
     steps = []
-    union_root: list = []
+    union: list = []
     bnd_sum = 0
     threshold = alpha * eps
     value = None  # the last exact sweep's minimum ratio
-    while True:
+    while len(alive) >= 2:
         if method == "heuristic":
-            raw_local = _heuristic_cut(cur, mode, threshold, len(steps))
+            raw = _heuristic_cut(g, alive, mode, threshold, len(steps))
         else:
-            value, found = _sparse_cut(cur, mode, threshold)
-            raw_local = None if found is None else found.set
-        if raw_local is None:
+            value, raw = _min_ratio_set(g, alive, mode)
+            if value > threshold:
+                raw = None
+        if raw is None:
             break
         compact_flag = None
-        cull_local = raw_local
+        cull = raw
         # edge mode compactifies; across components there is no
         # compactness guarantee, so the set is culled as found
-        if mode == "edge" and is_connected(cur) and is_connected_subset(cur, raw_local):
-            cull_local = _compact_cull(cur, raw_local)
-            compact_flag = is_compact(cur, cull_local)
+        if mode == "edge" and is_connected_subset(g, alive) and is_connected_subset(g, raw):
+            cull = _compact_cull(g, alive, raw)
+            rest = alive.difference(cull)
+            compact_flag = is_connected_subset(g, cull) and is_connected_subset(g, rest)
             if not compact_flag:
                 raise ContractError("edge prune culled a non-compact set")
-        bnd = _boundary_size(cur, cull_local, mode)
-        ratio = Fraction(bnd, len(cull_local))
+        bnd = len(_boundary(g, cull, mode, alive))
+        ratio = Fraction(bnd, len(cull))
         if ratio > threshold:
             raise ContractError("culled set exceeded the cull threshold")
-        nodes_root = cur.original_ids(cull_local)
-        raw_root = cur.original_ids(raw_local)
         steps.append(
             PruneStep(
                 index=len(steps),
-                graph_size=cur.n,
-                nodes=nodes_root,
-                raw_nodes=raw_root,
+                graph_size=len(alive),
+                nodes=g.original_ids(cull),
+                raw_nodes=g.original_ids(raw),
                 boundary_size=bnd,
                 ratio=ratio,
                 compact=compact_flag,
             )
         )
-        union_root.extend(nodes_root)
+        union.extend(cull)
         bnd_sum += bnd
-        union_bnd, union_size = _prefix_row(g_f, mode, union_root)
-        if union_bnd > bnd_sum:
+        if len(_boundary(g, union, mode, nodes)) > bnd_sum:
             raise ContractError("union boundary exceeded the per-step boundary sum")
-        if bnd_sum > threshold * union_size:
+        if bnd_sum > threshold * len(union):
             raise ContractError("boundary sum exceeded alpha*eps times the culled size")
-        cur = remove_nodes(cur, cull_local)
+        alive.difference_update(cull)
     return PruneTrace(
         mode=mode,
         alpha=alpha,
         eps=eps,
-        n_start=g_f.n,
+        n_start=len(nodes),
         steps=tuple(steps),
-        final_nodes=cur.original_ids(range(cur.n)),
+        final_nodes=g.original_ids(alive),
         certified=method == "exact",
-        h_expansion=value,
+        # a survivor below 2 nodes is not swept
+        h_expansion=value if len(alive) >= 2 else None,
     )
 
 
@@ -288,23 +298,27 @@ def prune2(
 
 def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
     """Recompute the prefix invariant of a trace from scratch against
-    the faulty graph it was produced on. Returns one dict per prefix;
-    every 'ok' must be True for a trace produced by prune or prune2."""
+    the graph it was produced on, measured on the trace's own nodes, its
+    culls plus its survivor: all of g_f for a trace of prune or prune2 on
+    g_f. Returns one dict per prefix; every 'ok' must be True for a
+    trace produced by prune or prune2."""
+    culls = [g_f.local_ids(step.nodes) for step in trace.steps]
+    nodes = set(g_f.local_ids(trace.final_nodes)).union(*culls)
     out = []
-    union_root: list = []
+    union: list = []
     bnd_sum = 0
     threshold = trace.alpha * trace.eps
-    for step in trace.steps:
-        union_root.extend(step.nodes)
+    for step, cull in zip(trace.steps, culls):
+        union.extend(cull)
         bnd_sum += step.boundary_size
-        union_bnd, union_size = _prefix_row(g_f, trace.mode, union_root)
-        ok = union_bnd <= bnd_sum and Fraction(bnd_sum) <= threshold * union_size
+        union_bnd = len(_boundary(g_f, union, trace.mode, nodes))
+        ok = union_bnd <= bnd_sum and Fraction(bnd_sum) <= threshold * len(union)
         out.append(
             {
                 "prefix": step.index + 1,
                 "union_boundary": union_bnd,
                 "boundary_sum": bnd_sum,
-                "union_size": union_size,
+                "union_size": len(union),
                 "ok": ok,
             }
         )
@@ -370,34 +384,29 @@ def _greedy_cuts(g: Graph, stop):
     largest surviving component until stop(that component's size, nodes
     failed so far) holds or it has a single node. The set is exact while
     the component fits the exact sweep and heuristic beyond, seeded by
-    the nodes failed so far. Returns (the surviving graph, the steps),
-    sets in g's root ids."""
-    cur = g
-    steps = []
+    the nodes failed so far. Returns (the surviving nodes, the cuts as
+    (component size, picked set, failed boundary)), all in g's own ids."""
+    alive = set(range(g.n))
+    cuts = []
     failed = 0
     while True:
-        comps = connected_components(cur)
+        comps = connected_components(g, alive)
         if not comps or len(comps[0]) < 2 or stop(len(comps[0]), failed):
             break
-        sub = induced_subgraph(cur, comps[0])
-        if sub.n <= EXACT_EXPANSION_LIMIT:
-            witness = node_expansion_exact(sub).witness
+        comp = comps[0]
+        if len(comp) <= EXACT_EXPANSION_LIMIT:
+            picked = _min_ratio_set(g, comp, "node")[1]
         else:
+            sub = induced_subgraph(g, comp)
             witness = node_expansion_heuristic(sub, trials=32, seed=failed).witness
-        removed = sub.original_ids(witness.node_boundary)
+            picked = tuple(comp[i] for i in witness.set)
+        removed = _boundary(g, picked, "node", alive)
         if not removed:
             break
-        steps.append(
-            ShatterStep(
-                index=len(steps),
-                component_size=sub.n,
-                picked=sub.original_ids(witness.set),
-                removed=removed,
-            )
-        )
+        cuts.append((len(comp), picked, removed))
         failed += len(removed)
-        cur = remove_nodes(cur, cur.local_ids(removed))
-    return cur, steps
+        alive.difference_update(removed)
+    return alive, cuts
 
 
 def shatter_uniform(g: Graph, eps: Fraction) -> ShatterResult:
@@ -419,13 +428,17 @@ def shatter_uniform(g: Graph, eps: Fraction) -> ShatterResult:
     if g.n > EXACT_EXPANSION_LIMIT:
         raise LimitError(f"shatter is limited to n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
     target = eps * g.n
-    cur, steps = _greedy_cuts(g, lambda size, _failed: size <= target)
+    alive, cuts = _greedy_cuts(g, lambda size, _failed: size <= target)
+    steps = tuple(
+        ShatterStep(i, size, g.original_ids(picked), g.original_ids(removed))
+        for i, (size, picked, removed) in enumerate(cuts)
+    )
     return ShatterResult(
         eps=eps,
         n=g.n,
         failed=tuple(sorted(v for s in steps for v in s.removed)),
-        steps=tuple(steps),
-        components=tuple(cur.original_ids(c) for c in connected_components(cur)),
+        steps=steps,
+        components=tuple(g.original_ids(c) for c in connected_components(g, alive)),
     )
 
 
@@ -436,10 +449,8 @@ def attack_greedy_cuts(g: Graph, budget: int) -> FaultPattern:
     budget = int(budget)
     if budget < 0:
         raise InputError("budget must be nonnegative")
-    # an unmapped copy, so the failed ids land in g's own id space
-    base = g if g.node_map is None else Graph.from_edges(g.n, g.edges())
-    _cur, steps = _greedy_cuts(base, lambda _size, failed: failed >= budget)
-    failed = [v for s in steps for v in s.removed][:budget]
+    _alive, cuts = _greedy_cuts(g, lambda _size, failed: failed >= budget)
+    failed = [v for _size, _picked, removed in cuts for v in removed][:budget]
     return FaultPattern(
         kind=KIND_NODE,
         failed_nodes=tuple(sorted(failed)),

@@ -30,7 +30,14 @@ replaced it, and `_chain_step`, the table step with back-pointers, for
 the walk that reads its moves from the values-only tables.
 `percolation_point` and `run_resilience_trial` are the two random-fault
 trial loops as first written, each with its own draw, prune, grade and
-fault count; they are the reference for the one shared trial function."""
+fault count; they are the reference for the one shared trial function.
+`prune_loop`, `greedy_cuts` and `compact_cull`, with
+`union_boundary_check`, `shatter_uniform` and `attack_greedy_cuts` on
+top, are the pruning and greedy cut loops as first written: a Graph
+rebuilt by `remove_nodes` after every cull, and sets carried between
+its local ids and the root ids. They are the reference for the loops
+that keep a set of alive nodes in the given graph's ids; the heuristic
+loop stops below two nodes, as the package's now does."""
 
 import time
 import warnings
@@ -49,13 +56,18 @@ from xpand.expansion import (
     SUBDIV_CHAIN_LIMIT,
     ExpansionResult,
     _empty_table,
+    _min_ratio_cut,
     _fix_rows,
     _values_step,
     edge_expansion_exact,
+    edge_expansion_heuristic,
     node_expansion_exact,
+    node_expansion_heuristic,
 )
 from xpand.experiments import MAX_TRIALS_PER_POINT, TrialResult, _prune_and_grade, gamma
 from xpand.faults import (
+    KIND_NODE,
+    FaultPattern,
     apply_faults,
     edge_survival_pattern,
     make_rng,
@@ -63,8 +75,28 @@ from xpand.faults import (
     random_node_faults,
 )
 from xpand.generators import SubdividedGraph, mesh, mesh_coords, mesh_index
-from xpand.graph import Graph, connected_components, is_connected, make_cut, node_boundary
-from xpand.pruning import expansion_lower_bound, hypothesis_ok, size_lower_bound
+from xpand.graph import (
+    Graph,
+    connected_components,
+    edge_boundary,
+    induced_subgraph,
+    is_compact,
+    is_connected,
+    is_connected_subset,
+    make_cut,
+    node_boundary,
+    remove_nodes,
+)
+from xpand.pruning import (
+    PruneStep,
+    PruneTrace,
+    ShatterResult,
+    ShatterStep,
+    _validate_params,
+    expansion_lower_bound,
+    hypothesis_ok,
+    size_lower_bound,
+)
 from xpand.span import MeshSpanCertificate, SpanReport
 
 
@@ -872,4 +904,193 @@ def run_resilience_trial(
         expansion=expansion,
         certified=certified,
         ms=int(ms),
+    )
+
+
+def _boundary_size(g: Graph, s, mode: str) -> int:
+    if mode == "node":
+        return len(node_boundary(g, s))
+    return len(edge_boundary(g, s))
+
+
+def _prefix_row(g_f: Graph, mode: str, union_root) -> tuple:
+    union_local = g_f.local_ids(union_root)
+    return _boundary_size(g_f, union_local, mode), len(union_local)
+
+
+def _sparse_cut(g: Graph, mode: str, threshold: Fraction):
+    if g.n < 2:
+        return None, None
+    value, mask = _min_ratio_cut(g.adjacency, mode, "sparse-cut search")
+    if value > threshold:
+        return value, None
+    return value, make_cut(g, kernels.mask_nodes(mask))
+
+
+def compact_cull(g: Graph, s: tuple) -> tuple:
+    if 2 * len(s) > g.n:
+        raise ContractError("compact cull needs 2|s| <= n")
+    rest = sorted(set(range(g.n)) - set(s))
+    comps = connected_components(g, rest)
+    if len(comps) == 1:
+        return s
+    big = [c for c in comps if 2 * len(c) >= g.n]
+    if big:
+        keep = set(big[0])
+        return tuple(v for v in range(g.n) if v not in keep)
+    best = None
+    for c in comps:
+        ratio = Fraction(len(edge_boundary(g, c)), len(c))
+        key = (ratio, len(c), c)
+        if best is None or key < best:
+            best = key
+    return best[2]
+
+
+def _heuristic_cut(cur: Graph, mode: str, threshold: Fraction, index: int):
+    fn = node_expansion_heuristic if mode == "node" else edge_expansion_heuristic
+    wit = fn(cur, trials=8, seed=index).witness
+    s = () if wit is None else wit.set
+    if not s or 2 * len(s) > cur.n:
+        return None
+    if Fraction(_boundary_size(cur, s, mode), len(s)) <= threshold:
+        return tuple(s)
+    return None
+
+
+def prune_loop(g_f: Graph, alpha, eps, mode: str, method: str = "exact") -> PruneTrace:
+    alpha, eps = Fraction(alpha), Fraction(eps)
+    _validate_params(alpha, eps)
+    if method not in ("exact", "heuristic"):
+        raise InputError(f"unknown prune method {method!r}")
+    cur = g_f
+    steps = []
+    union_root: list = []
+    bnd_sum = 0
+    threshold = alpha * eps
+    value = None
+    while True:
+        if method == "heuristic":
+            raw_local = None if cur.n < 2 else _heuristic_cut(cur, mode, threshold, len(steps))
+        else:
+            value, found = _sparse_cut(cur, mode, threshold)
+            raw_local = None if found is None else found.set
+        if raw_local is None:
+            break
+        compact_flag = None
+        cull_local = raw_local
+        if mode == "edge" and is_connected(cur) and is_connected_subset(cur, raw_local):
+            cull_local = compact_cull(cur, raw_local)
+            compact_flag = is_compact(cur, cull_local)
+            if not compact_flag:
+                raise ContractError("edge prune culled a non-compact set")
+        bnd = _boundary_size(cur, cull_local, mode)
+        ratio = Fraction(bnd, len(cull_local))
+        if ratio > threshold:
+            raise ContractError("culled set exceeded the cull threshold")
+        nodes_root = cur.original_ids(cull_local)
+        raw_root = cur.original_ids(raw_local)
+        steps.append(
+            PruneStep(
+                index=len(steps),
+                graph_size=cur.n,
+                nodes=nodes_root,
+                raw_nodes=raw_root,
+                boundary_size=bnd,
+                ratio=ratio,
+                compact=compact_flag,
+            )
+        )
+        union_root.extend(nodes_root)
+        bnd_sum += bnd
+        union_bnd, union_size = _prefix_row(g_f, mode, union_root)
+        if union_bnd > bnd_sum:
+            raise ContractError("union boundary exceeded the per-step boundary sum")
+        if bnd_sum > threshold * union_size:
+            raise ContractError("boundary sum exceeded alpha*eps times the culled size")
+        cur = remove_nodes(cur, cull_local)
+    return PruneTrace(
+        mode=mode,
+        alpha=alpha,
+        eps=eps,
+        n_start=g_f.n,
+        steps=tuple(steps),
+        final_nodes=cur.original_ids(range(cur.n)),
+        certified=method == "exact",
+        h_expansion=value,
+    )
+
+
+def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
+    out = []
+    union_root: list = []
+    bnd_sum = 0
+    threshold = trace.alpha * trace.eps
+    for step in trace.steps:
+        union_root.extend(step.nodes)
+        bnd_sum += step.boundary_size
+        union_bnd, union_size = _prefix_row(g_f, trace.mode, union_root)
+        ok = union_bnd <= bnd_sum and Fraction(bnd_sum) <= threshold * union_size
+        out.append(
+            {
+                "prefix": step.index + 1,
+                "union_boundary": union_bnd,
+                "boundary_sum": bnd_sum,
+                "union_size": union_size,
+                "ok": ok,
+            }
+        )
+    return out
+
+
+def greedy_cuts(g: Graph, stop):
+    cur = g
+    steps = []
+    failed = 0
+    while True:
+        comps = connected_components(cur)
+        if not comps or len(comps[0]) < 2 or stop(len(comps[0]), failed):
+            break
+        sub = induced_subgraph(cur, comps[0])
+        if sub.n <= EXACT_EXPANSION_LIMIT:
+            witness = node_expansion_exact(sub).witness
+        else:
+            witness = node_expansion_heuristic(sub, trials=32, seed=failed).witness
+        removed = sub.original_ids(witness.node_boundary)
+        if not removed:
+            break
+        steps.append(
+            ShatterStep(
+                index=len(steps),
+                component_size=sub.n,
+                picked=sub.original_ids(witness.set),
+                removed=removed,
+            )
+        )
+        failed += len(removed)
+        cur = remove_nodes(cur, cur.local_ids(removed))
+    return cur, steps
+
+
+def shatter_uniform(g: Graph, eps) -> ShatterResult:
+    eps = Fraction(eps)
+    target = eps * g.n
+    cur, steps = greedy_cuts(g, lambda size, _failed: size <= target)
+    return ShatterResult(
+        eps=eps,
+        n=g.n,
+        failed=tuple(sorted(v for s in steps for v in s.removed)),
+        steps=tuple(steps),
+        components=tuple(cur.original_ids(c) for c in connected_components(cur)),
+    )
+
+
+def attack_greedy_cuts(g: Graph, budget: int) -> FaultPattern:
+    base = g if g.node_map is None else Graph.from_edges(g.n, g.edges())
+    _cur, steps = greedy_cuts(base, lambda _size, failed: failed >= budget)
+    failed = [v for s in steps for v in s.removed][:budget]
+    return FaultPattern(
+        kind=KIND_NODE,
+        failed_nodes=tuple(sorted(failed)),
+        provenance={"strategy": "greedy-cuts", "budget": budget},
     )

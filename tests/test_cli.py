@@ -280,6 +280,16 @@ def test_prune_with_fault_file(workdir, capsys):
     assert payload["final_nodes"] == [4, 5, 6, 7]
 
 
+@pytest.mark.parametrize("command, flag", [("prune", "--alpha"), ("prune2", "--alpha-e")])
+def test_heuristic_prune_of_a_single_node(workdir, capsys, command, flag):
+    (workdir / "one.gr").write_text("1 0\n")
+    rc, out, _ = run([command, "one.gr", flag, "1/2", "--eps", "1/2", "--heuristic"], capsys)
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["certified"] is False
+    assert payload["steps"] == [] and payload["final_nodes"] == [0]
+
+
 def test_prune2_subcommand(workdir, capsys):
     run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
     rc, out, _ = run(

@@ -110,6 +110,16 @@ def test_remove_nodes_relabels_and_tracks_origin():
     assert h2.original_ids(range(h2.n)) == (2, 3, 4, 5, 6, 7)
 
 
+def test_local_ids_refuse_missing_and_repeated_ids():
+    h = remove_nodes(cycle(8), [0])
+    assert h.local_ids([7, 1]) == (0, 6)
+    assert cycle(8).local_ids([7, 1]) == (1, 7)
+    # mapped and unmapped graphs alike raise InputError
+    for g, roots in ((h, [0]), (h, [1, 1]), (cycle(8), [8]), (cycle(8), [1, 1])):
+        with pytest.raises(InputError):
+            g.local_ids(roots)
+
+
 def test_remove_nothing_is_identity():
     g = mesh([3, 3])
     h = remove_nodes(g, [])

@@ -1,6 +1,8 @@
 """Property tests over random graphs: the shared component walk against
 networkx, the shared prune-and-grade path against a from-scratch
-reference, percolation points and resilience trials against their two
+reference, the prune and greedy cut loops against their first
+Graph-rebuilding versions, the adversary's traces against prune of each
+faulty graph, percolation points and resilience trials against their two
 first-written trial loops, the chain DP against its first dict-of-states
 version, its class sweep against the per-base-set table sweep it
 replaced, its values-only step and its walk against the pointer step,
@@ -49,7 +51,14 @@ from xpand.graph import (
     loads,
     remove_nodes,
 )
-from xpand.pruning import prune, prune2
+from xpand.pruning import (
+    attack_greedy_cuts,
+    hypothesis_ok,
+    prune,
+    prune2,
+    shatter_uniform,
+    union_boundary_check,
+)
 from xpand.span import sample_compact_set
 
 
@@ -113,6 +122,106 @@ def test_prune_and_grade_matches_reference_edge(data, g):
         ref_expansion = Fraction(0)
     assert trace.to_payload() == ref.to_payload()
     assert expansion == ref_expansion
+
+
+@st.composite
+def mapped_graphs(draw, max_n=12):
+    """A random graph with up to two rounds of node removal behind it, so
+    its node map, when it has one, composes back to the first graph."""
+    g = draw(graphs(max_n=max_n))
+    for _ in range(draw(st.integers(0, 2))):
+        if g.n:
+            g = remove_nodes(g, draw(st.sets(st.integers(0, g.n - 1), max_size=g.n // 3)))
+    return g
+
+
+_RATIOS = st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4)
+_EPS = st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+
+
+@given(
+    g=mapped_graphs(),
+    alpha=_RATIOS,
+    eps=_EPS,
+    mode=st.sampled_from(["node", "edge"]),
+    method=st.sampled_from(["exact", "heuristic"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_prune_loop_matches_graph_rebuilding_reference(g, alpha, eps, mode, method):
+    run = prune if mode == "node" else prune2
+    trace = run(g, alpha, eps, method=method)
+    ref = oracles.prune_loop(g, alpha, eps, mode, method)
+    assert trace.to_payload() == ref.to_payload()
+    assert trace.h_expansion == ref.h_expansion
+    assert union_boundary_check(g, trace) == oracles.union_boundary_check(g, ref)
+
+
+@given(data=st.data(), g=mapped_graphs())
+@settings(max_examples=80, deadline=None)
+def test_shatter_and_attack_match_graph_rebuilding_reference(data, g):
+    eps = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+    if eps * g.n >= 1:
+        assert shatter_uniform(g, eps) == oracles.shatter_uniform(g, eps)
+    budget = data.draw(st.integers(0, 4))
+    assert attack_greedy_cuts(g, budget) == oracles.attack_greedy_cuts(g, budget)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        remove_nodes(cycle(32), [1, 30]),
+        remove_nodes(mesh([5, 6]), [1, 6, 17]),
+        remove_nodes(remove_nodes(mesh([6, 6]), [14]), [1, 6]),
+    ],
+    ids=["cycle32", "mesh5x6", "mesh6x6"],
+)
+def test_greedy_attack_past_the_exact_cap_matches_reference(g):
+    # each graph's largest component has more than 24 nodes, so the
+    # first cuts come from the heuristic on a component graph, and it
+    # misses node 0, so that graph's ids are not g's
+    comp = connected_components(g)[0]
+    assert len(comp) > expansion.EXACT_EXPANSION_LIMIT and comp[0] > 0
+    assert attack_greedy_cuts(g, 3) == oracles.attack_greedy_cuts(g, 3)
+
+
+# a graph on which one fault leaves a cull next to it, so the prefix
+# check of the adversary's trace must leave the fault out
+_CULL_BY_FAULT_CASE = Graph.from_edges(
+    9,
+    [(0, 1), (0, 4), (0, 8), (1, 2), (1, 4), (1, 5), (1, 6), (1, 8), (2, 3), (2, 4)]
+    + [(2, 5), (2, 6), (2, 8), (4, 6), (4, 7), (4, 8), (5, 6), (5, 7), (7, 8)],
+)
+
+
+@given(g=graphs(min_n=2, max_n=10, connected=True))
+@example(g=_CULL_BY_FAULT_CASE)
+@settings(max_examples=30, deadline=None)
+def test_adversary_traces_match_prune_of_the_faulty_graph(g):
+    alpha = node_expansion_exact(g).value
+    f = max(f for f in range(3) if hypothesis_ok(g.n, alpha, 2, f))
+    report, traces = adversary_exhaustive(g, 2, f, keep_traces=True)
+    assert report.iterations == len(traces)
+    for faults, trace in traces:
+        g_f = remove_nodes(g, faults)
+        ref = prune(g_f, alpha, Fraction(1, 2))
+        assert trace.to_payload() == ref.to_payload()
+        assert trace.h_expansion == ref.h_expansion
+        assert union_boundary_check(g, trace) == union_boundary_check(g_f, ref)
+
+
+def test_adversary_builds_no_graph(monkeypatch):
+    g = mesh([4, 4])
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    report = adversary_exhaustive(g, 2, 1)
+    assert report.iterations == 16
+    assert built == []
 
 
 _TRIAL_PS = st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)])

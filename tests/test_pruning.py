@@ -190,6 +190,18 @@ def test_heuristic_method_on_faulted_mesh():
     assert set(t.final_nodes) <= set(gf.original_ids(range(gf.n)))
 
 
+@pytest.mark.parametrize("run", [prune, prune2], ids=["node", "edge"])
+def test_heuristic_prune_stops_below_two_nodes(run):
+    for n in (0, 1):
+        t = run(Graph.from_edges(n, []), F(1), F(1, 2), method="heuristic")
+        assert t.steps == () and t.final_nodes == tuple(range(n))
+    # one isolated node is culled, and the other is left unswept
+    t = run(Graph.from_edges(2, []), F(1), F(1, 2), method="heuristic")
+    assert [s.nodes for s in t.steps] == [(0,)]
+    assert t.final_nodes == (1,)
+    assert not t.certified and t.h_expansion is None
+
+
 @pytest.mark.parametrize(
     "run, measure",
     [(prune, node_expansion_exact), (prune2, edge_expansion_exact)],
