@@ -228,11 +228,11 @@ def main() -> int:
             args.repeat,
         )
 
-    r18_f = apply_faults(r18, edge_survival_pattern(r18, 0.5, 0))
+    r18_f, r18_nodes = apply_faults(r18, edge_survival_pattern(r18, 0.5, 0))
     alpha_e18 = edge_expansion_exact(r18).value
     bench(
         f"prune2 {label} survival p=1/2",
-        lambda: prune2(r18_f, alpha_e18, Fraction(1, 2)),
+        lambda: prune2(r18_f, alpha_e18, Fraction(1, 2), nodes=r18_nodes),
         args.repeat,
     )
     seed5, r5 = _regular(18, 5, args.seed)
@@ -240,10 +240,10 @@ def main() -> int:
     bench(f"shatter_uniform {label5}", lambda: shatter_uniform(r5, Fraction(1, 4)), args.repeat)
     bench(f"attack greedy {label5} budget 3", lambda: attack_greedy_cuts(r5, 3), args.repeat)
     m66 = mesh((6, 6))
-    m66_f = apply_faults(m66, random_node_faults(m66, 0.15, 4))
+    m66_f, m66_nodes = apply_faults(m66, random_node_faults(m66, 0.15, 4))
     bench(
         "prune heuristic mesh 6x6 p=0.15",
-        lambda: prune(m66_f, Fraction(1), Fraction(1, 2), method="heuristic"),
+        lambda: prune(m66_f, Fraction(1), Fraction(1, 2), method="heuristic", nodes=m66_nodes),
         args.repeat,
     )
     return 0

@@ -242,17 +242,18 @@ def cmd_span(args, ctx: RunContext) -> int:
 
 
 def _load_faults(ctx: RunContext, args, g: Graph):
-    """Returns (faulty graph, fault count). --faults empty means none."""
+    """Returns (graph, surviving nodes, fault count), the faulty graph
+    as apply_faults gives it. --faults empty means none."""
     if args.faults == "empty":
-        return g, 0
+        return g, None, 0
     pattern = FaultPattern.from_json(ctx.load_text(args.faults))
-    g_f = apply_faults(g, pattern)
-    return g_f, pattern.fault_count(g)
+    g_f, nodes = apply_faults(g, pattern)
+    return g_f, nodes, pattern.fault_count(g)
 
 
 def cmd_prune(args, ctx: RunContext) -> int:
     g = ctx.load_graph(args.graph)
-    g_f, fault_count = _load_faults(ctx, args, g)
+    g_f, nodes, fault_count = _load_faults(ctx, args, g)
     edge_mode = args.command == "prune2"
     given = getattr(args, "alpha_e" if edge_mode else "alpha", None)
     flag = "--alpha-e" if edge_mode else "--alpha"
@@ -268,7 +269,7 @@ def cmd_prune(args, ctx: RunContext) -> int:
         oracle = edge_expansion_exact if edge_mode else node_expansion_exact
         alpha = oracle(g).value
     eps = parse_rational(args.eps)
-    trace = (prune2 if edge_mode else prune)(g_f, alpha, eps, method=method)
+    trace = (prune2 if edge_mode else prune)(g_f, alpha, eps, method=method, nodes=nodes)
     payload = trace.to_payload()
     payload["faults"] = fault_count
     ctx.deliver(args.output, canonical_json(payload))

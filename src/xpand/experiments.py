@@ -36,7 +36,6 @@ from .faults import (
 from .generators import SubdividedGraph
 from .graph import Graph, connected_components
 from .pruning import (
-    _prune_loop,
     expansion_lower_bound,
     hypothesis_ok,
     prune,
@@ -53,11 +52,13 @@ CENSUS_COUNT_CAP = 1 << 22
 COLUMNS = ("p", "trial", "gamma", "h_frac", "expansion_num", "expansion_den", "certified", "ms")
 
 
-def gamma(g: Graph) -> Fraction:
-    """Largest-component fraction of g; 0 for the empty graph."""
-    if g.n == 0:
+def gamma(g: Graph, nodes=None) -> Fraction:
+    """Largest-component fraction of g, or of its subgraph induced by
+    nodes; 0 when there are no nodes."""
+    comps = connected_components(g, nodes)
+    if not comps:
         return Fraction(0)
-    return Fraction(len(connected_components(g)[0]), g.n)
+    return Fraction(len(comps[0]), sum(map(len, comps)))
 
 
 @dataclass(frozen=True)
@@ -110,22 +111,19 @@ def rows_to_jsonl(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prune_and_grade(g: Graph, mode: str, alpha, eps, start=None):
-    """Prune g (prune for node mode, prune2 for edge mode), or its
-    subgraph induced by the node set start, and grade the survivor H by
-    its exact expansion in the same mode. Returns (trace, expansion of
-    H), the expansion 0 when |H| < 2.
+def _prune_and_grade(g: Graph, mode: str, alpha, eps, nodes=None):
+    """Prune the faulty graph (g, nodes), by prune in node mode and
+    prune2 in edge mode, and grade the survivor H by its exact expansion
+    in the same mode. Returns (trace, expansion of H), the expansion 0
+    when |H| < 2.
 
     The grade is the trace's h_expansion: the prune loop ends on a sweep
     of H that finds no sparse set, and that sweep's minimum ratio is
-    H's exact expansion, so H is neither rebuilt nor swept again. H with
-    at least 2 nodes is connected: its smallest component would have at
-    most |H|/2 nodes and ratio 0 <= alpha*eps, and the loop would have
-    culled it."""
-    if start is None:
-        trace = (prune if mode == "node" else prune2)(g, alpha, eps)
-    else:
-        trace = _prune_loop(g, alpha, eps, mode, start=start)
+    H's exact expansion, so H is neither built by induced_subgraph nor
+    swept again. H with at least 2 nodes is connected: its smallest
+    component would have at most |H|/2 nodes and ratio 0 <= alpha*eps,
+    and the loop would have culled it."""
+    trace = (prune if mode == "node" else prune2)(g, alpha, eps, nodes=nodes)
     if trace.h_size < 2:
         return trace, Fraction(0)
     if trace.h_expansion is None:
@@ -142,18 +140,18 @@ def _trial(g: Graph, model: str, p, trial: int, seed: int, grade, record_ms: boo
     t0 = time.monotonic_ns()
     draw = random_node_faults if model == "node" else edge_survival_pattern
     pattern = draw(g, float(p), seed)
-    g_f = apply_faults(g, pattern)
+    g_f, nodes = apply_faults(g, pattern)
     h_frac, expansion, certified = Fraction(0), Fraction(0), False
     if grade is not None:
         alpha, eps, size_ok = grade
-        trace, expansion = _prune_and_grade(g_f, model, alpha, eps)
+        trace, expansion = _prune_and_grade(g_f, model, alpha, eps, nodes)
         h_frac = Fraction(trace.h_size, g.n)
         certified = (
             trace.h_size >= 2
             and expansion >= eps * alpha
             and size_ok(trace.h_size, pattern.fault_count(g))
         )
-    gam = gamma(g_f)
+    gam = gamma(g_f, nodes)
     ms = (time.monotonic_ns() - t0) // 10**6 if record_ms else 0
     return TrialResult(
         p=p,
@@ -354,8 +352,8 @@ def adversary_exhaustive(
     for faults in combinations(range(g.n), f):
         iterations += 1
         # G - F is pruned as g's nodes outside F, with no graph built
-        start = set(range(g.n)).difference(faults)
-        trace, h_exp = _prune_and_grade(g, "node", alpha, eps, start)
+        nodes = set(range(g.n)).difference(faults)
+        trace, h_exp = _prune_and_grade(g, "node", alpha, eps, nodes)
         if Fraction(trace.h_size) < size_bound:
             raise ContractError(
                 f"faults {faults}: |H| = {trace.h_size} below bound {size_bound}"
@@ -422,13 +420,13 @@ def chain_attack_report(h: SubdividedGraph) -> ChainAttackReport:
         degree[v] += 1
     base_max_degree = max(degree) if degree else 0
     pattern = attack_chain_centers(h)
-    g_f = apply_faults(h.graph, pattern)
-    comps = connected_components(g_f) if g_f.n else []
+    g_f, nodes = apply_faults(h.graph, pattern)
+    comps = connected_components(g_f, nodes)
     largest = len(comps[0]) if comps else 0
     return ChainAttackReport(
         pattern=pattern,
         fault_count=pattern.fault_count(h.graph),
-        gamma=gamma(g_f),
+        gamma=gamma(g_f, nodes),
         largest_component=largest,
         component_bound=base_max_degree * (h.k // 2) + 1,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, canon_nodes, remove_nodes
+from .graph import Graph, canon_nodes
 
 KIND_NODE = "node-faults"
 KIND_EDGE = "edge-survival"
@@ -138,19 +138,16 @@ def edge_survival_pattern(g: Graph, p: float, seed: int) -> FaultPattern:
     )
 
 
-def random_edge_survival(g: Graph, p: float, seed: int) -> Graph:
-    """Graph on the same nodes keeping each edge with probability p."""
-    return apply_faults(g, edge_survival_pattern(g, p, seed))
+def apply_faults(g: Graph, pattern: FaultPattern) -> tuple:
+    """Materialize a pattern against g as (graph, surviving nodes), in
+    g's own ids.
 
-
-def apply_faults(g: Graph, pattern: FaultPattern) -> Graph:
-    """Materialize a pattern against g.
-
-    Node faults remove nodes (the result carries a node_map). Edge
-    survival keeps the node set and the listed edges.
+    Node faults keep g and the nodes outside the failed set. Edge
+    survival keeps every node, on the graph of the listed edges.
     """
     if pattern.kind == KIND_NODE:
-        return remove_nodes(g, canon_nodes(g, pattern.failed_nodes))
+        failed = set(canon_nodes(g, pattern.failed_nodes))
+        return g, tuple(v for v in range(g.n) if v not in failed)
     if pattern.kind == KIND_EDGE:
         g_edges = set(g.edges())
         for e in pattern.kept_edges:
@@ -159,8 +156,7 @@ def apply_faults(g: Graph, pattern: FaultPattern) -> Graph:
                     f"kept edge {list(e)} is not an edge of the graph"
                     " (edges are listed as [u, v] with u < v)"
                 )
-        nm = g.node_map if g.node_map is not None else tuple(range(g.n))
-        return Graph.from_edges(g.n, pattern.kept_edges, node_map=nm)
+        return Graph.from_edges(g.n, pattern.kept_edges), tuple(range(g.n))
     raise InputError(f"unknown fault pattern kind {pattern.kind!r}")
 
 

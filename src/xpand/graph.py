@@ -1,10 +1,9 @@
 """Immutable simple graphs plus the subset primitives everything else uses.
 
 Nodes are dense integer ids 0..n-1. Node sets travel in canonical form:
-a tuple sorted ascending with no duplicates. Graphs produced by node
-removal carry a ``node_map`` translating their local ids back to the ids
-of the root graph they were derived from, so analysis traces can always
-report sets in original coordinates.
+a tuple sorted ascending with no duplicates. A faulty graph is a pair
+(graph, surviving nodes) in the graph's own ids, so analysis traces
+report sets in the coordinates of the graph they were given.
 
 Text format for graph files: '#' starts a comment, the first data line is
 ``n m``, followed by exactly m lines ``u v`` with 0 <= u < v < n. Duplicate
@@ -38,9 +37,9 @@ def check_size(n: int, m: int) -> None:
 class Graph:
     """Undirected simple graph, immutable after construction."""
 
-    __slots__ = ("_adj", "_node_map", "_m", "_max_degree")
+    __slots__ = ("_adj", "_m", "_max_degree")
 
-    def __init__(self, adjacency: Iterable[Iterable[int]], node_map=None):
+    def __init__(self, adjacency: Iterable[Iterable[int]]):
         adj = tuple(tuple(sorted(set(nb))) for nb in adjacency)
         n = len(adj)
         m2 = 0
@@ -59,14 +58,9 @@ class Graph:
         self._adj = adj
         self._m = m2 // 2
         self._max_degree = maxdeg
-        if node_map is not None:
-            node_map = tuple(node_map)
-            if len(node_map) != n:
-                raise InputError("node_map length must equal node count")
-        self._node_map = node_map
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Sequence[int]], node_map=None) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
         if n < 0:
             raise InputError("node count must be nonnegative")
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -83,7 +77,7 @@ class Graph:
             seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
-        return cls(adj, node_map=node_map)
+        return cls(adj)
 
     @property
     def n(self) -> int:
@@ -100,11 +94,6 @@ class Graph:
     @property
     def adjacency(self) -> tuple:
         return self._adj
-
-    @property
-    def node_map(self):
-        """Local id -> root-graph id, or None when ids are already root ids."""
-        return self._node_map
 
     def neighbors(self, v: int) -> tuple:
         self._check_node(v)
@@ -125,26 +114,6 @@ class Graph:
             for v in nbrs:
                 if v > u:
                     yield (u, v)
-
-    def original_ids(self, nodes: Iterable[int]) -> tuple:
-        """Translate local ids through node_map into root-graph ids."""
-        if self._node_map is None:
-            return canon_nodes(self, nodes)
-        return tuple(sorted(self._node_map[v] for v in canon_nodes(self, nodes)))
-
-    def local_ids(self, roots: Iterable[int]) -> tuple:
-        """Inverse of original_ids: root-graph ids back to local ids."""
-        if self._node_map is None:
-            return canon_nodes(self, roots)
-        index = {r: v for v, r in enumerate(self._node_map)}
-        out = set()
-        for r in roots:
-            if r not in index:
-                raise InputError(f"root id {r} is not in this graph")
-            if index[r] in out:
-                raise InputError(f"duplicate root id {r} in set")
-            out.add(index[r])
-        return tuple(sorted(out))
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < len(self._adj):
@@ -268,24 +237,12 @@ def is_compact(g: Graph, u: Iterable[int]) -> bool:
     return is_connected_subset(g, u_t) and is_connected_subset(g, rest)
 
 
-def remove_nodes(g: Graph, s: Iterable[int]) -> Graph:
-    """Graph induced on V minus s; node_map composes back to root ids."""
-    s_set = set(canon_nodes(g, s))
-    keep = [v for v in range(g.n) if v not in s_set]
-    local = {v: i for i, v in enumerate(keep)}
-    adj = [[local[u] for u in g.adjacency[v] if u not in s_set] for v in keep]
-    if g.node_map is None:
-        nm = tuple(keep)
-    else:
-        nm = tuple(g.node_map[v] for v in keep)
-    return Graph(adj, node_map=nm)
-
-
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
-    """Graph induced on keep (complement of remove_nodes)."""
+    """Graph induced on keep, its nodes numbered 0.. in ascending order
+    of their ids in g."""
     keep_t = canon_nodes(g, keep)
-    drop = set(range(g.n)) - set(keep_t)
-    return remove_nodes(g, drop)
+    index = {v: i for i, v in enumerate(keep_t)}
+    return Graph([[index[u] for u in g.adjacency[v] if u in index] for v in keep_t])
 
 
 def _decimals(line: str):

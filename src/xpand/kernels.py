@@ -495,26 +495,28 @@ def connected_masks(n: int, adj, cap: int):
     Returns None as soon as more than cap sets exist. Enumeration roots
     each set at its smallest node and branches on including or banning
     one frontier node at a time, so each set is emitted exactly once.
+    The branches wait on an explicit stack, since a path would take one
+    level of recursion per node.
     """
     out = []
     full = (1 << n) - 1
-
-    def rec(s: int, ext: int, banned: int) -> bool:
-        if ext == 0:
-            out.append(s)
-            return len(out) <= cap
-        u = ext & -ext
-        grown = s | u
-        new_ext = (ext | (adj[u.bit_length() - 1] & allowed & ~banned)) & ~grown
-        if not rec(grown, new_ext, banned):
-            return False
-        return rec(s, ext ^ u, banned | u)
-
     for root in range(n):
         rootbit = 1 << root
         allowed = full & ~(rootbit - 1)
-        if not rec(rootbit, adj[root] & allowed & ~rootbit, 0):
-            return None
+        stack = [(rootbit, adj[root] & allowed & ~rootbit, 0)]
+        while stack:
+            s, ext, banned = stack.pop()
+            if ext == 0:
+                out.append(s)
+                if len(out) > cap:
+                    return None
+                continue
+            u = ext & -ext
+            grown = s | u
+            stack.append((s, ext ^ u, banned | u))
+            stack.append(
+                (grown, (ext | (adj[u.bit_length() - 1] & allowed & ~banned)) & ~grown, banned)
+            )
     out.sort()
     return out
 

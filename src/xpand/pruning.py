@@ -46,7 +46,7 @@ from .graph import (
 class PruneStep:
     index: int
     graph_size: int  # nodes alive when the step ran
-    nodes: tuple  # culled set, root ids
+    nodes: tuple  # culled set
     raw_nodes: tuple  # set the sparse-cut search found (pre-compactify)
     boundary_size: int  # its node or edge boundary in the current graph
     ratio: Fraction
@@ -66,7 +66,7 @@ class PruneTrace:
     eps: Fraction
     n_start: int
     steps: tuple
-    final_nodes: tuple  # root ids of the surviving subgraph
+    final_nodes: tuple  # nodes of the surviving subgraph
     certified: bool = True  # exact finders used throughout
     h_expansion: Fraction | None = None
 
@@ -121,9 +121,9 @@ def _boundary(g: Graph, s, mode: str, alive) -> tuple:
 def _min_ratio_set(g: Graph, alive, mode: str):
     """(ratio, set) of the canonical minimizer over 1 <= |S| <= |alive|/2
     in the subgraph of g induced by alive (at least 2 nodes), the set in
-    g's ids. alive is numbered in ascending order, as remove_nodes
+    g's ids. alive is numbered in ascending order, as induced_subgraph
     numbers it, and that order is kept both ways, so the (ratio, size,
-    lex) winner is the one remove_nodes' graph would give."""
+    lex) winner is the one induced_subgraph's graph would give."""
     keep = sorted(alive)
     index = {v: i for i, v in enumerate(keep)}
     adjacency = [[index[u] for u in g.adjacency[v] if u in index] for v in keep]
@@ -197,15 +197,15 @@ def _prune_loop(
     eps: Fraction,
     mode: str,
     method: str = "exact",
-    start=None,
+    nodes=None,
 ) -> PruneTrace:
-    """Prune the subgraph of g induced by start, all of g by default.
-    The loop keeps its nodes in g's own ids and writes culls and the
-    survivor out in g's root ids."""
+    """Prune the subgraph of g induced by nodes, all of g by default.
+    The loop keeps its nodes, its culls and the survivor in g's own
+    ids."""
     _validate_params(alpha, eps)
     if method not in ("exact", "heuristic"):
         raise InputError(f"unknown prune method {method!r}")
-    nodes = frozenset(range(g.n) if start is None else start)
+    nodes = frozenset(range(g.n) if nodes is None else canon_nodes(g, nodes))
     alive = set(nodes)
     steps = []
     union: list = []
@@ -239,8 +239,8 @@ def _prune_loop(
             PruneStep(
                 index=len(steps),
                 graph_size=len(alive),
-                nodes=g.original_ids(cull),
-                raw_nodes=g.original_ids(raw),
+                nodes=tuple(sorted(cull)),
+                raw_nodes=tuple(sorted(raw)),
                 boundary_size=bnd,
                 ratio=ratio,
                 compact=compact_flag,
@@ -259,7 +259,7 @@ def _prune_loop(
         eps=eps,
         n_start=len(nodes),
         steps=tuple(steps),
-        final_nodes=g.original_ids(alive),
+        final_nodes=tuple(sorted(alive)),
         certified=method == "exact",
         # a survivor below 2 nodes is not swept
         h_expansion=value if len(alive) >= 2 else None,
@@ -267,43 +267,47 @@ def _prune_loop(
 
 
 def prune(
-    g_faulty: Graph,
+    g: Graph,
     alpha: Fraction,
     eps: Fraction,
     *,
     method: str = "exact",
+    nodes=None,
 ) -> PruneTrace:
-    """Node pruning: repeatedly cull the canonical minimizer S with
-    |boundary(S)| <= alpha*eps*|S|, |S| <= half the current graph.
-    alpha is the node expansion of the original fault-free graph.
+    """Node pruning of the faulty graph (g, nodes), the subgraph of g
+    induced by nodes (all of g by default): repeatedly cull the
+    canonical minimizer S with |boundary(S)| <= alpha*eps*|S|, |S| <=
+    half the current graph. alpha is the node expansion of the original
+    fault-free graph. The trace is in g's ids.
 
     method="heuristic" lifts the size limit but may stop early, so the
     loop-exit contract no longer holds and the trace is not certified.
     """
-    return _prune_loop(g_faulty, Fraction(alpha), Fraction(eps), "node", method)
+    return _prune_loop(g, Fraction(alpha), Fraction(eps), "node", method, nodes)
 
 
 def prune2(
-    g_faulty: Graph,
+    g: Graph,
     alpha_e: Fraction,
     eps: Fraction,
     *,
     method: str = "exact",
+    nodes=None,
 ) -> PruneTrace:
     """Edge pruning: like prune but on edge boundaries, and each culled
     set is first compactified, which never worsens its edge ratio.
     alpha_e is the edge expansion of the original fault-free graph."""
-    return _prune_loop(g_faulty, Fraction(alpha_e), Fraction(eps), "edge", method)
+    return _prune_loop(g, Fraction(alpha_e), Fraction(eps), "edge", method, nodes)
 
 
 def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
     """Recompute the prefix invariant of a trace from scratch against
     the graph it was produced on, measured on the trace's own nodes, its
-    culls plus its survivor: all of g_f for a trace of prune or prune2 on
-    g_f. Returns one dict per prefix; every 'ok' must be True for a
-    trace produced by prune or prune2."""
-    culls = [g_f.local_ids(step.nodes) for step in trace.steps]
-    nodes = set(g_f.local_ids(trace.final_nodes)).union(*culls)
+    culls plus its survivor: the nodes prune or prune2 was given.
+    Returns one dict per prefix; every 'ok' must be True for a trace
+    produced by prune or prune2."""
+    culls = [step.nodes for step in trace.steps]
+    nodes = set(trace.final_nodes).union(*culls)
     out = []
     union: list = []
     bnd_sum = 0
@@ -344,17 +348,17 @@ def hypothesis_ok(n: int, alpha: Fraction, k: int, f: int) -> bool:
 class ShatterStep:
     index: int
     component_size: int
-    picked: tuple  # root ids of the chosen set U
-    removed: tuple  # root ids of its failed boundary
+    picked: tuple  # the chosen set U
+    removed: tuple  # its failed boundary
 
 
 @dataclass(frozen=True)
 class ShatterResult:
     eps: Fraction
     n: int
-    failed: tuple  # all failed nodes, root ids, sorted
+    failed: tuple  # all failed nodes, sorted
     steps: tuple
-    components: tuple  # final components, root ids, canonical order
+    components: tuple  # final components, canonical order
 
     @property
     def total_failed(self) -> int:
@@ -430,15 +434,14 @@ def shatter_uniform(g: Graph, eps: Fraction) -> ShatterResult:
     target = eps * g.n
     alive, cuts = _greedy_cuts(g, lambda size, _failed: size <= target)
     steps = tuple(
-        ShatterStep(i, size, g.original_ids(picked), g.original_ids(removed))
-        for i, (size, picked, removed) in enumerate(cuts)
+        ShatterStep(i, size, picked, removed) for i, (size, picked, removed) in enumerate(cuts)
     )
     return ShatterResult(
         eps=eps,
         n=g.n,
         failed=tuple(sorted(v for s in steps for v in s.removed)),
         steps=steps,
-        components=tuple(g.original_ids(c) for c in connected_components(g, alive)),
+        components=tuple(connected_components(g, alive)),
     )
 
 

@@ -34,13 +34,15 @@ fault count; they are the reference for the one shared trial function.
 `prune_loop`, `greedy_cuts` and `compact_cull`, with
 `union_boundary_check`, `shatter_uniform` and `attack_greedy_cuts` on
 top, are the pruning and greedy cut loops as first written: a Graph
-rebuilt by `remove_nodes` after every cull, and sets carried between
-its local ids and the root ids. They are the reference for the loops
-that keep a set of alive nodes in the given graph's ids; the heuristic
-loop stops below two nodes, as the package's now does."""
+rebuilt by `relabel` after every cull, and sets carried between its
+local ids and the given graph's ids through the id map `relabel`
+returns with it. They are the reference for the loops that keep a set
+of alive nodes in the given graph's ids; the heuristic loop stops below
+two nodes, as the package's now does."""
 
 import time
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -68,7 +70,6 @@ from xpand.experiments import MAX_TRIALS_PER_POINT, TrialResult, _prune_and_grad
 from xpand.faults import (
     KIND_NODE,
     FaultPattern,
-    apply_faults,
     edge_survival_pattern,
     make_rng,
     rand_below,
@@ -79,13 +80,11 @@ from xpand.graph import (
     Graph,
     connected_components,
     edge_boundary,
-    induced_subgraph,
     is_compact,
     is_connected,
     is_connected_subset,
     make_cut,
     node_boundary,
-    remove_nodes,
 )
 from xpand.pruning import (
     PruneStep,
@@ -114,6 +113,45 @@ def from_nx(G) -> Graph:
     return Graph.from_edges(
         len(names), [(idx[u], idx[v]) for u, v in G.edges()]
     )
+
+
+def relabel(g: Graph, keep, ids=None) -> tuple:
+    """(the subgraph of g induced by keep, renumbered 0.. in ascending
+    order, its id map): entry i is the id in g of its node i, or that
+    id's entry in ids, g's own id map, when one is given."""
+    keep = sorted(set(keep))
+    index = {v: i for i, v in enumerate(keep)}
+    sub = Graph.from_edges(
+        len(keep), [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    )
+    return sub, tuple(keep if ids is None else (ids[v] for v in keep))
+
+
+def mapped(ids, local) -> tuple:
+    """Local ids through the id map ids, sorted."""
+    return tuple(sorted(ids[v] for v in local))
+
+
+def unmapped(ids, targets) -> tuple:
+    """The local ids the id map ids sends to targets, sorted."""
+    index = {t: v for v, t in enumerate(ids)}
+    return tuple(sorted(index[t] for t in targets))
+
+
+def mapped_trace(trace: PruneTrace, ids) -> PruneTrace:
+    """trace with its culls, raw sets and survivor taken through ids."""
+    steps = tuple(
+        replace(s, nodes=mapped(ids, s.nodes), raw_nodes=mapped(ids, s.raw_nodes))
+        for s in trace.steps
+    )
+    return replace(trace, steps=steps, final_nodes=mapped(ids, trace.final_nodes))
+
+
+def gamma_nx(g: Graph) -> Fraction:
+    """Largest-component fraction of g by networkx; 0 for no nodes."""
+    if g.n == 0:
+        return Fraction(0)
+    return Fraction(max(len(c) for c in nx.connected_components(to_nx(g))), g.n)
 
 
 def node_expansion_nx(g: Graph) -> Fraction:
@@ -457,7 +495,7 @@ def sample_compact_set(g: Graph, rng, *, max_size: int | None = None):
 def mesh_virtual_boundary_graph(dims, boundary) -> Graph:
     """Virtual graph on a mesh boundary: two boundary nodes are joined
     when they differ in at most two coordinates, each by exactly one.
-    node_map carries the original mesh ids."""
+    Node i is the i-th boundary node in ascending order."""
     dims = tuple(int(d) for d in dims)
     b = tuple(sorted(set(int(v) for v in boundary)))
     coords = [mesh_coords(dims, v) for v in b]
@@ -471,7 +509,7 @@ def mesh_virtual_boundary_graph(dims, boundary) -> Graph:
             ]
             if 1 <= len(diff) <= 2 and all(abs(d) == 1 for _axis, d in diff):
                 edges.append((i, j))
-    return Graph.from_edges(len(b), edges, node_map=b)
+    return Graph.from_edges(len(b), edges)
 
 
 def expand_virtual_edge(dims, u: int, v: int) -> tuple:
@@ -826,11 +864,11 @@ def percolation_point(
         t0 = time.monotonic_ns()
         if model == "node":
             pattern = random_node_faults(g, float(p), seed)
-            g_f = apply_faults(g, pattern)
+            g_f = relabel(g, set(range(g.n)).difference(pattern.failed_nodes))[0]
             fault_count = len(pattern.failed_nodes)
         else:
             pattern = edge_survival_pattern(g, float(p), seed)
-            g_f = apply_faults(g, pattern)
+            g_f = Graph.from_edges(g.n, pattern.kept_edges)
             fault_count = g.m - len(pattern.kept_edges)
         gam = gamma(g_f)
         if prune_params is not None:
@@ -880,10 +918,11 @@ def run_resilience_trial(
     seed = seed_base + trial
     t0 = time.monotonic_ns()
     if model == "node":
-        g_f = apply_faults(g, random_node_faults(g, float(p), seed))
+        failed = random_node_faults(g, float(p), seed).failed_nodes
+        g_f = relabel(g, set(range(g.n)).difference(failed))[0]
         measure = node_expansion_exact
     else:
-        g_f = apply_faults(g, edge_survival_pattern(g, float(p), seed))
+        g_f = Graph.from_edges(g.n, edge_survival_pattern(g, float(p), seed).kept_edges)
         measure = edge_expansion_exact
     if alpha is None:
         alpha = measure(g).value
@@ -913,8 +952,8 @@ def _boundary_size(g: Graph, s, mode: str) -> int:
     return len(edge_boundary(g, s))
 
 
-def _prefix_row(g_f: Graph, mode: str, union_root) -> tuple:
-    union_local = g_f.local_ids(union_root)
+def _prefix_row(g_f: Graph, ids, mode: str, union_root) -> tuple:
+    union_local = unmapped(ids, union_root)
     return _boundary_size(g_f, union_local, mode), len(union_local)
 
 
@@ -958,12 +997,13 @@ def _heuristic_cut(cur: Graph, mode: str, threshold: Fraction, index: int):
     return None
 
 
-def prune_loop(g_f: Graph, alpha, eps, mode: str, method: str = "exact") -> PruneTrace:
+def prune_loop(g: Graph, alpha, eps, mode: str, method: str = "exact", nodes=None) -> PruneTrace:
     alpha, eps = Fraction(alpha), Fraction(eps)
     _validate_params(alpha, eps)
     if method not in ("exact", "heuristic"):
         raise InputError(f"unknown prune method {method!r}")
-    cur = g_f
+    g_f, g_f_ids = relabel(g, range(g.n) if nodes is None else nodes)
+    cur, ids = g_f, g_f_ids
     steps = []
     union_root: list = []
     bnd_sum = 0
@@ -988,8 +1028,8 @@ def prune_loop(g_f: Graph, alpha, eps, mode: str, method: str = "exact") -> Prun
         ratio = Fraction(bnd, len(cull_local))
         if ratio > threshold:
             raise ContractError("culled set exceeded the cull threshold")
-        nodes_root = cur.original_ids(cull_local)
-        raw_root = cur.original_ids(raw_local)
+        nodes_root = mapped(ids, cull_local)
+        raw_root = mapped(ids, raw_local)
         steps.append(
             PruneStep(
                 index=len(steps),
@@ -1003,25 +1043,26 @@ def prune_loop(g_f: Graph, alpha, eps, mode: str, method: str = "exact") -> Prun
         )
         union_root.extend(nodes_root)
         bnd_sum += bnd
-        union_bnd, union_size = _prefix_row(g_f, mode, union_root)
+        union_bnd, union_size = _prefix_row(g_f, g_f_ids, mode, union_root)
         if union_bnd > bnd_sum:
             raise ContractError("union boundary exceeded the per-step boundary sum")
         if bnd_sum > threshold * union_size:
             raise ContractError("boundary sum exceeded alpha*eps times the culled size")
-        cur = remove_nodes(cur, cull_local)
+        cur, ids = relabel(cur, set(range(cur.n)).difference(cull_local), ids)
     return PruneTrace(
         mode=mode,
         alpha=alpha,
         eps=eps,
         n_start=g_f.n,
         steps=tuple(steps),
-        final_nodes=cur.original_ids(range(cur.n)),
+        final_nodes=mapped(ids, range(cur.n)),
         certified=method == "exact",
         h_expansion=value,
     )
 
 
-def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
+def union_boundary_check(g: Graph, trace: PruneTrace, nodes=None) -> list:
+    g_f, ids = relabel(g, range(g.n) if nodes is None else nodes)
     out = []
     union_root: list = []
     bnd_sum = 0
@@ -1029,7 +1070,7 @@ def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
     for step in trace.steps:
         union_root.extend(step.nodes)
         bnd_sum += step.boundary_size
-        union_bnd, union_size = _prefix_row(g_f, trace.mode, union_root)
+        union_bnd, union_size = _prefix_row(g_f, ids, trace.mode, union_root)
         ok = union_bnd <= bnd_sum and Fraction(bnd_sum) <= threshold * union_size
         out.append(
             {
@@ -1044,50 +1085,49 @@ def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
 
 
 def greedy_cuts(g: Graph, stop):
-    cur = g
+    cur, ids = g, tuple(range(g.n))
     steps = []
     failed = 0
     while True:
         comps = connected_components(cur)
         if not comps or len(comps[0]) < 2 or stop(len(comps[0]), failed):
             break
-        sub = induced_subgraph(cur, comps[0])
+        sub, sub_ids = relabel(cur, comps[0], ids)
         if sub.n <= EXACT_EXPANSION_LIMIT:
             witness = node_expansion_exact(sub).witness
         else:
             witness = node_expansion_heuristic(sub, trials=32, seed=failed).witness
-        removed = sub.original_ids(witness.node_boundary)
+        removed = mapped(sub_ids, witness.node_boundary)
         if not removed:
             break
         steps.append(
             ShatterStep(
                 index=len(steps),
                 component_size=sub.n,
-                picked=sub.original_ids(witness.set),
+                picked=mapped(sub_ids, witness.set),
                 removed=removed,
             )
         )
         failed += len(removed)
-        cur = remove_nodes(cur, cur.local_ids(removed))
-    return cur, steps
+        cur, ids = relabel(cur, set(range(cur.n)).difference(unmapped(ids, removed)), ids)
+    return cur, ids, steps
 
 
 def shatter_uniform(g: Graph, eps) -> ShatterResult:
     eps = Fraction(eps)
     target = eps * g.n
-    cur, steps = greedy_cuts(g, lambda size, _failed: size <= target)
+    cur, ids, steps = greedy_cuts(g, lambda size, _failed: size <= target)
     return ShatterResult(
         eps=eps,
         n=g.n,
         failed=tuple(sorted(v for s in steps for v in s.removed)),
         steps=tuple(steps),
-        components=tuple(cur.original_ids(c) for c in connected_components(cur)),
+        components=tuple(mapped(ids, c) for c in connected_components(cur)),
     )
 
 
 def attack_greedy_cuts(g: Graph, budget: int) -> FaultPattern:
-    base = g if g.node_map is None else Graph.from_edges(g.n, g.edges())
-    _cur, steps = greedy_cuts(base, lambda _size, failed: failed >= budget)
+    _cur, _ids, steps = greedy_cuts(g, lambda _size, failed: failed >= budget)
     failed = [v for s in steps for v in s.removed][:budget]
     return FaultPattern(
         kind=KIND_NODE,

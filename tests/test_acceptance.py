@@ -24,7 +24,7 @@ from xpand.experiments import (
     run_percolation_sweep,
     verify_subgraph_count_bound,
 )
-from xpand.faults import apply_faults, random_edge_survival, random_node_faults
+from xpand.faults import apply_faults, edge_survival_pattern, random_node_faults
 from xpand.generators import (
     complete,
     cycle,
@@ -34,12 +34,10 @@ from xpand.generators import (
     subdivide_edges,
 )
 from xpand.graph import (
-    Graph,
     induced_subgraph,
     is_compact,
     is_connected,
     make_cut,
-    remove_nodes,
 )
 from xpand.pruning import compactify, prune, prune2, union_boundary_check
 from xpand.span import span_exact, verify_mesh_span_certificate
@@ -64,13 +62,6 @@ def _theorem_graphs():
     return graphs
 
 
-def _subgraph_on(g_f: Graph, root_nodes) -> Graph:
-    keep = set(root_nodes)
-    local = [i for i in range(g_f.n) if g_f.original_ids([i])[0] in keep]
-    h = induced_subgraph(g_f, local)
-    return Graph.from_edges(h.n, h.edges())
-
-
 def test_criterion_1_size_and_expansion_guarantees():
     with criterion(
         1, "prune meets size and expansion bounds on every fault set"
@@ -86,7 +77,7 @@ def test_criterion_1_size_and_expansion_guarantees():
                     assert rep.worst_h_size >= rep.size_bound
                     assert rep.worst_expansion >= rep.expansion_bound
                     for faults, trace in traces:
-                        _TRACES.append((remove_nodes(g, faults), trace))
+                        _TRACES.append((g, trace))
                     instances += 1
                     iterations += rep.iterations
                     f += 1
@@ -102,21 +93,21 @@ def test_criterion_2_loop_exit_contracts():
             eps = eps_pool[i % len(eps_pool)]
 
             alpha = node_expansion_exact(g).value
-            g_f = apply_faults(g, random_node_faults(g, 0.15, seed=i))
-            if g_f.n:
-                trace = prune(g_f, alpha, eps)
+            g_f, nodes = apply_faults(g, random_node_faults(g, 0.15, seed=i))
+            if nodes:
+                trace = prune(g_f, alpha, eps, nodes=nodes)
                 _TRACES.append((g_f, trace))
                 if len(trace.final_nodes) >= 2:
-                    h = _subgraph_on(g_f, trace.final_nodes)
+                    h = induced_subgraph(g_f, trace.final_nodes)
                     assert node_expansion_exact(h).value > alpha * eps
                     node_checked += 1
 
             alpha_e = edge_expansion_exact(g).value
-            g_e = random_edge_survival(g, 0.85, seed=i)
-            trace2 = prune2(g_e, alpha_e, eps)
+            g_e, nodes_e = apply_faults(g, edge_survival_pattern(g, 0.85, seed=i))
+            trace2 = prune2(g_e, alpha_e, eps, nodes=nodes_e)
             _TRACES.append((g_e, trace2))
             if len(trace2.final_nodes) >= 2:
-                h = _subgraph_on(g_e, trace2.final_nodes)
+                h = induced_subgraph(g_e, trace2.final_nodes)
                 assert edge_expansion_exact(h).value > alpha_e * eps
                 edge_checked += 1
         c.detail = f"{node_checked} node + {edge_checked} edge survivors checked"

@@ -23,7 +23,7 @@ from xpand.experiments import (
 )
 from xpand.expansion import node_expansion_exact
 from xpand.generators import complete, cycle, mesh, subdivide_edges
-from xpand.graph import Graph, remove_nodes
+from xpand.graph import Graph
 from xpand.pruning import prune
 
 F = Fraction
@@ -31,7 +31,11 @@ F = Fraction
 
 def test_gamma():
     assert gamma(cycle(8)) == 1
-    assert gamma(remove_nodes(cycle(8), [0, 4])) == F(1, 2)
+    # on the faulty graph (g, nodes)
+    assert gamma(cycle(8), [1, 2, 3, 5, 6, 7]) == F(1, 2)
+    assert gamma(cycle(8), [0, 1, 2, 4, 5]) == F(3, 5)
+    assert gamma(cycle(8), [3]) == 1
+    assert gamma(cycle(8), []) == 0
     assert gamma(Graph.from_edges(5, [])) == F(1, 5)
     assert gamma(Graph.from_edges(0, [])) == 0
 
@@ -249,7 +253,9 @@ def test_adversary_runs_one_sweep_per_fault_set_and_step(monkeypatch, g, f, step
 
 def test_prune_and_grade_needs_the_last_sweeps_value(monkeypatch):
     # the heuristic loop sweeps nothing, so there is no grade to take
-    monkeypatch.setattr(experiments, "prune", lambda g, a, e: prune(g, a, e, method="heuristic"))
+    monkeypatch.setattr(
+        experiments, "prune", lambda g, a, e, nodes: prune(g, a, e, method="heuristic", nodes=nodes)
+    )
     with pytest.raises(ContractError):
         _prune_and_grade(mesh([4, 4]), "node", F(1, 2), F(1, 2))
 

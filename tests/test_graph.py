@@ -21,7 +21,6 @@ from xpand.graph import (
     loads,
     make_cut,
     node_boundary,
-    remove_nodes,
 )
 
 from oracles import random_connected_graph
@@ -74,15 +73,14 @@ def test_connected_components_ordering():
     g = Graph.from_edges(7, [(0, 1), (2, 3), (4, 5)])
     assert connected_components(g) == [(0, 1), (2, 3), (4, 5), (6,)]
 
-    g2 = remove_nodes(cycle(8), [0, 4])
-    comps = connected_components(g2)
-    assert [g2.original_ids(c) for c in comps] == [(1, 2, 3), (5, 6, 7)]
+    # on a node subset, in the graph's own ids
+    assert connected_components(cycle(8), [1, 2, 3, 5, 6, 7]) == [(1, 2, 3), (5, 6, 7)]
 
 
 def test_connectivity_predicates():
     c8 = cycle(8)
     assert is_connected(c8)
-    assert not is_connected(remove_nodes(c8, [0, 4]))
+    assert not is_connected(induced_subgraph(c8, [1, 2, 3, 5, 6, 7]))
     assert is_connected_subset(c8, [1, 2, 3])
     assert not is_connected_subset(c8, [1, 3])
 
@@ -100,38 +98,31 @@ def test_is_compact():
         is_compact(c8, range(8))
 
 
-def test_remove_nodes_relabels_and_tracks_origin():
-    assert dumps(remove_nodes(complete(4), [3])) == dumps(complete(3))
-    h = remove_nodes(cycle(8), [0])
-    assert dumps(h) == dumps(path(7))
-    assert h.original_ids(range(h.n)) == (1, 2, 3, 4, 5, 6, 7)
-    # removal composes through node_map
-    h2 = remove_nodes(h, [0])
-    assert h2.original_ids(range(h2.n)) == (2, 3, 4, 5, 6, 7)
+def test_induced_subgraph_numbers_kept_nodes_ascending():
+    assert dumps(induced_subgraph(complete(4), [0, 1, 2])) == dumps(complete(3))
+    assert dumps(induced_subgraph(cycle(8), range(1, 8))) == dumps(path(7))
+    # numbered by id, not by the order keep lists them: 0, 1, 7 -> 0, 1, 2
+    h = induced_subgraph(cycle(8), [7, 1, 0])
+    assert sorted(h.edges()) == [(0, 1), (0, 2)]
 
 
-def test_local_ids_refuse_missing_and_repeated_ids():
-    h = remove_nodes(cycle(8), [0])
-    assert h.local_ids([7, 1]) == (0, 6)
-    assert cycle(8).local_ids([7, 1]) == (1, 7)
-    # mapped and unmapped graphs alike raise InputError
-    for g, roots in ((h, [0]), (h, [1, 1]), (cycle(8), [8]), (cycle(8), [1, 1])):
+def test_induced_subgraph_refuses_missing_and_repeated_ids():
+    for keep in ([8], [1, 1], [-1]):
         with pytest.raises(InputError):
-            g.local_ids(roots)
+            induced_subgraph(cycle(8), keep)
 
 
 def test_remove_nothing_is_identity():
     g = mesh([3, 3])
-    h = remove_nodes(g, [])
-    assert dumps(h) == dumps(g)
-    assert h.original_ids(range(h.n)) == tuple(range(9))
+    assert dumps(induced_subgraph(g, range(g.n))) == dumps(g)
 
 
 def test_induced_subgraph():
     h = induced_subgraph(cycle(6), [0, 1, 2, 4])
     assert h.n == 4  # node 4 kept but isolated
     assert sorted(h.edges()) == [(0, 1), (1, 2)]
-    assert h.original_ids(range(h.n)) == (0, 1, 2, 4)
+    # a graph holds its adjacency alone, with no id map
+    assert Graph.__slots__ == ("_adj", "_m", "_max_degree")
 
 
 def test_text_format_round_trip():

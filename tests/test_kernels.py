@@ -166,6 +166,12 @@ def test_connected_masks_cap_returns_none():
     assert len(kernels.connected_masks(g.n, adj, count)) == count
 
 
+def test_connected_masks_walk_long_paths_without_recursion():
+    # one branch level per frontier node: a 1200-node path goes 1200 deep
+    g = path(1200)
+    assert kernels.connected_masks(g.n, kernels.adjacency_masks(g.adjacency), 10) is None
+
+
 def test_steiner_matches_oracle():
     methods = set()
     for g in _graphs(15, n_max=10):

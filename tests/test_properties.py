@@ -1,8 +1,9 @@
 """Property tests over random graphs: the shared component walk against
 networkx, the shared prune-and-grade path against a from-scratch
 reference, the prune and greedy cut loops against their first
-Graph-rebuilding versions, the adversary's traces against prune of each
-faulty graph, percolation points and resilience trials against their two
+Graph-rebuilding versions, prune, prune2 and gamma on a faulty graph
+(g, nodes) against the same on its relabelled copy, the adversary's
+traces against the reference prune of each faulty graph, percolation points and resilience trials against their two
 first-written trial loops, the chain DP against its first dict-of-states
 version, its class sweep against the per-base-set table sweep it
 replaced, its values-only step and its walk against the pointer step,
@@ -38,18 +39,19 @@ from xpand.expansion import (
 from xpand.experiments import (
     _prune_and_grade,
     adversary_exhaustive,
+    gamma,
     percolation_point,
     run_resilience_trial,
 )
-from xpand.faults import KIND_EDGE, KIND_NODE, FaultPattern, make_rng
+from xpand.faults import KIND_EDGE, KIND_NODE, FaultPattern, apply_faults, make_rng
 from xpand.generators import complete, cycle, mesh, subdivide_edges
 from xpand.graph import (
     Graph,
     connected_components,
     dumps,
+    induced_subgraph,
     is_connected,
     loads,
-    remove_nodes,
 )
 from xpand.pruning import (
     attack_greedy_cuts,
@@ -93,12 +95,11 @@ def test_prune_and_grade_matches_reference_node(data, g):
     faults = sorted(data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n // 3)))
     eps = 1 - Fraction(1, data.draw(st.integers(2, 4)))
     alpha = node_expansion_exact(g).value
-    g_f = remove_nodes(g, faults)
-    trace, expansion = _prune_and_grade(g_f, "node", alpha, eps)
-    ref = prune(remove_nodes(g, faults), alpha, eps)
+    nodes = [v for v in range(g.n) if v not in faults]
+    trace, expansion = _prune_and_grade(g, "node", alpha, eps, nodes)
+    ref = oracles.prune_loop(g, alpha, eps, "node", nodes=nodes)
     if ref.h_size >= 2:
-        h = remove_nodes(g, sorted(set(range(g.n)) - set(ref.final_nodes)))
-        ref_expansion = node_expansion_exact(h).value
+        ref_expansion = node_expansion_exact(induced_subgraph(g, ref.final_nodes)).value
     else:
         ref_expansion = Fraction(0)
     assert trace.to_payload() == ref.to_payload()
@@ -114,10 +115,9 @@ def test_prune_and_grade_matches_reference_edge(data, g):
     eps = 1 - Fraction(1, data.draw(st.integers(2, 4)))
     alpha = edge_expansion_exact(g).value
     trace, expansion = _prune_and_grade(g_f, "edge", alpha, eps)
-    ref = prune2(g_f, alpha, eps)
+    ref = oracles.prune_loop(g_f, alpha, eps, "edge")
     if ref.h_size >= 2:
-        h = remove_nodes(g_f, sorted(set(range(g.n)) - set(ref.final_nodes)))
-        ref_expansion = edge_expansion_exact(h).value
+        ref_expansion = edge_expansion_exact(induced_subgraph(g_f, ref.final_nodes)).value
     else:
         ref_expansion = Fraction(0)
     assert trace.to_payload() == ref.to_payload()
@@ -125,14 +125,27 @@ def test_prune_and_grade_matches_reference_edge(data, g):
 
 
 @st.composite
-def mapped_graphs(draw, max_n=12):
-    """A random graph with up to two rounds of node removal behind it, so
-    its node map, when it has one, composes back to the first graph."""
+def faulty_graphs(draw, max_n=12):
+    """A random faulty graph (g, nodes): nodes is None for all of g, or
+    the nodes outside a random fault set of up to 2n/3 nodes."""
     g = draw(graphs(max_n=max_n))
-    for _ in range(draw(st.integers(0, 2))):
-        if g.n:
-            g = remove_nodes(g, draw(st.sets(st.integers(0, g.n - 1), max_size=g.n // 3)))
-    return g
+    if not g.n or draw(st.booleans()):
+        return g, None
+    failed = draw(st.sets(st.integers(0, g.n - 1), max_size=2 * g.n // 3))
+    return g, tuple(v for v in range(g.n) if v not in failed)
+
+
+@st.composite
+def patterns_on(draw, g):
+    """A node pattern whose survivors are a random set, so none and one
+    come up often, or an edge pattern keeping a random set of edges."""
+    if draw(st.booleans()):
+        alive = draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+        failed = tuple(v for v in range(g.n) if v not in alive)
+        return FaultPattern(kind=KIND_NODE, failed_nodes=failed)
+    edges = list(g.edges())
+    kept = draw(st.sets(st.sampled_from(edges))) if edges else set()
+    return FaultPattern(kind=KIND_EDGE, kept_edges=tuple(sorted(kept)))
 
 
 _RATIOS = st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4)
@@ -140,23 +153,45 @@ _EPS = st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
 
 
 @given(
-    g=mapped_graphs(),
+    faulty=faulty_graphs(),
     alpha=_RATIOS,
     eps=_EPS,
     mode=st.sampled_from(["node", "edge"]),
     method=st.sampled_from(["exact", "heuristic"]),
 )
 @settings(max_examples=150, deadline=None)
-def test_prune_loop_matches_graph_rebuilding_reference(g, alpha, eps, mode, method):
+def test_prune_loop_matches_graph_rebuilding_reference(faulty, alpha, eps, mode, method):
+    g, nodes = faulty
     run = prune if mode == "node" else prune2
-    trace = run(g, alpha, eps, method=method)
-    ref = oracles.prune_loop(g, alpha, eps, mode, method)
+    trace = run(g, alpha, eps, method=method, nodes=nodes)
+    ref = oracles.prune_loop(g, alpha, eps, mode, method, nodes)
     assert trace.to_payload() == ref.to_payload()
     assert trace.h_expansion == ref.h_expansion
-    assert union_boundary_check(g, trace) == oracles.union_boundary_check(g, ref)
+    assert union_boundary_check(g, trace) == oracles.union_boundary_check(g, ref, nodes)
 
 
-@given(data=st.data(), g=mapped_graphs())
+@given(
+    data=st.data(),
+    g=graphs(),
+    alpha=_RATIOS,
+    eps=_EPS,
+    mode=st.sampled_from(["node", "edge"]),
+    method=st.sampled_from(["exact", "heuristic"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_faulty_graph_matches_its_relabelled_copy(data, g, alpha, eps, mode, method):
+    g_f, nodes = apply_faults(g, data.draw(patterns_on(g)))
+    copy, ids = oracles.relabel(g_f, nodes)
+    run = prune if mode == "node" else prune2
+    trace = run(g_f, alpha, eps, method=method, nodes=nodes)
+    ref = oracles.prune_loop(copy, alpha, eps, mode, method)
+    assert trace.to_payload() == oracles.mapped_trace(ref, ids).to_payload()
+    assert trace.h_expansion == ref.h_expansion
+    assert union_boundary_check(g_f, trace) == oracles.union_boundary_check(copy, ref)
+    assert gamma(g_f, nodes) == oracles.gamma_nx(copy)
+
+
+@given(data=st.data(), g=graphs())
 @settings(max_examples=80, deadline=None)
 def test_shatter_and_attack_match_graph_rebuilding_reference(data, g):
     eps = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
@@ -169,9 +204,9 @@ def test_shatter_and_attack_match_graph_rebuilding_reference(data, g):
 @pytest.mark.parametrize(
     "g",
     [
-        remove_nodes(cycle(32), [1, 30]),
-        remove_nodes(mesh([5, 6]), [1, 6, 17]),
-        remove_nodes(remove_nodes(mesh([6, 6]), [14]), [1, 6]),
+        induced_subgraph(cycle(32), set(range(32)).difference([1, 30])),
+        induced_subgraph(mesh([5, 6]), set(range(30)).difference([1, 6, 17])),
+        induced_subgraph(mesh([6, 6]), set(range(36)).difference([1, 6, 14])),
     ],
     ids=["cycle32", "mesh5x6", "mesh6x6"],
 )
@@ -202,11 +237,11 @@ def test_adversary_traces_match_prune_of_the_faulty_graph(g):
     report, traces = adversary_exhaustive(g, 2, f, keep_traces=True)
     assert report.iterations == len(traces)
     for faults, trace in traces:
-        g_f = remove_nodes(g, faults)
-        ref = prune(g_f, alpha, Fraction(1, 2))
+        nodes = [v for v in range(g.n) if v not in faults]
+        ref = oracles.prune_loop(g, alpha, Fraction(1, 2), "node", nodes=nodes)
         assert trace.to_payload() == ref.to_payload()
         assert trace.h_expansion == ref.h_expansion
-        assert union_boundary_check(g, trace) == union_boundary_check(g_f, ref)
+        assert union_boundary_check(g, trace) == oracles.union_boundary_check(g, ref, nodes)
 
 
 def test_adversary_builds_no_graph(monkeypatch):

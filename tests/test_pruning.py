@@ -8,7 +8,7 @@ from xpand.errors import ContractError, InputError, LimitError
 from xpand.expansion import edge_expansion_exact, node_expansion_exact
 from xpand.faults import KIND_NODE, FaultPattern, apply_faults, random_node_faults
 from xpand.generators import complete, cycle, mesh, path
-from xpand.graph import Graph, induced_subgraph, remove_nodes
+from xpand.graph import Graph, induced_subgraph
 from xpand.pruning import (
     compactify,
     expansion_lower_bound,
@@ -74,24 +74,20 @@ def test_prune_no_faults_no_steps():
 
 
 def test_prune_keeps_whole_path_when_threshold_is_low():
-    gf = remove_nodes(cycle(8), [0])
-    t = prune(gf, F(1, 2), F(1, 2))
+    t = prune(cycle(8), F(1, 2), F(1, 2), nodes=range(1, 8))
     # min ratio of any half-or-smaller set of path7 is 1/3 > 1/4
     assert t.steps == ()
     assert t.final_nodes == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_prune_culls_endpoint_arc_at_higher_eps():
-    gf = remove_nodes(cycle(8), [0])
-    t = prune(gf, F(1, 2), F(3, 4))
+    t = prune(cycle(8), F(1, 2), F(3, 4), nodes=range(1, 8))
     assert [s.nodes for s in t.steps] == [(1, 2, 3)]
     assert t.steps[0].ratio == F(1, 3)
     assert t.final_nodes == (4, 5, 6, 7)
     # loop exit: survivor expansion strictly above alpha*eps
-    final = set(t.final_nodes)
-    local = [i for i in range(gf.n) if gf.original_ids([i])[0] in final]
-    h = induced_subgraph(gf, local)
-    assert node_expansion_exact(Graph.from_edges(h.n, h.edges())).value > F(3, 8)
+    h = induced_subgraph(cycle(8), t.final_nodes)
+    assert node_expansion_exact(h).value > F(3, 8)
 
 
 def test_prune2_no_faults_no_steps():
@@ -104,10 +100,10 @@ def test_prune2_culls_disconnected_clique():
     g = two_k5_bridge()
     alpha_e = edge_expansion_exact(g).value
     assert alpha_e == F(1, 5)  # one bridge over a balanced split
-    gf = apply_faults(
+    gf, nodes = apply_faults(
         g, FaultPattern(kind=KIND_NODE, failed_nodes=(4,), provenance={})
     )
-    t = prune2(gf, alpha_e, F(1, 2))
+    t = prune2(gf, alpha_e, F(1, 2), nodes=nodes)
     assert [s.nodes for s in t.steps] == [(0, 1, 2, 3)]
     assert t.steps[0].ratio == 0
     assert t.final_nodes == (5, 6, 7, 8, 9)
@@ -116,10 +112,10 @@ def test_prune2_culls_disconnected_clique():
 
 def test_trace_payload_and_invariants():
     g = two_k5_bridge()
-    gf = apply_faults(
+    gf, nodes = apply_faults(
         g, FaultPattern(kind=KIND_NODE, failed_nodes=(4,), provenance={})
     )
-    t = prune2(gf, F(1, 5), F(1, 2))
+    t = prune2(gf, F(1, 5), F(1, 2), nodes=nodes)
     payload = t.to_payload()
     assert payload["mode"] == "edge"
     assert payload["certified"] is True
@@ -130,15 +126,15 @@ def test_trace_payload_and_invariants():
     for s in t.steps:
         assert not (set(s.nodes) & seen)
         seen |= set(s.nodes)
-    assert len(seen) == gf.n
+    assert seen == set(nodes)
 
 
 def test_union_boundary_telescopes():
     g = two_k5_bridge()
-    gf = apply_faults(
+    gf, nodes = apply_faults(
         g, FaultPattern(kind=KIND_NODE, failed_nodes=(4,), provenance={})
     )
-    t = prune2(gf, F(1, 5), F(1, 2))
+    t = prune2(gf, F(1, 5), F(1, 2), nodes=nodes)
     rows = union_boundary_check(gf, t)
     assert len(rows) == len(t.steps)
     assert all(row["ok"] for row in rows)
@@ -150,12 +146,12 @@ def test_prune_multi_step_cascade():
     # failing two opposite nodes of C12 leaves two paths; with a high
     # eps both endpoint arcs of each path go, one cull at a time
     g = cycle(12)
-    gf = remove_nodes(g, [0, 6])
-    t = prune(gf, F(1, 3), F(3, 4))
+    nodes = [v for v in range(12) if v not in (0, 6)]
+    t = prune(g, F(1, 3), F(3, 4), nodes=nodes)
     assert len(t.steps) >= 1
     for s in t.steps:
         assert s.ratio <= F(1, 3) * F(3, 4)
-    rows = union_boundary_check(gf, t)
+    rows = union_boundary_check(g, t)
     assert all(row["ok"] for row in rows)
 
 
@@ -170,6 +166,9 @@ def test_prune_parameter_validation():
         prune(cycle(8), F(1, 2), F(1, 2), method="bogus")
     with pytest.raises(LimitError):
         prune(complete(30), F(1), F(1, 2))
+    for nodes in ([8], [1, 1]):
+        with pytest.raises(InputError):
+            prune(cycle(8), F(1, 2), F(1, 2), nodes=nodes)
 
 
 def test_heuristic_method_lifts_size_limit():
@@ -184,10 +183,10 @@ def test_heuristic_method_lifts_size_limit():
 
 def test_heuristic_method_on_faulted_mesh():
     m = mesh([6, 6])
-    gf = apply_faults(m, random_node_faults(m, 0.15, seed=4))
-    t = prune(gf, F(1, 2), F(1, 2), method="heuristic")
+    gf, nodes = apply_faults(m, random_node_faults(m, 0.15, seed=4))
+    t = prune(gf, F(1, 2), F(1, 2), method="heuristic", nodes=nodes)
     assert not t.certified
-    assert set(t.final_nodes) <= set(gf.original_ids(range(gf.n)))
+    assert set(t.final_nodes) <= set(nodes)
 
 
 @pytest.mark.parametrize("run", [prune, prune2], ids=["node", "edge"])
@@ -208,16 +207,16 @@ def test_heuristic_prune_stops_below_two_nodes(run):
     ids=["node", "edge"],
 )
 def test_exact_trace_keeps_the_survivors_expansion(run, measure):
-    for g, alpha, eps in (
-        (two_k5_bridge(), F(1, 2), F(1, 2)),
-        (path(7), F(1, 2), F(3, 4)),
-        (remove_nodes(mesh([4, 4]), [5]), F(1, 2), F(1, 2)),
+    for g, nodes, alpha, eps in (
+        (two_k5_bridge(), None, F(1, 2), F(1, 2)),
+        (path(7), None, F(1, 2), F(3, 4)),
+        (mesh([4, 4]), [v for v in range(16) if v != 5], F(1, 2), F(1, 2)),
     ):
-        t = run(g, alpha, eps)
-        h = induced_subgraph(g, g.local_ids(t.final_nodes))
+        t = run(g, alpha, eps, nodes=nodes)
+        h = induced_subgraph(g, t.final_nodes)
         assert t.h_expansion == measure(h).value
         assert "h_expansion" not in t.to_payload()
-        assert run(g, alpha, eps, method="heuristic").h_expansion is None
+        assert run(g, alpha, eps, method="heuristic", nodes=nodes).h_expansion is None
     # a survivor below two nodes is not swept, so it has no value
     assert run(Graph.from_edges(1, []), F(1), F(1, 2)).h_expansion is None
 
@@ -241,8 +240,8 @@ def test_prune_result_meets_theorem_bounds_small():
         f = len(pat.failed_nodes)
         if not hypothesis_ok(m.n, alpha, k, f):
             continue
-        gf = apply_faults(m, pat)
-        t = prune(gf, alpha, F(1, k))
+        gf, nodes = apply_faults(m, pat)
+        t = prune(gf, alpha, F(1, k), nodes=nodes)
         assert len(t.final_nodes) >= size_lower_bound(m.n, alpha, k, f)
 
 
