@@ -23,7 +23,7 @@ from . import kernels
 from .errors import ContractError, InputError, LimitError
 from .faults import make_rng, shuffle_in_place
 from .generators import SubdividedGraph
-from .graph import Cut, Graph, make_cut
+from .graph import Cut, Graph, canon_nodes, make_cut
 
 EXACT_EXPANSION_LIMIT = 24
 SUBDIV_BASE_LIMIT = 10
@@ -37,39 +37,43 @@ class ExpansionResult:
     mode: str  # "node" or "edge"
     method: str  # "exact", "heuristic" or "chain-dp"
     value: Fraction
-    witness: Cut | None
+    witness: Cut
 
     def to_payload(self) -> dict:
-        out = {
+        return {
             "mode": self.mode,
             "method": self.method,
             "value_num": self.value.numerator,
             "value_den": self.value.denominator,
+            "witness": list(self.witness.set),
         }
-        if self.witness is not None:
-            out["witness"] = list(self.witness.set)
-        return out
 
 
-def _min_ratio_cut(adjacency, mode: str, what: str):
-    """(ratio, mask) of the canonical minimizer over 1 <= |S| <= n/2 of
-    the graph on 0..n-1 with these neighbour lists; needs n >= 2. The
-    cap is checked before any mask is built."""
-    n = len(adjacency)
+def _min_ratio_cut(g: Graph, nodes, mode: str, what: str):
+    """(ratio, set) of the canonical minimizer over 1 <= |S| <= |nodes|/2
+    in the subgraph of g induced by nodes, a sized collection of at
+    least 2 of g's ids, the set in g's ids. The cap is checked before
+    any mask is built. nodes are numbered in ascending order for the
+    sweep, and that order is kept both ways, so the (ratio, size, lex)
+    winner is the one a renumbered copy of the subgraph would give."""
+    n = len(nodes)
     if n > EXACT_EXPANSION_LIMIT:
         raise LimitError(f"{what} is limited to n <= {EXACT_EXPANSION_LIMIT}, got n={n}")
+    keep = sorted(nodes)
+    index = {v: i for i, v in enumerate(keep)}
+    adjacency = [[index[u] for u in g.adjacency[v] if u in index] for v in keep]
     sweep = kernels.min_ratio_node_cut if mode == "node" else kernels.min_ratio_edge_cut
     bnd, size, mask = sweep(n, kernels.adjacency_masks(adjacency), n // 2)
-    return Fraction(bnd, size), mask
+    return Fraction(bnd, size), tuple(keep[i] for i in kernels.mask_nodes(mask))
 
 
 def _expansion_exact(g: Graph, mode: str) -> ExpansionResult:
     if g.n < 2:
         raise InputError("expansion needs at least 2 nodes")
-    value, mask = _min_ratio_cut(g.adjacency, mode, "exact expansion")
+    value, s = _min_ratio_cut(g, range(g.n), mode, "exact expansion")
     if value == 0:
         warnings.warn(f"graph is disconnected, {mode} expansion is 0", stacklevel=3)
-    return ExpansionResult(mode, "exact", value, make_cut(g, kernels.mask_nodes(mask)))
+    return ExpansionResult(mode, "exact", value, make_cut(g, s))
 
 
 def node_expansion_exact(g: Graph) -> ExpansionResult:
@@ -78,29 +82,6 @@ def node_expansion_exact(g: Graph) -> ExpansionResult:
 
 def edge_expansion_exact(g: Graph) -> ExpansionResult:
     return _expansion_exact(g, "edge")
-
-
-def _sparse_cut(g: Graph, mode: str, threshold: Fraction):
-    """The canonical minimizer over 1 <= |S| <= n/2 when its ratio is at
-    most threshold, else None (also when n < 2)."""
-    if g.n < 2:
-        return None
-    value, mask = _min_ratio_cut(g.adjacency, mode, "sparse-cut search")
-    if value > threshold:
-        return None
-    return make_cut(g, kernels.mask_nodes(mask))
-
-
-def find_sparse_node_cut(g: Graph, alpha: Fraction, eps: Fraction):
-    """Canonical minimizer S with |boundary(S)| <= alpha*eps*|S| and
-    |S| <= floor(n/2), or None when no such set exists."""
-    return _sparse_cut(g, "node", alpha * eps)
-
-
-def find_sparse_edge_cut(g: Graph, alpha_e: Fraction, eps: Fraction):
-    """Canonical minimizer S with |edge boundary(S)| <= alpha_e*eps*|S|
-    and |S| <= floor(n/2), or None. The winner is always connected."""
-    return _sparse_cut(g, "edge", alpha_e * eps)
 
 
 def _better_cut(a: Cut, b: Cut, mode: str) -> bool:
@@ -113,17 +94,19 @@ def _better_cut(a: Cut, b: Cut, mode: str) -> bool:
     return a.set < b.set
 
 
-def _heuristic(g: Graph, mode: str, trials: int, seed: int) -> ExpansionResult:
-    if g.n < 2:
+def _heuristic(g: Graph, mode: str, trials: int, seed: int, nodes) -> ExpansionResult:
+    keep = tuple(range(g.n)) if nodes is None else canon_nodes(g, nodes)
+    inside = None if nodes is None else frozenset(keep)
+    if len(keep) < 2:
         raise InputError("expansion needs at least 2 nodes")
     if trials < 1:
         raise InputError(f"heuristic needs at least 1 trial, got {trials}")
-    max_size = g.n // 2
+    max_size = len(keep) // 2
     rng = make_rng(seed)
-    if g.n <= trials:
-        starts = list(range(g.n))
+    if len(keep) <= trials:
+        starts = list(keep)
     else:
-        pool = list(range(g.n))
+        pool = list(keep)
         shuffle_in_place(pool, rng)
         starts = sorted(pool[:trials])
     best: Cut | None = None
@@ -134,12 +117,12 @@ def _heuristic(g: Graph, mode: str, trials: int, seed: int) -> ExpansionResult:
         head = 0
         while head < len(order):
             for u in g.adjacency[order[head]]:
-                if u not in seen:
+                if u not in seen and (inside is None or u in inside):
                     seen.add(u)
                     order.append(u)
             head += 1
         for length in range(1, max_size + 1):
-            cut = make_cut(g, order[:length])
+            cut = make_cut(g, order[:length], inside)
             if best is None or _better_cut(cut, best, mode):
                 best = cut
     if best is None:
@@ -158,7 +141,7 @@ def _heuristic(g: Graph, mode: str, trials: int, seed: int) -> ExpansionResult:
                 if len(members) == max_size:
                     continue
                 trial_set = sorted(members | {v})
-            cut = make_cut(g, trial_set)
+            cut = make_cut(g, trial_set, inside)
             if _better_cut(cut, best, mode):
                 best = cut
                 improved = True
@@ -169,14 +152,20 @@ def _heuristic(g: Graph, mode: str, trials: int, seed: int) -> ExpansionResult:
     return ExpansionResult(mode, "heuristic", value, best)
 
 
-def node_expansion_heuristic(g: Graph, *, trials: int = 16, seed: int = 0) -> ExpansionResult:
+def node_expansion_heuristic(
+    g: Graph, *, trials: int = 16, seed: int = 0, nodes=None
+) -> ExpansionResult:
     """Upper bound on node expansion from seeded sweeps; exact value is
-    always <= the value reported here."""
-    return _heuristic(g, "node", int(trials), int(seed))
+    always <= the value reported here. With nodes, of the subgraph of g
+    induced by them, the witness in g's ids: the same run as on that
+    subgraph renumbered in ascending order, its witness mapped back."""
+    return _heuristic(g, "node", int(trials), int(seed), nodes)
 
 
-def edge_expansion_heuristic(g: Graph, *, trials: int = 16, seed: int = 0) -> ExpansionResult:
-    return _heuristic(g, "edge", int(trials), int(seed))
+def edge_expansion_heuristic(
+    g: Graph, *, trials: int = 16, seed: int = 0, nodes=None
+) -> ExpansionResult:
+    return _heuristic(g, "edge", int(trials), int(seed), nodes)
 
 
 @functools.lru_cache(maxsize=None)

@@ -119,8 +119,8 @@ def _prune_and_grade(g: Graph, mode: str, alpha, eps, nodes=None):
 
     The grade is the trace's h_expansion: the prune loop ends on a sweep
     of H that finds no sparse set, and that sweep's minimum ratio is
-    H's exact expansion, so H is neither built by induced_subgraph nor
-    swept again. H with at least 2 nodes is connected: its smallest
+    H's exact expansion, so H is neither built as a graph nor swept
+    again. H with at least 2 nodes is connected: its smallest
     component would have at most |H|/2 nodes and ratio 0 <= alpha*eps,
     and the loop would have culled it."""
     trace = (prune if mode == "node" else prune2)(g, alpha, eps, nodes=nodes)

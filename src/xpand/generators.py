@@ -6,15 +6,17 @@ import json
 from dataclasses import dataclass
 
 from .errors import GenerationError, InputError, LimitError
-from .faults import json_int, make_rng, rand_below, shuffle_in_place
+from .faults import json_int, make_rng, shuffle_in_place
 from .graph import Graph, check_size
 
 HYPERCUBE_DIM_LIMIT = 16
 RANDOM_REGULAR_TRIES = 200
 
 
-def mesh(dims) -> Graph:
-    """d-dimensional mesh; node ids are mixed-radix over dims, first axis most significant."""
+def mesh_size(dims) -> int:
+    """The node count of the mesh on dims, refused as mesh refuses it:
+    no side, a side below 2, or more nodes or edges than a graph may
+    have."""
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 2 for d in dims):
         raise InputError("mesh needs at least one side, every side >= 2")
@@ -23,6 +25,13 @@ def mesh(dims) -> Graph:
         n *= d
         check_size(n, 0)  # early, before many sides build a huge product
     check_size(n, sum(n // d * (d - 1) for d in dims))
+    return n
+
+
+def mesh(dims) -> Graph:
+    """d-dimensional mesh; node ids are mixed-radix over dims, first axis most significant."""
+    dims = tuple(int(d) for d in dims)
+    n = mesh_size(dims)
     edges = []
     strides = mesh_strides(dims)
     for vid in range(n):

@@ -149,36 +149,45 @@ def canon_nodes(g: Graph, nodes: Iterable[int]) -> tuple:
     return tuple(sorted(out))
 
 
-def node_boundary(g: Graph, s: Iterable[int]) -> tuple:
-    """Nodes outside s adjacent to s, canonical order."""
+def node_boundary(g: Graph, s: Iterable[int], nodes=None) -> tuple:
+    """Nodes outside s adjacent to s, canonical order; with nodes, a set
+    of g's ids holding s, only those in it: the boundary in the subgraph
+    of g induced by nodes."""
     s_set = set(canon_nodes(g, s))
     out = set()
     for v in s_set:
         for u in g.adjacency[v]:
             if u not in s_set:
                 out.add(u)
+    if nodes is not None:
+        out.intersection_update(nodes)
     return tuple(sorted(out))
 
 
-def edge_boundary(g: Graph, s: Iterable[int]) -> tuple:
-    """Edges with exactly one endpoint in s, as (min,max) pairs, ascending."""
+def edge_boundary(g: Graph, s: Iterable[int], nodes=None) -> tuple:
+    """Edges with exactly one endpoint in s, as (min,max) pairs,
+    ascending; with nodes, a set of g's ids holding s, only those with
+    the other endpoint in it."""
     s_set = set(canon_nodes(g, s))
-    out = []
+    out = []  # each edge once, from its endpoint in s
     for v in s_set:
         for u in g.adjacency[v]:
-            if u not in s_set:
+            if u not in s_set and (nodes is None or u in nodes):
                 out.append((v, u) if v < u else (u, v))
-    return tuple(sorted(set(out)))
+    return tuple(sorted(out))
 
 
-def make_cut(g: Graph, s: Iterable[int]) -> Cut:
-    """Build the Cut record for s; requires 0 < |s| < n."""
+def make_cut(g: Graph, s: Iterable[int], nodes=None) -> Cut:
+    """Build the Cut record for s in g, or with nodes, a set of g's ids,
+    in the subgraph of g induced by nodes; requires s a nonempty proper
+    subset of them."""
     s_t = canon_nodes(g, s)
-    if not s_t or len(s_t) == g.n:
+    n = g.n if nodes is None else len(nodes)
+    if not s_t or len(s_t) >= n or not (nodes is None or set(s_t).issubset(nodes)):
         raise InputError("cut set must be a nonempty proper subset")
-    nb = node_boundary(g, s_t)
-    eb = edge_boundary(g, s_t)
-    small = min(len(s_t), g.n - len(s_t))
+    nb = node_boundary(g, s_t, nodes)
+    eb = edge_boundary(g, s_t, nodes)
+    small = min(len(s_t), n - len(s_t))
     return Cut(
         set=s_t,
         node_boundary=nb,
@@ -235,14 +244,6 @@ def is_compact(g: Graph, u: Iterable[int]) -> bool:
         raise InputError("compactness is undefined for the empty set and for V")
     rest = sorted(set(range(g.n)) - set(u_t))
     return is_connected_subset(g, u_t) and is_connected_subset(g, rest)
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
-    """Graph induced on keep, its nodes numbered 0.. in ascending order
-    of their ids in g."""
-    keep_t = canon_nodes(g, keep)
-    index = {v: i for i, v in enumerate(keep_t)}
-    return Graph([[index[u] for u in g.adjacency[v] if u in index] for v in keep_t])
 
 
 def _decimals(line: str):

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import kernels
 from .errors import ContractError, InputError, LimitError
 from .expansion import (
     EXACT_EXPANSION_LIMIT,
@@ -34,7 +33,6 @@ from .graph import (
     canon_nodes,
     connected_components,
     edge_boundary,
-    induced_subgraph,
     is_compact,
     is_connected,
     is_connected_subset,
@@ -110,27 +108,6 @@ def _validate_params(alpha: Fraction, eps: Fraction) -> None:
         raise InputError("eps must lie strictly between 0 and 1")
 
 
-def _boundary(g: Graph, s, mode: str, alive) -> tuple:
-    """The node or edge boundary of s, by mode, in the subgraph of g
-    induced by alive, a set holding s."""
-    if mode == "node":
-        return tuple(v for v in node_boundary(g, s) if v in alive)
-    return tuple(e for e in edge_boundary(g, s) if e[0] in alive and e[1] in alive)
-
-
-def _min_ratio_set(g: Graph, alive, mode: str):
-    """(ratio, set) of the canonical minimizer over 1 <= |S| <= |alive|/2
-    in the subgraph of g induced by alive (at least 2 nodes), the set in
-    g's ids. alive is numbered in ascending order, as induced_subgraph
-    numbers it, and that order is kept both ways, so the (ratio, size,
-    lex) winner is the one induced_subgraph's graph would give."""
-    keep = sorted(alive)
-    index = {v: i for i, v in enumerate(keep)}
-    adjacency = [[index[u] for u in g.adjacency[v] if u in index] for v in keep]
-    value, mask = _min_ratio_cut(adjacency, mode, "sparse-cut search")
-    return value, tuple(keep[i] for i in kernels.mask_nodes(mask))
-
-
 def _compact_cull(g: Graph, alive: set, s: tuple) -> tuple:
     """Turn a connected set with 2|s| <= |alive| into one that is compact
     in the subgraph of g induced by alive and whose edge ratio there is
@@ -145,7 +122,7 @@ def _compact_cull(g: Graph, alive: set, s: tuple) -> tuple:
         return tuple(sorted(alive.difference(big[0])))
     best = None
     for c in comps:
-        ratio = Fraction(len(_boundary(g, c, "edge", alive)), len(c))
+        ratio = Fraction(len(edge_boundary(g, c, alive)), len(c))
         key = (ratio, len(c), c)
         if best is None or key < best:
             best = key
@@ -180,15 +157,12 @@ def compactify(g: Graph, s) -> tuple:
 def _heuristic_cut(g: Graph, alive, mode: str, threshold: Fraction, index: int):
     """Propose a cull set without the exact sweep: take the heuristic
     expansion witness of the subgraph of g induced by alive and accept
-    it only if it meets the loop condition. Misses cuts the exact finder
+    it only if it meets the loop condition (its size is at most half of
+    alive, so its ratio is the loop's). Misses cuts the exact finder
     would see, hence certified=False."""
-    keep = sorted(alive)
     fn = node_expansion_heuristic if mode == "node" else edge_expansion_heuristic
-    wit = fn(induced_subgraph(g, keep), trials=8, seed=index).witness
-    bnd = len(wit.node_boundary) if mode == "node" else wit.edge_boundary_size
-    if Fraction(bnd, len(wit.set)) <= threshold:
-        return tuple(keep[i] for i in wit.set)
-    return None
+    res = fn(g, trials=8, seed=index, nodes=alive)
+    return res.witness.set if res.value <= threshold else None
 
 
 def _prune_loop(
@@ -207,6 +181,7 @@ def _prune_loop(
         raise InputError(f"unknown prune method {method!r}")
     nodes = frozenset(range(g.n) if nodes is None else canon_nodes(g, nodes))
     alive = set(nodes)
+    boundary = node_boundary if mode == "node" else edge_boundary
     steps = []
     union: list = []
     bnd_sum = 0
@@ -216,7 +191,7 @@ def _prune_loop(
         if method == "heuristic":
             raw = _heuristic_cut(g, alive, mode, threshold, len(steps))
         else:
-            value, raw = _min_ratio_set(g, alive, mode)
+            value, raw = _min_ratio_cut(g, alive, mode, "sparse-cut search")
             if value > threshold:
                 raw = None
         if raw is None:
@@ -231,7 +206,7 @@ def _prune_loop(
             compact_flag = is_connected_subset(g, cull) and is_connected_subset(g, rest)
             if not compact_flag:
                 raise ContractError("edge prune culled a non-compact set")
-        bnd = len(_boundary(g, cull, mode, alive))
+        bnd = len(boundary(g, cull, alive))
         ratio = Fraction(bnd, len(cull))
         if ratio > threshold:
             raise ContractError("culled set exceeded the cull threshold")
@@ -248,7 +223,7 @@ def _prune_loop(
         )
         union.extend(cull)
         bnd_sum += bnd
-        if len(_boundary(g, union, mode, nodes)) > bnd_sum:
+        if len(boundary(g, union, nodes)) > bnd_sum:
             raise ContractError("union boundary exceeded the per-step boundary sum")
         if bnd_sum > threshold * len(union):
             raise ContractError("boundary sum exceeded alpha*eps times the culled size")
@@ -308,6 +283,7 @@ def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
     produced by prune or prune2."""
     culls = [step.nodes for step in trace.steps]
     nodes = set(trace.final_nodes).union(*culls)
+    boundary = node_boundary if trace.mode == "node" else edge_boundary
     out = []
     union: list = []
     bnd_sum = 0
@@ -315,7 +291,7 @@ def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
     for step, cull in zip(trace.steps, culls):
         union.extend(cull)
         bnd_sum += step.boundary_size
-        union_bnd = len(_boundary(g_f, union, trace.mode, nodes))
+        union_bnd = len(boundary(g_f, union, nodes))
         ok = union_bnd <= bnd_sum and Fraction(bnd_sum) <= threshold * len(union)
         out.append(
             {
@@ -399,12 +375,10 @@ def _greedy_cuts(g: Graph, stop):
             break
         comp = comps[0]
         if len(comp) <= EXACT_EXPANSION_LIMIT:
-            picked = _min_ratio_set(g, comp, "node")[1]
+            picked = _min_ratio_cut(g, comp, "node", "sparse-cut search")[1]
         else:
-            sub = induced_subgraph(g, comp)
-            witness = node_expansion_heuristic(sub, trials=32, seed=failed).witness
-            picked = tuple(comp[i] for i in witness.set)
-        removed = _boundary(g, picked, "node", alive)
+            picked = node_expansion_heuristic(g, trials=32, seed=failed, nodes=comp).witness.set
+        removed = node_boundary(g, picked, alive)
         if not removed:
             break
         cuts.append((len(comp), picked, removed))

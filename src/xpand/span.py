@@ -37,7 +37,7 @@ from .errors import (
     SamplingError,
 )
 from .faults import make_rng, rand_below
-from .generators import mesh, mesh_coords, mesh_strides
+from .generators import mesh, mesh_coords, mesh_size, mesh_strides
 from .graph import Graph, canon_nodes, connected_components, is_connected, node_boundary
 
 STEINER_TERMINAL_LIMIT = 14
@@ -332,16 +332,18 @@ def verify_mesh_span_certificate(
     n > 24.
     """
     dims = tuple(int(d) for d in dims)
+    n = mesh_size(dims)  # every refusal comes before the mesh is built
+    if exhaustive:
+        kernels._table_limit(n)
+    elif samples < 1:
+        raise InputError("sampled certificate needs at least one sample")
     g = mesh(dims)
     if exhaustive:
-        kernels._table_limit(g.n)  # before any n-bit mask is built
         adj = kernels.adjacency_masks(g.adjacency)
         masks = kernels.compact_masks(kernels.connectivity_table(g.n, adj))
         bnds = chain.from_iterable(b.tolist() for b in kernels.boundary_blocks(adj, masks))
         sets = zip(masks.tolist(), bnds)
     else:
-        if samples < 1:
-            raise InputError("sampled certificate needs at least one sample")
         rng = make_rng(seed)
         sets = (_sampled_masks(g, rng) for _ in range(int(samples)))
     rows = {}

@@ -960,10 +960,10 @@ def _prefix_row(g_f: Graph, ids, mode: str, union_root) -> tuple:
 def _sparse_cut(g: Graph, mode: str, threshold: Fraction):
     if g.n < 2:
         return None, None
-    value, mask = _min_ratio_cut(g.adjacency, mode, "sparse-cut search")
+    value, s = _min_ratio_cut(g, range(g.n), mode, "sparse-cut search")
     if value > threshold:
         return value, None
-    return value, make_cut(g, kernels.mask_nodes(mask))
+    return value, make_cut(g, s)
 
 
 def compact_cull(g: Graph, s: tuple) -> tuple:

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from conftest import subprocess_env
-from xpand import kernels
+from xpand import kernels, span
 from xpand.cli import main
 from xpand.generators import mesh
 from xpand.graph import load_file
@@ -477,6 +477,23 @@ def test_verify_mesh_span_subcommand(workdir, capsys):
     )
     assert rc == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_exhaustive_certificate_is_refused_before_the_mesh_is_built(
+    workdir, capsys, monkeypatch
+):
+    def no_mesh(dims):
+        raise AssertionError(f"mesh {dims} was built")
+
+    monkeypatch.setattr(span, "mesh", no_mesh)
+    rc, out, err = run(["verify-mesh-span", "--dims", "1024x1024", "--exhaustive"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "refused: compact-set tables are limited to n <= 24, got n=1048576\n"
+    # a bad side is still an input error, and so is a sample count below 1
+    rc, out, err = run(["verify-mesh-span", "--dims", "1x1024", "--exhaustive"], capsys)
+    assert (rc, out) == (2, "") and "every side >= 2" in err
+    rc, out, err = run(["verify-mesh-span", "--dims", "1024x1024", "--sample", "0"], capsys)
+    assert (rc, out, err) == (2, "", "error: sampled certificate needs at least one sample\n")
 
 
 def test_verify_mesh_span_samples_are_compact_on_large_meshes(workdir, capsys):

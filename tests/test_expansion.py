@@ -1,4 +1,4 @@
-"""Exact and heuristic expansion, sparse-cut finders, chain DP."""
+"""Exact and heuristic expansion, the exact sweep on a node subset, chain DP."""
 
 import warnings
 from fractions import Fraction
@@ -10,8 +10,6 @@ from xpand.errors import InputError, LimitError
 from xpand.expansion import (
     edge_expansion_exact,
     edge_expansion_heuristic,
-    find_sparse_edge_cut,
-    find_sparse_node_cut,
     node_expansion_exact,
     node_expansion_heuristic,
     subdivided_node_expansion,
@@ -94,40 +92,18 @@ def test_witness_is_canonical_minimizer():
     assert r2.witness.set == (0, 1, 2, 3)
 
 
-def test_find_sparse_node_cut():
-    # threshold alpha*eps below every ratio: nothing to report
-    assert find_sparse_node_cut(cycle(8), F(1, 2), F(1, 2)) is None
-    assert find_sparse_node_cut(complete(6), F(1), F(1, 2)) is None
-    # endpoint arc of the path has ratio 1/3 <= 3/8
-    cut = find_sparse_node_cut(path(7), F(1, 2), F(3, 4))
-    assert cut.set == (0, 1, 2) and cut.node_ratio == F(1, 3)
-    # an isolated node is a free cut of ratio 0
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
-    cut = find_sparse_node_cut(g, F(1, 2), F(1, 2))
-    assert cut.set == (4,) and cut.node_ratio == 0
-
-
-def test_find_sparse_edge_cut():
-    # path on 7 nodes: every half-or-smaller segment has edge ratio
-    # >= 1/3, and 1/3 > (1/3)*(3/4), so the finder must decline
-    assert find_sparse_edge_cut(path(7), F(1, 3), F(3, 4)) is None
-    assert find_sparse_edge_cut(complete(4), F(2), F(1, 2)) is None
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
-    cut = find_sparse_edge_cut(g, F(1, 2), F(1, 2))
-    assert cut.set == (4,) and cut.edge_ratio == 0
-
-
-def test_sparse_cut_respects_threshold_on_random_graphs():
-    for seed in range(8):
-        g = random_connected_graph(seed + 50, n_max=9)
-        alpha = node_expansion_exact(g).value
-        if alpha == 0:
-            continue
-        for eps in (F(1, 4), F(1, 2), F(3, 4)):
-            cut = find_sparse_node_cut(g, alpha, eps)
-            if cut is not None:
-                assert cut.node_ratio <= alpha * eps
-                assert 1 <= len(cut.set) <= g.n // 2
+def test_min_ratio_cut_on_a_node_subset():
+    # the subgraph of cycle(8) induced by 1..7 is a path: its endpoint
+    # arc, in cycle(8)'s ids, has node ratio 1/3
+    got = expansion._min_ratio_cut(cycle(8), range(1, 8), "node", "sweep")
+    assert got == (F(1, 3), (1, 2, 3))
+    # a node isolated within the subset is a free cut in both modes
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 5)])
+    for mode in ("node", "edge"):
+        assert expansion._min_ratio_cut(g, {5, 3, 2, 1}, mode, "sweep") == (0, (5,))
+    # the cap is checked on the size alone, before the nodes are read
+    with pytest.raises(LimitError, match="sweep is limited to n <= 24, got n=1000000000"):
+        expansion._min_ratio_cut(g, range(10**9), "node", "sweep")
 
 
 def test_heuristic_bounds_exact():

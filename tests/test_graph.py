@@ -1,6 +1,7 @@
 """Core graph container, boundaries, cuts, and the text format."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,6 @@ from xpand.graph import (
     connected_components,
     dumps,
     edge_boundary,
-    induced_subgraph,
     is_compact,
     is_connected,
     is_connected_subset,
@@ -23,7 +23,7 @@ from xpand.graph import (
     node_boundary,
 )
 
-from oracles import random_connected_graph
+from oracles import random_connected_graph, relabel
 
 
 def test_node_boundary_small_cases():
@@ -80,7 +80,7 @@ def test_connected_components_ordering():
 def test_connectivity_predicates():
     c8 = cycle(8)
     assert is_connected(c8)
-    assert not is_connected(induced_subgraph(c8, [1, 2, 3, 5, 6, 7]))
+    assert not is_connected(relabel(c8, [1, 2, 3, 5, 6, 7])[0])
     assert is_connected_subset(c8, [1, 2, 3])
     assert not is_connected_subset(c8, [1, 3])
 
@@ -98,31 +98,30 @@ def test_is_compact():
         is_compact(c8, range(8))
 
 
-def test_induced_subgraph_numbers_kept_nodes_ascending():
-    assert dumps(induced_subgraph(complete(4), [0, 1, 2])) == dumps(complete(3))
-    assert dumps(induced_subgraph(cycle(8), range(1, 8))) == dumps(path(7))
-    # numbered by id, not by the order keep lists them: 0, 1, 7 -> 0, 1, 2
-    h = induced_subgraph(cycle(8), [7, 1, 0])
-    assert sorted(h.edges()) == [(0, 1), (0, 2)]
-
-
-def test_induced_subgraph_refuses_missing_and_repeated_ids():
-    for keep in ([8], [1, 1], [-1]):
-        with pytest.raises(InputError):
-            induced_subgraph(cycle(8), keep)
-
-
 def test_remove_nothing_is_identity():
+    # the subgraph induced by every node measures as g itself
     g = mesh([3, 3])
-    assert dumps(induced_subgraph(g, range(g.n))) == dumps(g)
-
-
-def test_induced_subgraph():
-    h = induced_subgraph(cycle(6), [0, 1, 2, 4])
-    assert h.n == 4  # node 4 kept but isolated
-    assert sorted(h.edges()) == [(0, 1), (1, 2)]
+    everything = set(range(g.n))
+    for s in ([0], [0, 1, 3], [4]):
+        assert node_boundary(g, s, everything) == node_boundary(g, s)
+        assert edge_boundary(g, s, everything) == edge_boundary(g, s)
+        assert make_cut(g, s, everything) == make_cut(g, s)
     # a graph holds its adjacency alone, with no id map
     assert Graph.__slots__ == ("_adj", "_m", "_max_degree")
+
+
+def test_boundaries_and_cuts_on_a_node_subset():
+    # the subgraph of cycle(8) induced by 0..5 is the path 0-1-2-3-4-5
+    c8, nodes = cycle(8), set(range(6))
+    assert node_boundary(c8, [0, 1], nodes) == (2,)
+    assert edge_boundary(c8, [0, 1], nodes) == ((1, 2),)
+    cut = make_cut(c8, [0, 1], nodes)
+    assert (cut.node_ratio, cut.edge_ratio) == (Fraction(1, 2), Fraction(1, 2))
+    # the edge ratio divides by the smaller side within nodes
+    assert make_cut(c8, [0, 1, 2, 3, 4], nodes).edge_ratio == 1
+    for s in ([], range(6), [5, 6]):
+        with pytest.raises(InputError):
+            make_cut(c8, s, nodes)
 
 
 def test_text_format_round_trip():

@@ -1,16 +1,18 @@
 """Property tests over random graphs: the shared component walk against
 networkx, the shared prune-and-grade path against a from-scratch
 reference, the prune and greedy cut loops against their first
-Graph-rebuilding versions, prune, prune2 and gamma on a faulty graph
-(g, nodes) against the same on its relabelled copy, the adversary's
-traces against the reference prune of each faulty graph, percolation points and resilience trials against their two
-first-written trial loops, the chain DP against its first dict-of-states
-version, its class sweep against the per-base-set table sweep it
-replaced, its values-only step and its walk against the pointer step,
-the compact-set sampler against its first version, the text format's
-round trip and token checks, the fault-pattern format's round trip and
-its malformed payloads, manifest replay from foreign directories, and
-the warning-free survivor measurement."""
+Graph-rebuilding versions, prune, prune2, gamma and the heuristic
+finders on a faulty graph (g, nodes) against the same on its relabelled
+copy, the heuristic prune and greedy cut paths building no Graph, the
+adversary's traces against the reference prune of each faulty graph,
+percolation points and resilience trials against their two first-written
+trial loops, the chain DP against its first dict-of-states version, its
+class sweep against the per-base-set table sweep it replaced, its
+values-only step and its walk against the pointer step, the compact-set
+sampler against its first version, the text format's round trip and
+token checks, the fault-pattern format's round trip and its malformed
+payloads, manifest replay from foreign directories, and the warning-free
+survivor measurement."""
 
 import contextlib
 import io
@@ -33,7 +35,9 @@ from xpand.cli import main
 from xpand.errors import InputError, LoadError
 from xpand.expansion import (
     edge_expansion_exact,
+    edge_expansion_heuristic,
     node_expansion_exact,
+    node_expansion_heuristic,
     subdivided_node_expansion,
 )
 from xpand.experiments import (
@@ -49,7 +53,6 @@ from xpand.graph import (
     Graph,
     connected_components,
     dumps,
-    induced_subgraph,
     is_connected,
     loads,
 )
@@ -99,7 +102,7 @@ def test_prune_and_grade_matches_reference_node(data, g):
     trace, expansion = _prune_and_grade(g, "node", alpha, eps, nodes)
     ref = oracles.prune_loop(g, alpha, eps, "node", nodes=nodes)
     if ref.h_size >= 2:
-        ref_expansion = node_expansion_exact(induced_subgraph(g, ref.final_nodes)).value
+        ref_expansion = node_expansion_exact(oracles.relabel(g, ref.final_nodes)[0]).value
     else:
         ref_expansion = Fraction(0)
     assert trace.to_payload() == ref.to_payload()
@@ -117,7 +120,7 @@ def test_prune_and_grade_matches_reference_edge(data, g):
     trace, expansion = _prune_and_grade(g_f, "edge", alpha, eps)
     ref = oracles.prune_loop(g_f, alpha, eps, "edge")
     if ref.h_size >= 2:
-        ref_expansion = edge_expansion_exact(induced_subgraph(g_f, ref.final_nodes)).value
+        ref_expansion = edge_expansion_exact(oracles.relabel(g_f, ref.final_nodes)[0]).value
     else:
         ref_expansion = Fraction(0)
     assert trace.to_payload() == ref.to_payload()
@@ -191,6 +194,33 @@ def test_faulty_graph_matches_its_relabelled_copy(data, g, alpha, eps, mode, met
     assert gamma(g_f, nodes) == oracles.gamma_nx(copy)
 
 
+@given(
+    faulty=faulty_graphs(max_n=20),
+    mode=st.sampled_from(["node", "edge"]),
+    trials=st.integers(1, 24),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_heuristic_on_a_faulty_graph_matches_its_relabelled_copy(faulty, mode, trials, seed):
+    g, nodes = faulty
+    copy, ids = oracles.relabel(g, range(g.n) if nodes is None else nodes)
+    fn = node_expansion_heuristic if mode == "node" else edge_expansion_heuristic
+    if copy.n < 2:
+        with pytest.raises(InputError, match="at least 2 nodes"):
+            fn(g, trials=trials, seed=seed, nodes=nodes)
+        return
+    got = fn(g, trials=trials, seed=seed, nodes=nodes)
+    want = fn(copy, trials=trials, seed=seed)
+    assert got.value == want.value
+    assert got.witness.set == oracles.mapped(ids, want.witness.set)
+    assert got.witness.node_boundary == oracles.mapped(ids, want.witness.node_boundary)
+    assert got.witness.edge_boundary_size == want.witness.edge_boundary_size
+    assert (got.witness.node_ratio, got.witness.edge_ratio) == (
+        want.witness.node_ratio,
+        want.witness.edge_ratio,
+    )
+
+
 @given(data=st.data(), g=graphs())
 @settings(max_examples=80, deadline=None)
 def test_shatter_and_attack_match_graph_rebuilding_reference(data, g):
@@ -204,9 +234,9 @@ def test_shatter_and_attack_match_graph_rebuilding_reference(data, g):
 @pytest.mark.parametrize(
     "g",
     [
-        induced_subgraph(cycle(32), set(range(32)).difference([1, 30])),
-        induced_subgraph(mesh([5, 6]), set(range(30)).difference([1, 6, 17])),
-        induced_subgraph(mesh([6, 6]), set(range(36)).difference([1, 6, 14])),
+        oracles.relabel(cycle(32), set(range(32)).difference([1, 30]))[0],
+        oracles.relabel(mesh([5, 6]), set(range(30)).difference([1, 6, 17]))[0],
+        oracles.relabel(mesh([6, 6]), set(range(36)).difference([1, 6, 14]))[0],
     ],
     ids=["cycle32", "mesh5x6", "mesh6x6"],
 )
@@ -244,8 +274,9 @@ def test_adversary_traces_match_prune_of_the_faulty_graph(g):
         assert union_boundary_check(g, trace) == oracles.union_boundary_check(g, ref, nodes)
 
 
-def test_adversary_builds_no_graph(monkeypatch):
-    g = mesh([4, 4])
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """A list that gains one entry per Graph built from here on."""
     built = []
     init = Graph.__init__
 
@@ -254,9 +285,36 @@ def test_adversary_builds_no_graph(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Graph, "__init__", counted)
-    report = adversary_exhaustive(g, 2, 1)
+    return built
+
+
+_MESH44 = mesh([4, 4])
+
+
+def test_adversary_builds_no_graph(graph_builds):
+    report = adversary_exhaustive(_MESH44, 2, 1)
     assert report.iterations == 16
-    assert built == []
+    assert graph_builds == []
+
+
+# mesh 5x6 and its faulty form both have a component past the exact cap,
+# so each run below goes through the heuristic finder on (g, nodes)
+_MESH56 = mesh([5, 6])
+_MESH56_NODES = tuple(v for v in range(30) if v not in (1, 6, 17))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: prune(_MESH56, 1, Fraction(1, 2), method="heuristic", nodes=_MESH56_NODES),
+        lambda: prune2(_MESH56, 1, Fraction(1, 2), method="heuristic", nodes=_MESH56_NODES),
+        lambda: attack_greedy_cuts(_MESH56, 3),
+    ],
+    ids=["prune", "prune2", "attack"],
+)
+def test_heuristic_prune_and_greedy_attack_build_no_graph(graph_builds, run):
+    run()
+    assert graph_builds == []
 
 
 _TRIAL_PS = st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)])
