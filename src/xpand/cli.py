@@ -3,7 +3,8 @@
 Every subcommand reads plain-text graph files, emits one primary
 document (graph text, canonical JSON, or CSV), and, when writing to a
 file, drops a sidecar manifest so the run can be replayed and checked
-byte for byte with --replay.
+byte for byte with --replay. Each command imports the modules it runs
+in its own body, so `gen` of a fixed family loads no numpy.
 
 Exit codes: 0 success, 1 refused or failed (size limits, contract
 violations, a verification that found a counterexample), 2 bad input.
@@ -20,26 +21,6 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import ContractError, InputError, LimitError, XpandError
-from .expansion import (
-    edge_expansion_exact,
-    edge_expansion_heuristic,
-    node_expansion_exact,
-    node_expansion_heuristic,
-    subdivided_node_expansion,
-)
-from .experiments import rows_to_csv, rows_to_jsonl, run_percolation_sweep
-from .faults import FaultPattern, apply_faults, attack_chain_centers
-from .generators import (
-    complete,
-    cycle,
-    hypercube,
-    mesh,
-    path,
-    random_regular,
-    subdivide_edges,
-    subdivision_from_json,
-    subdivision_to_json,
-)
 from .graph import Graph, dumps, loads
 from .manifest import (
     MANIFEST_SUFFIX,
@@ -49,8 +30,6 @@ from .manifest import (
     sha256_file,
     sha256_text,
 )
-from .pruning import attack_greedy_cuts, prune, prune2, shatter_uniform
-from .span import span_exact, span_sampled, verify_mesh_span_certificate
 
 MAX_THREADS = 64
 SIDECAR_SUFFIX = ".sub.json"
@@ -161,6 +140,7 @@ class RunContext:
 
 
 def _load_sidecar(ctx: RunContext, graph_path: str, g: Graph):
+    from .generators import subdivision_from_json
     sidecar = graph_path + SIDECAR_SUFFIX
     if not os.path.exists(sidecar):
         raise InputError(
@@ -171,6 +151,8 @@ def _load_sidecar(ctx: RunContext, graph_path: str, g: Graph):
 
 
 def cmd_gen(args, ctx: RunContext) -> int:
+    from .generators import complete, cycle, hypercube, mesh, path, random_regular
+    from .generators import subdivide_edges, subdivision_to_json
     fam = args.family
     if fam == "subdivide":
         if args.base is None or args.k is None:
@@ -208,26 +190,32 @@ def cmd_gen(args, ctx: RunContext) -> int:
     return 0
 
 
+def _measure(edge: bool, heuristic: bool):
+    """The expansion function for node or edge mode, exact or heuristic."""
+    from .expansion import edge_expansion_exact, edge_expansion_heuristic
+    from .expansion import node_expansion_exact, node_expansion_heuristic
+    if heuristic:
+        return edge_expansion_heuristic if edge else node_expansion_heuristic
+    return edge_expansion_exact if edge else node_expansion_exact
+
+
 def cmd_expansion(args, ctx: RunContext) -> int:
+    from .expansion import subdivided_node_expansion
     g = ctx.load_graph(args.graph)
-    mode = "edge" if args.edge else "node"
     if args.heuristic:
-        fn = (
-            node_expansion_heuristic if mode == "node" else edge_expansion_heuristic
-        )
-        res = fn(g, trials=args.trials, seed=args.seed)
+        res = _measure(args.edge, True)(g, trials=args.trials, seed=args.seed)
     elif args.chain_dp:
-        if mode != "node":
+        if args.edge:
             raise InputError("--chain-dp computes node expansion only")
         res = subdivided_node_expansion(_load_sidecar(ctx, args.graph, g))
     else:
-        fn = node_expansion_exact if mode == "node" else edge_expansion_exact
-        res = fn(g)
+        res = _measure(args.edge, False)(g)
     ctx.deliver(args.output, canonical_json(res.to_payload()))
     return 0
 
 
 def cmd_span(args, ctx: RunContext) -> int:
+    from .span import span_exact, span_sampled
     g = ctx.load_graph(args.graph)
     if args.sample is not None:
         if args.exact:
@@ -244,6 +232,7 @@ def cmd_span(args, ctx: RunContext) -> int:
 def _load_faults(ctx: RunContext, args, g: Graph):
     """Returns (graph, surviving nodes, fault count), the faulty graph
     as apply_faults gives it. --faults empty means none."""
+    from .faults import FaultPattern, apply_faults
     if args.faults == "empty":
         return g, None, 0
     pattern = FaultPattern.from_json(ctx.load_text(args.faults))
@@ -252,6 +241,7 @@ def _load_faults(ctx: RunContext, args, g: Graph):
 
 
 def cmd_prune(args, ctx: RunContext) -> int:
+    from .pruning import prune, prune2
     g = ctx.load_graph(args.graph)
     g_f, nodes, fault_count = _load_faults(ctx, args, g)
     edge_mode = args.command == "prune2"
@@ -262,12 +252,8 @@ def cmd_prune(args, ctx: RunContext) -> int:
     method = "heuristic" if args.heuristic else "exact"
     if given is not None:
         alpha = parse_rational(given)
-    elif method == "heuristic":
-        fn = edge_expansion_heuristic if edge_mode else node_expansion_heuristic
-        alpha = fn(g).value
     else:
-        oracle = edge_expansion_exact if edge_mode else node_expansion_exact
-        alpha = oracle(g).value
+        alpha = _measure(edge_mode, args.heuristic)(g).value
     eps = parse_rational(args.eps)
     trace = (prune2 if edge_mode else prune)(g_f, alpha, eps, method=method, nodes=nodes)
     payload = trace.to_payload()
@@ -277,6 +263,7 @@ def cmd_prune(args, ctx: RunContext) -> int:
 
 
 def cmd_shatter(args, ctx: RunContext) -> int:
+    from .pruning import shatter_uniform
     g = ctx.load_graph(args.graph)
     res = shatter_uniform(g, parse_rational(args.eps_frac))
     ctx.deliver(args.output, canonical_json(res.to_payload()))
@@ -286,8 +273,10 @@ def cmd_shatter(args, ctx: RunContext) -> int:
 def cmd_attack(args, ctx: RunContext) -> int:
     g = ctx.load_graph(args.graph)
     if args.strategy == "chain-centers":
+        from .faults import attack_chain_centers
         pattern = attack_chain_centers(_load_sidecar(ctx, args.graph, g))
     else:
+        from .pruning import attack_greedy_cuts  # loads the exact engine
         if args.budget is None or args.budget < 1:
             raise InputError("greedy attack needs --budget of at least 1")
         pattern = attack_greedy_cuts(g, args.budget)
@@ -296,6 +285,8 @@ def cmd_attack(args, ctx: RunContext) -> int:
 
 
 def cmd_percolate(args, ctx: RunContext) -> int:
+    from .expansion import node_expansion_exact
+    from .experiments import rows_to_csv, rows_to_jsonl, run_percolation_sweep
     g = ctx.load_graph(args.graph)
     ps = parse_p_grid(args.p_grid)
     prune_params = None
@@ -328,6 +319,7 @@ def cmd_percolate(args, ctx: RunContext) -> int:
 
 
 def cmd_verify_mesh_span(args, ctx: RunContext) -> int:
+    from .span import verify_mesh_span_certificate
     dims = parse_dims(args.dims)
     if args.sample is not None:
         cert = verify_mesh_span_certificate(

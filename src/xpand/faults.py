@@ -11,23 +11,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InputError
 from .graph import Graph, canon_nodes
+from .manifest import canonical_json
 
 KIND_NODE = "node-faults"
 KIND_EDGE = "edge-survival"
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def make_rng(seed: int):
+    """The PCG64 Generator for a seed; numpy is imported here, on first use."""
+    import numpy as np
     seed = int(seed)
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def rand_below(rng: np.random.Generator, k: int) -> int:
+def rand_below(rng, k: int) -> int:
     """Uniform int in [0, k) from one double draw."""
     if k <= 0:
         raise InputError("rand_below needs k >= 1")
@@ -35,10 +36,14 @@ def rand_below(rng: np.random.Generator, k: int) -> int:
     return k - 1 if v >= k else v
 
 
-def shuffle_in_place(items: list, rng: np.random.Generator) -> None:
-    """Fisher-Yates driven by rand_below, deterministic per stream state."""
-    for i in range(len(items) - 1, 0, -1):
-        j = rand_below(rng, i + 1)
+def shuffle_in_place(items: list, rng) -> None:
+    """Fisher-Yates on one batch of doubles: the same stream, and the
+    same swaps, as rand_below(rng, i + 1) for i from len - 1 down to 1."""
+    if len(items) < 2:
+        return
+    draws = rng.random(len(items) - 1).tolist()
+    for i, u in zip(range(len(items) - 1, 0, -1), draws):
+        j = min(int(u * (i + 1)), i)
         items[i], items[j] = items[j], items[i]
 
 
@@ -72,7 +77,7 @@ class FaultPattern:
                 "kept_edges": [[u, v] for u, v in self.kept_edges],
                 "provenance": self.provenance,
             }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(payload)
 
     def fault_count(self, g: Graph) -> int:
         """Faults the pattern puts on g: its failed nodes for node faults,

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from .errors import GenerationError, InputError, LimitError
 from .faults import json_int, make_rng, shuffle_in_place
 from .graph import Graph, check_size
+from .manifest import canonical_json
 
 HYPERCUBE_DIM_LIMIT = 16
 RANDOM_REGULAR_TRIES = 200
@@ -191,7 +192,7 @@ def subdivision_to_json(h: SubdividedGraph) -> str:
         "base_nodes": list(h.base_nodes),
         "chains": [[u, v, list(inner)] for u, v, inner in h.chains],
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(payload)
 
 
 def subdivision_from_json(text: str, graph: Graph) -> SubdividedGraph:

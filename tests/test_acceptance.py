@@ -5,7 +5,6 @@ Criteria 1-8 are exact (zero tolerance), 9-10 are statistical with the
 stated margins, 11 replays every manifest produced by representative
 command-line runs."""
 
-import json
 import math
 import statistics
 from fractions import Fraction

@@ -14,7 +14,6 @@ import pytest
 from conftest import subprocess_env
 from xpand import kernels, span
 from xpand.cli import main
-from xpand.generators import mesh
 from xpand.graph import load_file
 
 
@@ -561,6 +560,65 @@ def test_replay_in_a_child_process(workdir, capsys):
     )
     assert out.returncode == 0, out.stderr
     assert "byte for byte" in out.stdout
+
+
+# gen of every fixed family, and the chain-center attack, need neither
+# numpy nor the exact engine
+LIGHT_RUNS = [
+    ["gen", "--family", "mesh", "--dims", "3x3", "-o", "m.gr"],
+    ["gen", "--family", "hypercube", "--dim", "3", "-o", "q.gr"],
+    ["gen", "--family", "cycle", "--n", "5", "-o", "c.gr"],
+    ["gen", "--family", "path", "--n", "5", "-o", "p.gr"],
+    ["gen", "--family", "complete", "--n", "4", "-o", "k4.gr"],
+    ["gen", "--family", "subdivide", "--base", "k4.gr", "--k", "2", "-o", "s.gr"],
+    ["attack", "s.gr", "--strategy", "chain-centers", "-o", "a.json"],
+]
+
+LOADED_AFTER = """
+import json, sys
+from xpand.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps([m for m in ("numpy", "xpand.expansion", "xpand.kernels") if m in sys.modules]))
+"""
+
+
+def loaded_after(argvs, cwd):
+    """The heavy modules a fresh interpreter holds after running argvs."""
+    out = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=subprocess_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_light_commands_and_their_replays_load_no_numpy(workdir):
+    replays = [["--replay", argv[-1] + ".manifest.json"] for argv in LIGHT_RUNS]
+    assert loaded_after(LIGHT_RUNS + replays, workdir) == []
+    rr = ["gen", "--family", "random-regular", "--n", "8", "--degree", "3", "-o", "r.gr"]
+    assert loaded_after([rr], workdir) == ["numpy"]
+    greedy = ["attack", "m.gr", "--strategy", "greedy", "--budget", "1"]
+    assert loaded_after([greedy], workdir) == ["numpy", "xpand.expansion", "xpand.kernels"]
+
+
+SUBCOMMANDS = "gen expansion span prune prune2 shatter attack percolate verify-mesh-span".split()
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.split("{", 1)[1].split("}", 1)[0].split(",") == SUBCOMMANDS
+    for name in SUBCOMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: xpand {name} ")
 
 
 def test_replay_from_another_directory(workdir, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from xpand.faults import (
     make_rng,
     rand_below,
     random_node_faults,
+    shuffle_in_place,
 )
 from xpand.generators import complete, cycle, mesh, path, subdivide_edges
 from xpand.graph import Graph, connected_components
@@ -193,3 +194,21 @@ def test_rng_helpers():
     assert all(0 <= v < 10 for v in vals)
     rng2 = make_rng(42)
     assert [rand_below(rng2, 10) for _ in range(100)] == vals
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_shuffle_matches_one_draw_per_swap(seed):
+    # the per-draw Fisher-Yates the batched shuffle replaces
+    def reference(items, rng):
+        for i in range(len(items) - 1, 0, -1):
+            j = rand_below(rng, i + 1)
+            items[i], items[j] = items[j], items[i]
+
+    for length in range(60):
+        got, want = list(range(length)), list(range(length))
+        rng_got, rng_want = make_rng(seed), make_rng(seed)
+        shuffle_in_place(got, rng_got)
+        reference(want, rng_want)
+        assert got == want
+        # the stream is left where the per-draw loop leaves it
+        assert rng_got.random() == rng_want.random()

@@ -1,6 +1,5 @@
 """Core graph container, boundaries, cuts, and the text format."""
 
-import itertools
 from fractions import Fraction
 
 import pytest

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from xpand.errors import ContractError, InputError, LimitError
+from xpand.errors import InputError, LimitError
 from xpand.expansion import edge_expansion_exact, node_expansion_exact
 from xpand.faults import KIND_NODE, FaultPattern, apply_faults, random_node_faults
 from xpand.generators import complete, cycle, mesh, path
