@@ -99,17 +99,16 @@ def main() -> int:
     seed, g = _regular(args.n, args.degree, args.seed)
     adj = _adj_masks(g)
     n = g.n
-    half = n // 2
     print(f"random {args.degree}-regular graph, n={n}, seed={seed}")
 
     bench(
         "min_ratio_node_cut",
-        lambda: kernels.min_ratio_node_cut(n, adj, half),
+        lambda: kernels.min_ratio_node_cut(n, adj),
         args.repeat,
     )
     bench(
         "min_ratio_edge_cut",
-        lambda: kernels.min_ratio_edge_cut(n, adj, half),
+        lambda: kernels.min_ratio_edge_cut(n, adj),
         args.repeat,
     )
 

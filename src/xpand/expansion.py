@@ -63,7 +63,7 @@ def _min_ratio_cut(g: Graph, nodes, mode: str, what: str):
     index = {v: i for i, v in enumerate(keep)}
     adjacency = [[index[u] for u in g.adjacency[v] if u in index] for v in keep]
     sweep = kernels.min_ratio_node_cut if mode == "node" else kernels.min_ratio_edge_cut
-    bnd, size, mask = sweep(n, kernels.adjacency_masks(adjacency), n // 2)
+    bnd, size, mask = sweep(n, kernels.adjacency_masks(adjacency))
     return Fraction(bnd, size), tuple(keep[i] for i in kernels.mask_nodes(mask))
 
 

@@ -160,23 +160,23 @@ def _low_complements(c: int):
     return out
 
 
-def _sweep(n: int, max_size: int, c: int, order, starts, score):
+def _sweep(n: int, c: int, order, starts, score):
     """Canonical (value, size, mask) minimizing value / size over
-    1 <= size <= max_size, or None.
+    1 <= size <= n // 2, for n >= 2.
 
     A mask is high | low with low the c low bits. The high halves are
     walked in Gray-code order, so each differs from the previous one in
     the single bit flip (0 at the first). score(high, flip, end) returns
     (values, offset): values[k] + offset is the value of high | order[k]
     for every k < end, and end covers exactly the low halves that keep
-    the size within max_size.
+    the size within n // 2.
     """
     best = None
     for step in range(1 << (n - c)):
         high = (step ^ (step >> 1)) << c
         flip = (step & -step) << c
         hs = high.bit_count()
-        top = min(max_size - hs, c)
+        top = min(n // 2 - hs, c)
         values, offset = score(high, flip, starts[top + 1] if top >= 0 else 0)
         if top < 0:
             continue
@@ -187,8 +187,6 @@ def _sweep(n: int, max_size: int, c: int, order, starts, score):
             b, s = mins[j] + offset, j + hs
             if cb is None or b * cs < cb * s:
                 cb, cs = b, s
-        if cb is None:
-            continue
         if best is not None:
             lhs, rhs = cb * best[1], best[0] * cs
             if lhs > rhs or (lhs == rhs and cs > best[1]):
@@ -202,13 +200,14 @@ def _sweep(n: int, max_size: int, c: int, order, starts, score):
     return best
 
 
-def min_ratio_node_cut(n: int, adj, max_size: int):
-    """Minimize |outer node boundary| / |S| over 1 <= |S| <= max_size.
+def min_ratio_node_cut(n: int, adj):
+    """Minimize |outer node boundary| / |S| over 1 <= |S| <= n // 2.
 
     Full sweep over all subsets; node-boundary minimizers need not be
-    connected. Returns (boundary_size, set_size, set_mask) or None.
+    connected. Returns (boundary_size, set_size, set_mask), or None for
+    n < 2.
     """
-    if n < 1 or max_size < 1:
+    if n < 2:
         return None
     c, order, starts = _low_halves(n)
     full = (1 << n) - 1
@@ -230,18 +229,18 @@ def min_ratio_node_cut(n: int, adj, max_size: int):
         np.bitwise_and(t, np.uint64(full ^ high), out=t)
         return np.bitwise_count(t), 0
 
-    return _sweep(n, max_size, c, order, starts, score)
+    return _sweep(n, c, order, starts, score)
 
 
-def min_ratio_edge_cut(n: int, adj, max_size: int):
-    """Minimize |edge boundary| / |S| over 1 <= |S| <= max_size.
+def min_ratio_edge_cut(n: int, adj):
+    """Minimize |edge boundary| / |S| over 1 <= |S| <= n // 2.
 
     Sweeps all subsets; adj must be symmetric. The canonical winner is
     always connected: any disconnected S has a component with ratio <=
     ratio(S) and smaller size, so it loses the (ratio, size) tie-break.
-    Returns (cut_size, set_size, set_mask) or None.
+    Returns (cut_size, set_size, set_mask), or None for n < 2.
     """
-    if n < 1 or max_size < 1:
+    if n < 2:
         return None
     c, order, starts = _low_halves(n)
     low = np.arange(1 << c, dtype=np.uint64)
@@ -271,7 +270,7 @@ def min_ratio_edge_cut(n: int, adj, max_size: int):
                 np.add(values, cross[v - c], out=values)
         return values[:end], cut_high
 
-    return _sweep(n, max_size, c, order, starts, score)
+    return _sweep(n, c, order, starts, score)
 
 
 def _or_tables(bits):

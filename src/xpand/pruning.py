@@ -4,8 +4,9 @@ large well-expanding subgraph.
 
 The node variant culls canonical minimizers of |boundary|/|S|; the edge
 variant culls the compactified form of edge-ratio minimizers. Both
-record a full trace and recheck the telescoping boundary invariant on
-every prefix: the boundary of everything culled so far, measured in the
+record a full trace, and prune itself enforces the telescoping boundary
+invariant on every prefix of it, raising ContractError at the first
+that fails: the boundary of everything culled so far, measured in the
 input graph, never exceeds the sum of per-step boundaries, which never
 exceeds alpha*eps times the culled size.
 
@@ -175,16 +176,14 @@ def _prune_loop(
 ) -> PruneTrace:
     """Prune the subgraph of g induced by nodes, all of g by default.
     The loop keeps its nodes, its culls and the survivor in g's own
-    ids."""
+    ids, and checks the finished trace's prefix invariant once."""
     _validate_params(alpha, eps)
     if method not in ("exact", "heuristic"):
         raise InputError(f"unknown prune method {method!r}")
-    nodes = frozenset(range(g.n) if nodes is None else canon_nodes(g, nodes))
-    alive = set(nodes)
+    alive = set(range(g.n) if nodes is None else canon_nodes(g, nodes))
+    n_start = len(alive)
     boundary = node_boundary if mode == "node" else edge_boundary
     steps = []
-    union: list = []
-    bnd_sum = 0
     threshold = alpha * eps
     value = None  # the last exact sweep's minimum ratio
     while len(alive) >= 2:
@@ -221,24 +220,22 @@ def _prune_loop(
                 compact=compact_flag,
             )
         )
-        union.extend(cull)
-        bnd_sum += bnd
-        if len(boundary(g, union, nodes)) > bnd_sum:
-            raise ContractError("union boundary exceeded the per-step boundary sum")
-        if bnd_sum > threshold * len(union):
-            raise ContractError("boundary sum exceeded alpha*eps times the culled size")
         alive.difference_update(cull)
-    return PruneTrace(
+    trace = PruneTrace(
         mode=mode,
         alpha=alpha,
         eps=eps,
-        n_start=len(nodes),
+        n_start=n_start,
         steps=tuple(steps),
         final_nodes=tuple(sorted(alive)),
         certified=method == "exact",
         # a survivor below 2 nodes is not swept
         h_expansion=value if len(alive) >= 2 else None,
     )
+    for row in _prefix_rows(g, trace):
+        if not row["ok"]:
+            raise ContractError(f"prefix {row['prefix']} broke the boundary invariant: {row}")
+    return trace
 
 
 def prune(
@@ -275,23 +272,20 @@ def prune2(
     return _prune_loop(g, Fraction(alpha_e), Fraction(eps), "edge", method, nodes)
 
 
-def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
-    """Recompute the prefix invariant of a trace from scratch against
-    the graph it was produced on, measured on the trace's own nodes, its
-    culls plus its survivor: the nodes prune or prune2 was given.
-    Returns one dict per prefix; every 'ok' must be True for a trace
-    produced by prune or prune2."""
-    culls = [step.nodes for step in trace.steps]
-    nodes = set(trace.final_nodes).union(*culls)
+def _prefix_rows(g: Graph, trace: PruneTrace) -> list:
+    """The prefix invariant of a trace, one dict per prefix, measured in
+    the graph it was produced on and on the trace's own nodes, its culls
+    plus its survivor: the nodes prune or prune2 was given."""
+    nodes = set(trace.final_nodes).union(*(step.nodes for step in trace.steps))
     boundary = node_boundary if trace.mode == "node" else edge_boundary
     out = []
     union: list = []
     bnd_sum = 0
     threshold = trace.alpha * trace.eps
-    for step, cull in zip(trace.steps, culls):
-        union.extend(cull)
+    for step in trace.steps:
+        union.extend(step.nodes)
         bnd_sum += step.boundary_size
-        union_bnd = len(boundary(g_f, union, nodes))
+        union_bnd = len(boundary(g, union, nodes))
         ok = union_bnd <= bnd_sum and Fraction(bnd_sum) <= threshold * len(union)
         out.append(
             {
@@ -303,6 +297,13 @@ def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
             }
         )
     return out
+
+
+def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
+    """Recompute the prefix invariant of a trace from scratch against
+    the graph it was produced on; prune and prune2 have already enforced
+    it, so every 'ok' is True for a trace they produced."""
+    return _prefix_rows(g_f, trace)
 
 
 def size_lower_bound(n: int, alpha: Fraction, k: int, f: int) -> Fraction:

@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -998,3 +999,23 @@ def test_caps_are_constants_not_keywords():
                 hit = CAP_KEYWORDS & set(inspect.signature(fn).parameters)
                 found.extend(f"{info.name}.{name}({p})" for p in sorted(hit))
     assert found == []
+
+
+def _stated_cap(text: str) -> int:
+    """A cap as the README states it: n <= 24, 10^6, 2^22 or 200."""
+    base, _, exponent = text.removeprefix("n <= ").partition("^")
+    return int(base) ** int(exponent) if exponent else int(base)
+
+
+def test_readme_limits_table_names_each_cap_as_it_stands():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Limits\n", 1)[1]
+    table = next(block for block in section.split("\n\n") if block.startswith("|"))
+    rows = table.splitlines()[2:]  # past the header and its rule
+    assert rows
+    for row in rows:
+        *_, cap, constant = (cell.strip() for cell in row.strip("|").split("|"))
+        module, name = re.fullmatch(r"`(\w+)\.(\w+)`", constant).groups()
+        value = getattr(importlib.import_module(f"xpand.{module}"), name)
+        assert value == _stated_cap(cap), row

@@ -4,10 +4,11 @@ count, attack reports, and the connected-subgraph census."""
 import dataclasses
 import statistics
 from fractions import Fraction
+from math import ceil, comb
 
 import pytest
 
-from xpand import experiments, kernels
+from xpand import experiments, kernels, pruning
 from xpand.errors import ContractError, InputError, LimitError
 from xpand.experiments import (
     _prune_and_grade,
@@ -21,10 +22,12 @@ from xpand.experiments import (
     run_resilience_trial,
     verify_subgraph_count_bound,
 )
-from xpand.expansion import node_expansion_exact
+from xpand.expansion import EXACT_EXPANSION_LIMIT, node_expansion_exact
 from xpand.generators import complete, cycle, mesh, subdivide_edges
 from xpand.graph import Graph
-from xpand.pruning import prune
+from xpand.pruning import hypothesis_ok, prune, prune2
+
+from test_acceptance import _theorem_graphs
 
 F = Fraction
 
@@ -231,9 +234,9 @@ def test_adversary_runs_one_sweep_per_fault_set_and_step(monkeypatch, g, f, step
     sweep, measure = kernels.min_ratio_node_cut, experiments.node_expansion_exact
     swept, measured = [], []
 
-    def counted_sweep(n, adj, max_size):
+    def counted_sweep(n, adj):
         swept.append(n)
-        return sweep(n, adj, max_size)
+        return sweep(n, adj)
 
     def counted_measure(h):
         measured.append(h.n)
@@ -264,6 +267,40 @@ def test_adversary_rejects_hypothesis_violations():
     # alpha(C8)=1/2: k*f/alpha = 4 > n/4 = 2
     with pytest.raises(InputError):
         adversary_exhaustive(cycle(8), 2, 1)
+
+
+def test_adversary_past_the_exact_cap_is_refused_by_the_expansion_sweep():
+    with pytest.raises(LimitError, match="^exact expansion is limited to n <= 24, got n=25$"):
+        adversary_exhaustive(complete(25), 2, 0)
+
+
+def test_hypothesis_bounds_the_adversary_to_2024_fault_sets():
+    # any floor(n/2) nodes have at most ceil(n/2) outside them, so alpha
+    # <= ceil(n/2)/floor(n/2), and hypothesis_ok then caps f; past the
+    # exact cap C(n, f) outgrows this bound on the adversary's work
+    for n in range(2, EXACT_EXPANSION_LIMIT + 1):
+        alpha = F(ceil(n / 2), n // 2)
+        for k in (2, 3, 4):
+            f = max(f for f in range(n + 1) if hypothesis_ok(n, alpha, k, f))
+            assert comb(n, f) <= 2024, (n, k, f)
+    for g in _theorem_graphs():
+        assert node_expansion_exact(g).value <= F(ceil(g.n / 2), g.n // 2)
+
+
+def test_a_broken_prefix_stops_prune_prune2_and_the_adversary(monkeypatch):
+    # one prefix walk guards the telescoping invariant for every caller:
+    # prune and prune2 directly, the adversary through prune
+    walk = pruning._prefix_rows
+    monkeypatch.setattr(
+        pruning, "_prefix_rows", lambda g, trace: [dict(r, ok=False) for r in walk(g, trace)]
+    )
+    two_paths = [v for v in range(12) if v not in (0, 6)]
+    with pytest.raises(ContractError, match="^prefix 1 broke the boundary invariant"):
+        prune(cycle(12), F(1, 3), F(3, 4), nodes=two_paths)
+    with pytest.raises(ContractError, match="^prefix 1 broke the boundary invariant"):
+        prune2(cycle(12), F(1, 3), F(3, 4), nodes=two_paths)
+    with pytest.raises(ContractError, match="^prefix 1 broke the boundary invariant"):
+        adversary_exhaustive(_k9_with_pendant(), 2, 1)
 
 
 def test_chain_attack_reports_frozen():
