@@ -108,26 +108,6 @@ def rows_to_jsonl(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prune_and_grade(g: Graph, mode: str, alpha, eps, nodes=None):
-    """Prune the faulty graph (g, nodes), by prune in node mode and
-    prune2 in edge mode, and grade the survivor H by its exact expansion
-    in the same mode. Returns (trace, expansion of H), the expansion 0
-    when |H| < 2.
-
-    The grade is the trace's h_expansion: the prune loop ends on a sweep
-    of H that finds no sparse set, and that sweep's minimum ratio is
-    H's exact expansion, so H is neither built as a graph nor swept
-    again. H with at least 2 nodes is connected: its smallest
-    component would have at most |H|/2 nodes and ratio 0 <= alpha*eps,
-    and the loop would have culled it."""
-    trace = (prune if mode == "node" else prune2)(g, alpha, eps, nodes=nodes)
-    if trace.h_size < 2:
-        return trace, Fraction(0)
-    if trace.h_expansion is None:
-        raise ContractError("exact prune recorded no expansion for its survivor")
-    return trace, trace.h_expansion
-
-
 def _trial(g: Graph, model: str, p, trial: int, seed: int, grade, record_ms: bool):
     """One random-fault trial: draw the model's pattern from seed, apply
     it and measure gamma. With grade = (alpha, eps, size_ok), also prune
@@ -141,7 +121,8 @@ def _trial(g: Graph, model: str, p, trial: int, seed: int, grade, record_ms: boo
     h_frac, expansion, certified = Fraction(0), Fraction(0), False
     if grade is not None:
         alpha, eps, size_ok = grade
-        trace, expansion = _prune_and_grade(g_f, model, alpha, eps, nodes)
+        trace = (prune if model == "node" else prune2)(g_f, alpha, eps, nodes=nodes)
+        expansion = trace.h_expansion
         h_frac = Fraction(trace.h_size, g.n)
         certified = (
             trace.h_size >= 2
@@ -346,7 +327,8 @@ def adversary_exhaustive(
         iterations += 1
         # G - F is pruned as g's nodes outside F, with no graph built
         nodes = set(range(g.n)).difference(faults)
-        trace, h_exp = _prune_and_grade(g, "node", alpha, eps, nodes)
+        trace = prune(g, alpha, eps, nodes=nodes)
+        h_exp = trace.h_expansion
         if Fraction(trace.h_size) < size_bound:
             raise ContractError(
                 f"faults {faults}: |H| = {trace.h_size} below bound {size_bound}"

@@ -13,6 +13,7 @@ edges and self-loops are load errors. Lines end at ``\n``, ``\r\n`` or
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -53,7 +54,9 @@ class Graph:
                     raise InputError(f"neighbor id {u} out of range for n={n}")
                 if u == v:
                     raise InputError(f"self-loop at node {v}")
-                if v not in adj[u]:
+                row = adj[u]  # sorted, so one binary search per entry
+                i = bisect_left(row, v)
+                if i == len(row) or row[i] != v:
                     raise InputError(f"asymmetric adjacency between {u} and {v}")
         self._adj = adj
         self._m = m2 // 2

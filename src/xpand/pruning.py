@@ -12,8 +12,8 @@ exceeds alpha*eps times the culled size.
 
 The exact loop ends on a sweep of the survivor H that finds no sparse
 set, and that sweep's minimum ratio over |S| <= |H|/2 is H's exact
-expansion in the loop's mode, so the trace keeps it (h_expansion) and H
-is graded without a second sweep.
+expansion in the loop's mode, so the trace carries H's grade
+(h_expansion, 0 below two nodes) and H is never swept again.
 """
 
 from __future__ import annotations
@@ -54,11 +54,14 @@ class PruneStep:
 
 @dataclass(frozen=True)
 class PruneTrace:
-    """One pruning run. h_expansion is the survivor H's exact expansion
-    in the run's mode, read from the loop's last sweep, the one that
-    found no sparse set; it is set only by the exact method and only when
-    |H| >= 2 (smaller graphs are not swept), and it stays out of the
-    payload, so reports and their digests do not change."""
+    """One pruning run. h_expansion grades the survivor H: for the exact
+    method it is H's exact expansion in the run's mode, read from the
+    loop's last sweep, the one that found no sparse set, and 0 when
+    |H| < 2 (such H is not swept); the heuristic method leaves it None.
+    An exact H with at least 2 nodes is connected: its smallest
+    component would have ratio 0 and at most |H|/2 nodes, and would have
+    been culled. h_expansion stays out of the payload, so reports and
+    their digests do not change."""
 
     mode: str  # "node" or "edge"
     alpha: Fraction
@@ -176,7 +179,8 @@ def _prune_loop(
 ) -> PruneTrace:
     """Prune the subgraph of g induced by nodes, all of g by default.
     The loop keeps its nodes, its culls and the survivor in g's own
-    ids, and checks the finished trace's prefix invariant once."""
+    ids, and checks the finished trace's prefix invariant once, by
+    union_boundary_check."""
     _validate_params(alpha, eps)
     if method not in ("exact", "heuristic"):
         raise InputError(f"unknown prune method {method!r}")
@@ -229,10 +233,10 @@ def _prune_loop(
         steps=tuple(steps),
         final_nodes=tuple(sorted(alive)),
         certified=method == "exact",
-        # a survivor below 2 nodes is not swept
-        h_expansion=value if len(alive) >= 2 else None,
+        # an exact survivor below 2 nodes is not swept; its grade is 0
+        h_expansion=(value if len(alive) >= 2 else Fraction(0)) if method == "exact" else None,
     )
-    for row in _prefix_rows(g, trace):
+    for row in union_boundary_check(g, trace):
         if not row["ok"]:
             raise ContractError(f"prefix {row['prefix']} broke the boundary invariant: {row}")
     return trace
@@ -272,10 +276,12 @@ def prune2(
     return _prune_loop(g, Fraction(alpha_e), Fraction(eps), "edge", method, nodes)
 
 
-def _prefix_rows(g: Graph, trace: PruneTrace) -> list:
+def union_boundary_check(g: Graph, trace: PruneTrace) -> list:
     """The prefix invariant of a trace, one dict per prefix, measured in
     the graph it was produced on and on the trace's own nodes, its culls
-    plus its survivor: the nodes prune or prune2 was given."""
+    plus its survivor: the nodes prune or prune2 was given. prune and
+    prune2 run it on every trace they return, so every 'ok' is True for
+    a trace they produced."""
     nodes = set(trace.final_nodes).union(*(step.nodes for step in trace.steps))
     boundary = node_boundary if trace.mode == "node" else edge_boundary
     out = []
@@ -297,13 +303,6 @@ def _prefix_rows(g: Graph, trace: PruneTrace) -> list:
             }
         )
     return out
-
-
-def union_boundary_check(g_f: Graph, trace: PruneTrace) -> list:
-    """Recompute the prefix invariant of a trace from scratch against
-    the graph it was produced on; prune and prune2 have already enforced
-    it, so every 'ok' is True for a trace they produced."""
-    return _prefix_rows(g_f, trace)
 
 
 def size_lower_bound(n: int, alpha: Fraction, k: int, f: int) -> Fraction:

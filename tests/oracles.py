@@ -66,7 +66,7 @@ from xpand.expansion import (
     node_expansion_exact,
     node_expansion_heuristic,
 )
-from xpand.experiments import MAX_TRIALS_PER_POINT, TrialResult, _prune_and_grade, gamma
+from xpand.experiments import MAX_TRIALS_PER_POINT, TrialResult, gamma
 from xpand.faults import (
     KIND_NODE,
     FaultPattern,
@@ -94,6 +94,8 @@ from xpand.pruning import (
     _validate_params,
     expansion_lower_bound,
     hypothesis_ok,
+    prune,
+    prune2,
     size_lower_bound,
 )
 from xpand.span import MeshSpanCertificate, SpanReport
@@ -872,7 +874,8 @@ def percolation_point(
             fault_count = g.m - len(pattern.kept_edges)
         gam = gamma(g_f)
         if prune_params is not None:
-            trace, expansion = _prune_and_grade(g_f, "node", alpha, eps)
+            trace = prune(g_f, alpha, eps)
+            expansion = trace.h_expansion
             h_size = trace.h_size
             h_frac = Fraction(h_size, g.n)
             certified = (
@@ -926,7 +929,8 @@ def run_resilience_trial(
         measure = edge_expansion_exact
     if alpha is None:
         alpha = measure(g).value
-    trace, expansion = _prune_and_grade(g_f, model, alpha, Fraction(eps))
+    trace = (prune if model == "node" else prune2)(g_f, alpha, Fraction(eps))
+    expansion = trace.h_expansion
     gam = gamma(g_f)
     h_frac = Fraction(trace.h_size, g.n)
     certified = (

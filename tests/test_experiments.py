@@ -11,7 +11,6 @@ import pytest
 from xpand import experiments, kernels, pruning
 from xpand.errors import ContractError, InputError, LimitError
 from xpand.experiments import (
-    _prune_and_grade,
     adversary_exhaustive,
     chain_attack_report,
     gamma,
@@ -254,15 +253,6 @@ def test_adversary_runs_one_sweep_per_fault_set_and_step(monkeypatch, g, f, step
     assert measured == [g.n]
 
 
-def test_prune_and_grade_needs_the_last_sweeps_value(monkeypatch):
-    # the heuristic loop sweeps nothing, so there is no grade to take
-    monkeypatch.setattr(
-        experiments, "prune", lambda g, a, e, nodes: prune(g, a, e, method="heuristic", nodes=nodes)
-    )
-    with pytest.raises(ContractError):
-        _prune_and_grade(mesh([4, 4]), "node", F(1, 2), F(1, 2))
-
-
 def test_adversary_rejects_hypothesis_violations():
     # alpha(C8)=1/2: k*f/alpha = 4 > n/4 = 2
     with pytest.raises(InputError):
@@ -288,11 +278,13 @@ def test_hypothesis_bounds_the_adversary_to_2024_fault_sets():
 
 
 def test_a_broken_prefix_stops_prune_prune2_and_the_adversary(monkeypatch):
-    # one prefix walk guards the telescoping invariant for every caller:
-    # prune and prune2 directly, the adversary through prune
-    walk = pruning._prefix_rows
+    # the public prefix check guards the telescoping invariant for every
+    # caller: prune and prune2 directly, the adversary through prune
+    walk = pruning.union_boundary_check
     monkeypatch.setattr(
-        pruning, "_prefix_rows", lambda g, trace: [dict(r, ok=False) for r in walk(g, trace)]
+        pruning,
+        "union_boundary_check",
+        lambda g, trace: [dict(r, ok=False) for r in walk(g, trace)],
     )
     two_paths = [v for v in range(12) if v not in (0, 6)]
     with pytest.raises(ContractError, match="^prefix 1 broke the boundary invariant"):

@@ -109,6 +109,28 @@ def test_remove_nothing_is_identity():
     assert Graph.__slots__ == ("_adj", "_m", "_max_degree")
 
 
+def _k5_without(missing):
+    """K5 with `missing` dropped from node 2's row (0, 1, 3, 4) only."""
+    adj = [[u for u in range(5) if u != v] for v in range(5)]
+    adj[2].remove(missing)
+    return adj
+
+
+@pytest.mark.parametrize(
+    "adj, pair",
+    [
+        (_k5_without(0), "2 and 0"),
+        (_k5_without(3), "2 and 3"),
+        (_k5_without(4), "2 and 4"),
+        ([[1], []], "1 and 0"),
+    ],
+    ids=["first", "middle", "last", "empty-row"],
+)
+def test_a_missing_back_edge_is_refused_wherever_it_falls_in_its_row(adj, pair):
+    with pytest.raises(InputError, match=f"^asymmetric adjacency between {pair}$"):
+        Graph(adj)
+
+
 def test_boundaries_and_cuts_on_a_node_subset():
     # the subgraph of cycle(8) induced by 0..5 is the path 0-1-2-3-4-5
     c8, nodes = cycle(8), set(range(6))

@@ -216,11 +216,21 @@ def test_exact_trace_keeps_the_survivors_expansion(run, measure):
     ):
         t = run(g, alpha, eps, nodes=nodes)
         h = relabel(g, t.final_nodes)[0]
-        assert t.h_expansion == measure(h).value
+        assert t.h_size >= 2 and t.h_expansion == measure(h).value
         assert "h_expansion" not in t.to_payload()
         assert run(g, alpha, eps, method="heuristic", nodes=nodes).h_expansion is None
-    # a survivor below two nodes is not swept, so it has no value
-    assert run(Graph.from_edges(1, []), F(1), F(1, 2)).h_expansion is None
+    # an exact survivor below two nodes is not swept and grades 0: on
+    # 0 and 1 nodes, and on path(3), whose last sweep found ratio 1
+    cases = (
+        (Graph.from_edges(0, []), F(1)),
+        (Graph.from_edges(1, []), F(1)),
+        (path(3), F(2)),
+    )
+    for g, alpha in cases:
+        t = run(g, alpha, F(1, 2))
+        assert t.h_size < 2 and t.h_expansion == 0
+        assert run(g, alpha, F(1, 2), method="heuristic").h_expansion is None
+    assert [s.nodes for s in run(path(3), F(2), F(1, 2)).steps] == [(0,), (1,)]
 
 
 def test_theorem_bounds_helpers():
