@@ -304,7 +304,6 @@ def cmd_percolate(args, ctx: RunContext) -> int:
         args.trials,
         args.seed,
         prune_params=prune_params,
-        record_ms=args.record_ms,
     )
     render = rows_to_csv if args.out_format == "csv" else rows_to_jsonl
     ctx.deliver(args.output, render(rows))
@@ -479,11 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prune", action="store_true", help="prune each trial (node model)"
     )
     p.add_argument("--k", type=int, default=2, help="pruning strength parameter")
-    p.add_argument(
-        "--record-ms",
-        action="store_true",
-        help="fill the ms column (breaks replay byte identity)",
-    )
     p.set_defaults(func=cmd_percolate)
 
     p = sub.add_parser(
@@ -515,9 +509,9 @@ def _execute(argv, *, replaying=False, redirect=None):
     if args.threads is not None and not 1 <= args.threads <= MAX_THREADS:
         raise InputError(f"threads must lie in [1, {MAX_THREADS}]")
     ctx = RunContext(replaying=replaying, redirect=redirect)
-    t0 = time.monotonic_ns()
+    t0 = time.perf_counter_ns()
     rc = args.func(args, ctx)
-    wall_ms = (time.monotonic_ns() - t0) // 10**6
+    wall_ms = (time.perf_counter_ns() - t0) // 10**6
     if not replaying:
         manifest_path = args.manifest
         if manifest_path is None and args.output:

@@ -279,9 +279,9 @@ def subdivided_node_expansion(h: SubdividedGraph) -> ExpansionResult:
     return ExpansionResult("node", "chain-dp", value, cut)
 
 
-# endpoint states of the class sweep, and the class of an ordered pair of
-# them: BB, BF, BN, FF, FN, NN
-_IN_B, _IN_F, _IN_N = 0, 1, 2
+# endpoint states of the class sweep, B, F, N = 0, 1, 2, and the class of
+# an ordered pair of them: BB, BF, BN, FF, FN, NN
+_IN_B, _IN_F = 0, 1
 _PAIR_CLASS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]], dtype=np.int64)
 
 

@@ -13,7 +13,6 @@ in isolation.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -66,10 +65,10 @@ class TrialResult:
     h_frac: Fraction
     expansion: Fraction
     certified: bool
-    ms: int
 
     def fields(self) -> tuple:
-        """The row's values in COLUMNS order, as JSON values."""
+        """The row's values in COLUMNS order, as JSON values; the ms
+        column is kept for file compatibility and always reads 0."""
         return (
             float(self.p),
             self.trial,
@@ -78,7 +77,7 @@ class TrialResult:
             self.expansion.numerator,
             self.expansion.denominator,
             self.certified,
-            self.ms,
+            0,
         )
 
 
@@ -108,13 +107,12 @@ def rows_to_jsonl(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trial(g: Graph, model: str, p, trial: int, seed: int, grade, record_ms: bool):
+def _trial(g: Graph, model: str, p, trial: int, seed: int, grade):
     """One random-fault trial: draw the model's pattern from seed, apply
     it and measure gamma. With grade = (alpha, eps, size_ok), also prune
     in the model's mode with cull threshold alpha*eps and certify H: at
     least 2 nodes, expansion at least eps*alpha, and size_ok(|H|, fault
     count) true. Without it the certificate columns stay 0, 0, False."""
-    t0 = time.monotonic_ns()
     draw = random_node_faults if model == "node" else edge_survival_pattern
     pattern = draw(g, float(p), seed)
     g_f, nodes = apply_faults(g, pattern)
@@ -129,16 +127,13 @@ def _trial(g: Graph, model: str, p, trial: int, seed: int, grade, record_ms: boo
             and expansion >= eps * alpha
             and size_ok(trace.h_size, pattern.fault_count(g))
         )
-    gam = gamma(g_f, nodes)
-    ms = (time.monotonic_ns() - t0) // 10**6 if record_ms else 0
     return TrialResult(
         p=p,
         trial=trial,
-        gamma=gam,
+        gamma=gamma(g_f, nodes),
         h_frac=h_frac,
         expansion=expansion,
         certified=certified,
-        ms=ms,
     )
 
 
@@ -151,7 +146,6 @@ def percolation_point(
     point_index: int,
     *,
     prune_params=None,  # (alpha, k) to prune each faulty graph
-    record_ms: bool = False,
 ) -> list:
     """The rows of one sweep point: `trials` random-fault trials at p,
     trial j drawn from seed seed_base + point_index * 10**6 + j. With
@@ -181,7 +175,7 @@ def percolation_point(
             and h_size >= size_lower_bound(g.n, alpha, k, f),
         )
     seed0 = seed_base + point_index * 10**6
-    return [_trial(g, model, p, j, seed0 + j, grade, record_ms) for j in range(int(trials))]
+    return [_trial(g, model, p, j, seed0 + j, grade) for j in range(int(trials))]
 
 
 def run_percolation_sweep(
@@ -192,7 +186,6 @@ def run_percolation_sweep(
     seed_base: int,
     *,
     prune_params=None,
-    record_ms: bool = False,
 ):
     """Sweep failure probabilities; returns (rows, per-point summaries)."""
     rows = []
@@ -206,7 +199,6 @@ def run_percolation_sweep(
             seed_base,
             i,
             prune_params=prune_params,
-            record_ms=record_ms,
         )
         rows.extend(batch)
         mean_gamma = sum((r.gamma for r in batch), Fraction(0)) / len(batch)
@@ -231,7 +223,6 @@ def run_resilience_trial(
     eps: Fraction,
     *,
     alpha: Fraction | None = None,
-    record_ms: bool = False,
 ) -> TrialResult:
     """One fault-and-prune round. Node faults are pruned on node
     ratios, edge faults on edge ratios after compactification, both
@@ -253,7 +244,7 @@ def run_resilience_trial(
         measure = node_expansion_exact if model == "node" else edge_expansion_exact
         alpha = measure(g).value
     grade = (alpha, Fraction(eps), lambda h_size, _f: 2 * h_size >= g.n)
-    return _trial(g, model, Fraction(p), trial, seed_base + trial, grade, record_ms)
+    return _trial(g, model, Fraction(p), trial, seed_base + trial, grade)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, LimitError, LoadError
 
-NodeSet = tuple  # canonical node set: sorted ascending, unique entries
-
 # the largest graph a file or a generator may describe
 NODE_LIMIT = 1 << 20
 EDGE_LIMIT = 1 << 24

@@ -450,42 +450,36 @@ def boundary_blocks(adj, masks):
         yield _or_lookup(nbr, u) & ~u
 
 
-def compact_set_bounds(adj, masks):
-    """Boundaries and greedy connector bounds of compact sets, blockwise.
+def greedy_connector(adj):
+    """Greedy connector bounds for node boundaries, built once per graph.
 
-    For each run of at most 2^12 masks (a uint32 array, as compact_masks
-    returns it) yields (boundary, t, greedy): the boundary masks as
-    boundary_blocks yields them, their sizes, and the node count of the
-    greedy connector of each boundary. The greedy connector starts from the
-    lowest boundary node and attaches the other boundary nodes in
-    ascending order, each by the breadth-first path (neighbours in
-    ascending order) to the first tree node the search from it
-    discovers. Here that is done for a whole block at once: per target
-    v, the first tree node is the lowest set bit of the tree's discovery
-    positions from v, and its path is read from a table.
+    Returns sizes(bnd): for a uint32 array of boundary masks (a block of
+    boundary_blocks), the node count of each one's greedy connector, as
+    int64. The greedy connector starts from the lowest boundary node and
+    attaches the other boundary nodes in ascending order, each by the
+    breadth-first path (neighbours in ascending order) to the first tree
+    node the search from it discovers. The per-node breadth-first tables
+    are built once, and a call grows the trees of a whole block at once:
+    per target v, the first tree node is the lowest set bit of the
+    tree's discovery positions from v, and its path is read from a
+    table. n > 24 is refused before any table is built.
     """
-    n = len(adj)
-    _table_limit(n)
-    nbr = _or_tables(adj)
+    _table_limit(len(adj))
     bfs = _bfs_tables(adj)
-    for b in range(0, len(masks), _BLOCK):
-        u = masks[b : b + _BLOCK]
-        bnd = _or_lookup(nbr, u) & ~u
+
+    def sizes(bnd):
         tree = _lowbit(bnd)
-        for v in range(n):
+        for v, (ranks, path) in enumerate(bfs):
             need = np.flatnonzero(bnd & ~tree & np.uint32(1 << v))
             if need.size == 0:
                 continue
             grown = tree[need]
-            ranks, path = bfs[v]
             # lowbit - 1 counts the positions before the first tree node
             first = np.bitwise_count(_lowbit(_or_lookup(ranks, grown)) - np.uint32(1))
             tree[need] = grown | path[first]
-        yield (
-            bnd,
-            np.bitwise_count(bnd).astype(np.int64),
-            np.bitwise_count(tree).astype(np.int64),
-        )
+        return np.bitwise_count(tree).astype(np.int64)
+
+    return sizes
 
 
 def connected_masks(n: int, adj, cap: int):

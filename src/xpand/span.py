@@ -11,12 +11,12 @@ Exact answers walk every compact set, for n up to the table engine's
 cap of 24 nodes. They come from one numpy table engine in the kernels:
 a connectivity bit for each of the 2^n masks (a mask is compact iff it
 and its complement are connected), then, a block of 2^12 sets at a
-time, each set's boundary, its size and a greedy connector bound read
-from per-node breadth-first tables. A set whose bound can still beat
-the best ratio has its Steiner size read from one more table, built
-once from the connectivity table: per mask, the node count of the
-smallest connected set containing it. One exact Steiner tree is built,
-for the maximizing set alone.
+time, each set's boundary (the same walk the mesh certificate takes),
+its size and a greedy connector bound read from per-node breadth-first
+tables. A set whose bound can still beat the best ratio has its Steiner
+size read from one more table, built once from the connectivity table:
+per mask, the node count of the smallest connected set containing it.
+One exact Steiner tree is built, for the maximizing set alone.
 """
 
 from __future__ import annotations
@@ -96,9 +96,11 @@ def span_exact(g: Graph) -> SpanReport:
     """Exact span by walking every compact set in canonical order.
 
     The connectivity table is built once (kernels.connectivity_table;
-    n > 24 is refused first); the compact sets, their boundaries and a
-    greedy connector bound for each come from it (kernels.compact_masks
-    and kernels.compact_set_bounds), a block of masks at a time. A set
+    n > 24 is refused first) and gives the compact sets
+    (kernels.compact_masks). Their boundaries come a block of masks at a
+    time from kernels.boundary_blocks, the walk the mesh certificate
+    uses, and each block gets its greedy connector bounds from
+    kernels.greedy_connector, whose tables are built once. A set
     is dismissed when its greedy bound over its boundary size cannot
     strictly beat the best ratio so far; since the bound is at most n,
     this also dismisses every set whose n/|boundary| cannot. Each
@@ -118,11 +120,14 @@ def span_exact(g: Graph) -> SpanReport:
     conn = kernels.connectivity_table(g.n, adj)
     masks = kernels.compact_masks(conn)
     steiner_size = kernels.connector_lookup(conn)
+    greedy_size = kernels.greedy_connector(adj)
     num, den = 0, 1  # best ratio so far; 0/1 lets the first set through
     best = None  # (set mask, boundary mask)
     considered = 0
     start = 0
-    for bnd, t, greedy in kernels.compact_set_bounds(adj, masks):
+    for bnd in kernels.boundary_blocks(adj, masks):
+        t = np.bitwise_count(bnd).astype(np.int64)
+        greedy = greedy_size(bnd)
         for i in np.flatnonzero(greedy * den > t * num).tolist():
             size = int(t[i])
             if int(greedy[i]) * den <= num * size:

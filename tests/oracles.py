@@ -40,7 +40,6 @@ returns with it. They are the reference for the loops that keep a set
 of alive nodes in the given graph's ids; the heuristic loop stops below
 two nodes, as the package's now does."""
 
-import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -845,7 +844,6 @@ def percolation_point(
     point_index: int,
     *,
     prune_params=None,
-    record_ms: bool = False,
 ) -> list:
     if model not in ("node", "edge"):
         raise InputError(f"unknown percolation model {model!r}")
@@ -863,7 +861,6 @@ def percolation_point(
     rows = []
     for j in range(int(trials)):
         seed = seed_base + point_index * 10**6 + j
-        t0 = time.monotonic_ns()
         if model == "node":
             pattern = random_node_faults(g, float(p), seed)
             g_f = relabel(g, set(range(g.n)).difference(pattern.failed_nodes))[0]
@@ -886,7 +883,6 @@ def percolation_point(
             )
         else:
             h_frac, expansion, certified = Fraction(0), Fraction(0), False
-        ms = (time.monotonic_ns() - t0) // 10**6 if record_ms else 0
         rows.append(
             TrialResult(
                 p=p,
@@ -895,7 +891,6 @@ def percolation_point(
                 h_frac=h_frac,
                 expansion=expansion,
                 certified=certified,
-                ms=int(ms),
             )
         )
     return rows
@@ -910,7 +905,6 @@ def run_resilience_trial(
     eps: Fraction,
     *,
     alpha: Fraction | None = None,
-    record_ms: bool = False,
 ) -> TrialResult:
     if model not in ("node", "edge"):
         raise InputError(f"unknown fault model {model!r}")
@@ -919,7 +913,6 @@ def run_resilience_trial(
     if g.n > EXACT_EXPANSION_LIMIT:
         raise LimitError(f"exact pruning is limited to n <= {EXACT_EXPANSION_LIMIT}, got {g.n}")
     seed = seed_base + trial
-    t0 = time.monotonic_ns()
     if model == "node":
         failed = random_node_faults(g, float(p), seed).failed_nodes
         g_f = relabel(g, set(range(g.n)).difference(failed))[0]
@@ -938,7 +931,6 @@ def run_resilience_trial(
         and trace.h_size >= 2
         and expansion >= Fraction(eps) * alpha
     )
-    ms = (time.monotonic_ns() - t0) // 10**6 if record_ms else 0
     return TrialResult(
         p=Fraction(p),
         trial=trial,
@@ -946,7 +938,6 @@ def run_resilience_trial(
         h_frac=h_frac,
         expansion=expansion,
         certified=certified,
-        ms=int(ms),
     )
 
 

@@ -1,5 +1,7 @@
 """Command line interface: subcommands, exit codes, manifests, replay."""
 
+import argparse
+import ast
 import hashlib
 import importlib
 import inspect
@@ -9,12 +11,13 @@ import pkgutil
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import subprocess_env
 from xpand import kernels, span
-from xpand.cli import main
+from xpand.cli import build_parser, main
 from xpand.graph import load_file
 
 
@@ -360,11 +363,19 @@ def test_percolate_csv_and_jsonl(workdir, capsys):
     assert rc == 0
     lines = out.splitlines()
     assert lines[0].startswith("p,trial,gamma")
+    assert lines[0].endswith(",ms")
     assert len(lines) == 1 + 3 * 5
+    # the ms column is kept for compatibility and never holds a time
+    assert all(line.endswith(",0") for line in lines[1:])
     rc, out, _ = run(argv + ["--format", "jsonl"], capsys)
     assert rc == 0
-    assert all(json.loads(line) for line in out.splitlines())
-    assert len(out.splitlines()) == 15
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 15
+    assert all(row["ms"] == 0 for row in rows)
+    # a timed column broke replay, so the option that filled it is gone
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--record-ms"])
+    assert exc.value.code == 2
 
 
 def test_percolate_with_pruning(workdir, capsys):
@@ -620,6 +631,41 @@ def test_help_lists_every_subcommand(capsys):
             main([name, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: xpand {name} ")
+
+
+def _option_strings(parser) -> set:
+    """One tuple of option strings per option of parser and of every
+    subparser below it."""
+    found = set()
+    for action in parser._actions:
+        if action.option_strings:
+            found.add(tuple(action.option_strings))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+def test_every_option_is_exercised():
+    # each option must appear, by any of its strings, in a test or in the
+    # benchmark's scripted CLI session (read as text)
+    root = Path(__file__).resolve().parent.parent
+    texts = [path.read_text(encoding="utf-8") for path in sorted((root / "tests").glob("*.py"))]
+    workloads = (root / "perfbench" / "workloads.py").read_text(encoding="utf-8")
+    session = next(
+        node
+        for node in ast.parse(workloads).body
+        if isinstance(node, ast.FunctionDef) and node.name == "cli_setup"
+    )
+    texts.append(ast.get_source_segment(workloads, session))
+    corpus = "\n".join(texts)
+
+    def used(option: str) -> bool:
+        return re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", corpus) is not None
+
+    options = _option_strings(build_parser())
+    assert len(options) > 20
+    assert sorted(strings for strings in options if not any(map(used, strings))) == []
 
 
 def test_replay_from_another_directory(workdir, capsys, monkeypatch):

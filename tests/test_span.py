@@ -345,13 +345,14 @@ def test_compact_set_engine_matches_reference_loops(g):
     want = oracles.compact_masks(g.n, adj)
     masks = kernels.compact_masks(kernels.connectivity_table(g.n, adj))
     assert masks.tolist() == want
+    greedy_size = kernels.greedy_connector(adj)
     rows = []
-    for bnd, t, greedy in kernels.compact_set_bounds(adj, masks):
-        rows.extend(zip(bnd.tolist(), t.tolist(), greedy.tolist()))
+    for bnd in kernels.boundary_blocks(adj, masks):
+        rows.extend(zip(bnd.tolist(), greedy_size(bnd).tolist()))
     assert len(rows) == len(want)
-    for mask, (bnd, t, greedy) in zip(want, rows):
+    for mask, (bnd, greedy) in zip(want, rows):
         terms = node_boundary(g, kernels.mask_nodes(mask))
-        assert (kernels.mask_nodes(bnd), t) == (terms, len(terms))
+        assert (kernels.mask_nodes(bnd), bnd.bit_count()) == (terms, len(terms))
         assert greedy == oracles._greedy_connector_size(g, terms)
     assert span_exact(g) == oracles.span_exact(g)
 
