@@ -5,11 +5,13 @@ connectivity_table rows run on mesh 4x4, a random 4-regular graph with
 build of its Steiner-size table, on the 18-node graph and on mesh
 4x6. The last rows time span_exact and the exhaustive mesh span
 certificate as the package runs them, up to mesh 4x6 (the table
-engine's cap), and the chain DP of subdivided_node_expansion on dense
-bases (K7, and K8 with long chains), sparse ones (C10, and the
-path P10, whose endpoint assignments fall into the most distinct class
-counts) and two sparse bases whose nodes mostly end no chain (10 nodes
-with edges 01, 23; 8 nodes with edges 04, 07, 25). The algorithm-layer
+engine's cap), the connected-set census of verify_subgraph_count_bound
+on mesh 4x5 and a random 3-regular graph with 22 nodes, and the chain
+DP of subdivided_node_expansion on dense bases (K7, and K8 with long
+chains), sparse ones (C10, and the path P10, whose endpoint
+assignments fall into the most distinct class counts) and two sparse
+bases whose nodes mostly end no chain (10 nodes with edges 01, 23; 8
+nodes with edges 04, 07, 25). The algorithm-layer
 rows time adversary_exhaustive at k = 2 on mesh 4x4 with f = 1 and on
 K16 with f = 2 (120 fault sets, each pruned and its survivor graded),
 percolation_point with pruning on the random 4-regular graph with 18
@@ -45,7 +47,12 @@ from xpand.expansion import (
     node_expansion_exact,
     subdivided_node_expansion,
 )
-from xpand.experiments import adversary_exhaustive, percolation_point, run_resilience_trial
+from xpand.experiments import (
+    adversary_exhaustive,
+    percolation_point,
+    run_resilience_trial,
+    verify_subgraph_count_bound,
+)
 from xpand.faults import apply_faults, edge_survival_pattern, random_node_faults
 from xpand.generators import (
     complete,
@@ -178,6 +185,10 @@ def main() -> int:
             lambda dims=dims: verify_mesh_span_certificate(dims, exhaustive=True),
             args.repeat,
         )
+
+    seed22, r22 = _regular(22, 3, args.seed)
+    for name, cg in (("mesh 4x5", mesh((4, 5))), (f"rr(22,3) seed {seed22}", r22)):
+        bench(f"census {name}", lambda cg=cg: verify_subgraph_count_bound(cg), args.repeat)
 
     sparse10 = Graph.from_edges(10, [(0, 1), (2, 3)])
     sparse8 = Graph.from_edges(8, [(0, 4), (0, 7), (2, 5)])

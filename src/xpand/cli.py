@@ -8,6 +8,8 @@ in its own body, so `gen` of a fixed family loads no numpy.
 
 Exit codes: 0 success, 1 refused or failed (size limits, contract
 violations, a verification that found a counterexample), 2 bad input.
+A warning that the filters let through is printed to stderr as one
+"warning: <message>" line.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import hashlib
 import os
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 from . import __version__
@@ -587,27 +590,29 @@ def _replay_here(data: dict) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        if "--replay" in argv:
-            parser = build_parser()
-            args = parser.parse_args(argv)
-            if args.command is not None:
-                raise InputError("--replay takes no subcommand")
-            return _replay(args.replay)
-        rc, _ctx = _execute(list(argv))
-        return rc
-    except LimitError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ContractError as exc:
-        print(f"contract violated: {exc}", file=sys.stderr)
-        return 1
-    except XpandError as exc:
-        print(f"failed: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if "--replay" in argv:
+                parser = build_parser()
+                args = parser.parse_args(argv)
+                if args.command is not None:
+                    raise InputError("--replay takes no subcommand")
+                return _replay(args.replay)
+            rc, _ctx = _execute(list(argv))
+            return rc
+        except LimitError as exc:
+            print(f"refused: {exc}", file=sys.stderr)
+            return 1
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ContractError as exc:
+            print(f"contract violated: {exc}", file=sys.stderr)
+            return 1
+        except XpandError as exc:
+            print(f"failed: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

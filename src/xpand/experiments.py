@@ -42,7 +42,6 @@ from .pruning import (
 )
 
 MAX_TRIALS_PER_POINT = 10**6
-CENSUS_COUNT_CAP = 1 << 22
 
 # the columns of a percolation row, in CSV order
 COLUMNS = ("p", "trial", "gamma", "h_frac", "expansion_num", "expansion_den", "certified", "ms")
@@ -428,7 +427,9 @@ def verify_subgraph_count_bound(target, r_max: int | None = None) -> CensusRepor
     subgraph of a subdivision traces a connected set on the base nodes,
     so bin r counts the connected induced base subgraphs with r nodes;
     that is what the bound controls. The r=0 bin (pieces inside a
-    single chain) is out of scope by definition.
+    single chain) is out of scope by definition. The bins count the
+    base's connectivity table by popcount, so the table's cap of 24
+    base nodes applies (LimitError before anything is allocated).
     """
     base = target.base_graph() if isinstance(target, SubdividedGraph) else target
     if base.n < 1:
@@ -438,21 +439,15 @@ def verify_subgraph_count_bound(target, r_max: int | None = None) -> CensusRepor
     if r_max is not None and r_max < 1:
         raise InputError("r_max must be at least 1")
     adj = kernels.adjacency_masks(base.adjacency)
-    masks = kernels.connected_masks(base.n, adj, CENSUS_COUNT_CAP)
-    if masks is None:
-        raise LimitError(f"more than {CENSUS_COUNT_CAP} connected subgraphs")
-    counts: dict = {}
-    for m in masks:
-        r = m.bit_count()
-        counts[r] = counts.get(r, 0) + 1
+    counts = kernels.connected_counts(kernels.connectivity_table(base.n, adj))
     bins = []
     total = 0
-    for r in sorted(counts):
-        if r_max is not None and r > r_max:
+    for r, count in enumerate(counts):
+        if not count or (r_max is not None and r > r_max):
             continue
         bound = base.n * base.max_degree ** (2 * r)
-        bins.append((r, counts[r], bound, counts[r] <= bound))
-        total += counts[r]
+        bins.append((r, count, bound, count <= bound))
+        total += count
     return CensusReport(
         n=base.n, delta=base.max_degree, bins=tuple(bins), total=total
     )

@@ -10,6 +10,7 @@ agrees with comparing the sorted id tuples.
 Adjacency travels as one neighbour mask per node (adjacency_masks), and
 components are found on masks alone: _flood grows the component of one
 mask, connectivity_table decides every mask of up to 24 nodes at once,
+connected_counts bins its connected masks by size (the census),
 connector_lookup reads Steiner sizes from a superset minimum over that
 table, and _kruskal_lex keeps each tree's node mask. The table is built
 level by level on the highest node h of a mask: the component of the
@@ -44,6 +45,9 @@ _MAX_MASK_BITS = 63
 # the compact-set engine keeps one bool per mask and, while it builds
 # that table, a uint32 per mask below 2^(n-1): 48 MiB at this n
 _COMPACT_MAX_N = 24
+# steiner_min_tree's subset DP keeps two tables of 2^t x n list slots,
+# about 80 B per entry once filled: 320 MiB at this cap
+_STEINER_DP_MAX_ENTRIES = 1 << 22
 # connector_lookup's table entry for a mask no connected set contains
 _NO_CONNECTOR = 127
 _BLOCK = 1 << _CHUNK_BITS
@@ -375,6 +379,18 @@ def compact_masks(conn):
     return np.concatenate(parts)
 
 
+def connected_counts(conn):
+    """Census of a connectivity table: a list of n + 1 ints whose entry
+    r counts the connected masks of popcount r (entry 0 is 0, since
+    conn[0] is False), read _TABLE_CHUNK masks at a time."""
+    n = len(conn).bit_length() - 1
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for a in range(0, len(conn), _TABLE_CHUNK):
+        hit = np.flatnonzero(conn[a : a + _TABLE_CHUNK]) + a
+        counts += np.bincount(np.bitwise_count(hit), minlength=n + 1)
+    return counts.tolist()
+
+
 def connector_lookup(conn):
     """Steiner sizes decided from a connectivity table.
 
@@ -482,38 +498,6 @@ def greedy_connector(adj):
     return sizes
 
 
-def connected_masks(n: int, adj, cap: int):
-    """Masks of nonempty connected induced subgraphs, ascending.
-
-    Returns None as soon as more than cap sets exist. Enumeration roots
-    each set at its smallest node and branches on including or banning
-    one frontier node at a time, so each set is emitted exactly once.
-    The branches wait on an explicit stack, since a path would take one
-    level of recursion per node.
-    """
-    out = []
-    full = (1 << n) - 1
-    for root in range(n):
-        rootbit = 1 << root
-        allowed = full & ~(rootbit - 1)
-        stack = [(rootbit, adj[root] & allowed & ~rootbit, 0)]
-        while stack:
-            s, ext, banned = stack.pop()
-            if ext == 0:
-                out.append(s)
-                if len(out) > cap:
-                    return None
-                continue
-            u = ext & -ext
-            grown = s | u
-            stack.append((s, ext ^ u, banned | u))
-            stack.append(
-                (grown, (ext | (adj[u.bit_length() - 1] & allowed & ~banned)) & ~grown, banned)
-            )
-    out.sort()
-    return out
-
-
 def _kruskal_lex(w: int, adj) -> tuple:
     """Lex-smallest spanning tree edge list of induced(w); w connected.
 
@@ -539,8 +523,9 @@ def steiner_min_tree(n: int, adj, terminals):
     not share a component. Small instances take the superset sweep,
     whose tie-break is the exact lex-min tree over all minimum node
     sets; larger ones take subset DP, which is deterministic but only
-    guarantees some minimum tree and refuses more than 16 terminals
-    with LimitError.
+    guarantees some minimum tree; it refuses more than 16 terminals, or
+    tables of more than _STEINER_DP_MAX_ENTRIES entries (2^t x n), with
+    LimitError before it allocates them.
     """
     terms = tuple(sorted({int(v) for v in terminals}))
     t = len(terms)
@@ -558,6 +543,10 @@ def steiner_min_tree(n: int, adj, terminals):
         return _steiner_sweep(n, adj, terms)
     if t > 16:
         raise LimitError(f"steiner subset DP is limited to 16 terminals, got {t}")
+    if (1 << t) * n > _STEINER_DP_MAX_ENTRIES:
+        raise LimitError(
+            f"steiner subset DP is limited to {_STEINER_DP_MAX_ENTRIES} entries, got 2^{t} * {n}"
+        )
     return _steiner_dw(n, adj, terms)
 
 

@@ -41,6 +41,8 @@ from .generators import mesh, mesh_coords, mesh_size, mesh_strides
 from .graph import Graph, canon_nodes, connected_components, is_connected, node_boundary
 
 STEINER_TERMINAL_LIMIT = 14
+# sampled span builds one neighbour mask per node, n^2 bits in all
+SAMPLED_SPAN_MAX_N = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -198,8 +200,9 @@ def span_sampled(
     max_size: int | None = None,
 ) -> SpanReport:
     """Monte Carlo lower bound on the span from randomly grown compact
-    sets. trials counts attempts; rejected sets (above max_size, or
-    boundary above the terminal budget) still consume their draws."""
+    sets. trials counts attempts; rejected sets (above max_size, or a
+    boundary above the terminal budget or the Steiner DP's table cap)
+    still consume their draws."""
     if g.n < 2:
         raise InputError("span needs at least 2 nodes")
     if not is_connected(g):
@@ -208,6 +211,8 @@ def span_sampled(
         raise InputError("need at least one trial")
     if max_size is not None and max_size < 1:
         raise InputError(f"max_size must be at least 1, got {max_size}")
+    if g.n > SAMPLED_SPAN_MAX_N:
+        raise LimitError(f"sampled span is limited to n <= {SAMPLED_SPAN_MAX_N}, got n={g.n}")
     rng = make_rng(seed)
     adj = kernels.adjacency_masks(g.adjacency)
     best = None
@@ -222,7 +227,11 @@ def span_sampled(
         if len(bnd) > STEINER_TERMINAL_LIMIT:
             skipped += 1
             continue
-        res = kernels.steiner_min_tree(g.n, adj, bnd)
+        try:
+            res = kernels.steiner_min_tree(g.n, adj, bnd)
+        except LimitError:  # the subset DP's tables would pass their cap
+            skipped += 1
+            continue
         if res is None:
             raise ContractError("boundary of a compact set spans several components")
         considered += 1

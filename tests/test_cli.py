@@ -222,6 +222,13 @@ def test_span_exact_up_to_the_table_cap(workdir, capsys):
     assert rc == 1 and err.startswith("refused:") and out == ""
 
 
+def test_sampled_span_refuses_large_graphs_before_building_masks(workdir, capsys):
+    run(["gen", "--family", "mesh", "--dims", "65x64", "-o", "m.gr"], capsys)
+    rc, out, err = run(["span", "m.gr", "--sample", "1"], capsys)
+    assert rc == 1 and out == ""
+    assert err == "refused: sampled span is limited to n <= 4096, got n=4160\n"
+
+
 def test_prune_oracle_roundtrip(workdir, capsys):
     run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
     rc, out, _ = run(
@@ -572,6 +579,23 @@ def test_replay_in_a_child_process(workdir, capsys):
     )
     assert out.returncode == 0, out.stderr
     assert "byte for byte" in out.stdout
+
+
+def test_warning_is_one_stderr_line(workdir):
+    # an edgeless graph is disconnected, so its node expansion is 0
+    (workdir / "e2.gr").write_text("2 0\n")
+    env = subprocess_env()
+    env.pop("PYTHONWARNINGS", None)
+    out = subprocess.run(
+        [sys.executable, "-m", "xpand", "expansion", "e2.gr"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert out.returncode == 0
+    payload = {"method": "exact", "mode": "node", "value_den": 1, "value_num": 0, "witness": [0]}
+    assert out.stdout == json.dumps(payload, separators=(",", ":")) + "\n"
+    assert out.stderr == "warning: graph is disconnected, node expansion is 0\n"
 
 
 # gen of every fixed family, and the chain-center attack, need neither

@@ -3,6 +3,7 @@ count, attack reports, and the connected-subgraph census."""
 
 import dataclasses
 import statistics
+import tracemalloc
 from fractions import Fraction
 from math import ceil, comb
 
@@ -22,7 +23,7 @@ from xpand.experiments import (
     verify_subgraph_count_bound,
 )
 from xpand.expansion import EXACT_EXPANSION_LIMIT, node_expansion_exact
-from xpand.generators import complete, cycle, mesh, subdivide_edges
+from xpand.generators import complete, cycle, mesh, path, subdivide_edges
 from xpand.graph import Graph
 from xpand.pruning import hypothesis_ok, prune, prune2
 
@@ -368,3 +369,36 @@ def test_census_on_plain_graph():
 def test_census_validation():
     with pytest.raises(InputError):
         verify_subgraph_count_bound(cycle(5), r_max=0)
+
+
+def test_census_skips_sizes_no_component_reaches():
+    rep = verify_subgraph_count_bound(Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]))
+    assert rep.bins == ((1, 5, 20, True), (2, 3, 80, True), (3, 1, 320, True))
+    assert rep.total == 9
+
+
+def test_census_cap_is_the_connectivity_table_cap():
+    # a 25-node base is refused, however few connected sets it has
+    with pytest.raises(LimitError, match="n <= 24"):
+        verify_subgraph_count_bound(path(25))
+    # all 2^23 - 1 nonempty node sets of K23 are connected, and counted
+    rep = verify_subgraph_count_bound(complete(23))
+    assert rep.bins == tuple((r, comb(23, r), 23 * 22 ** (2 * r), True) for r in range(1, 24))
+    assert rep.total == 2**23 - 1
+
+
+def test_census_peak_memory_is_the_table_build():
+    g = mesh([4, 5])
+    adj = kernels.adjacency_masks(g.adjacency)
+    peaks = []
+    for run in (
+        lambda: kernels.connectivity_table(g.n, adj),
+        lambda: verify_subgraph_count_bound(g),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**20

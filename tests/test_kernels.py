@@ -1,13 +1,15 @@
 """The bitmask kernels against brute-force references: adjacency
-masks, connectivity and the connected-set enumeration against the
-graph module, Steiner trees against a networkx oracle, and the
-vectorized ratio sweeps against the per-mask reference loops. Also the
-module's rule that no kernel calls a public kernel."""
+masks, connectivity and the connected-set census against the graph
+module, Steiner trees against a networkx oracle, and the vectorized
+ratio sweeps against the per-mask reference loops. Also the module's
+rule that no kernel calls a public kernel."""
 
 import inspect
 import random
 import sys
 import tracemalloc
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from xpand import kernels
 from xpand.errors import InputError, LimitError
-from xpand.generators import cycle, hypercube, mesh, path, random_regular
+from xpand.generators import complete, cycle, hypercube, mesh, path, random_regular
 from xpand.graph import Graph, is_connected_subset
 
 from oracles import random_connected_graph, steiner_node_count_nx
@@ -143,31 +145,32 @@ def test_compact_set_engine_refuses_tables_past_24_nodes():
         kernels.greedy_connector(adj)
 
 
-def test_connected_masks_match_brute_force():
-    for g in _graphs(15, n_max=10):
-        adj = kernels.adjacency_masks(g.adjacency)
-        want = [
-            m
-            for m in range(1, 1 << g.n)
-            if is_connected_subset(g, kernels.mask_nodes(m))
-        ]
-        assert kernels.connected_masks(g.n, adj, len(want)) == want
-        assert kernels.connected_masks(g.n, adj, 10**6) == want
+@given(graph=tie_heavy_adjacency(n_max=12))
+@settings(max_examples=100, deadline=None)
+def test_connected_counts_match_a_definition_level_count(graph):
+    n, adj = graph
+    g = Graph.from_edges(n, [(u, v) for u in range(n) for v in kernels.mask_nodes(adj[u]) if u < v])
+    want = [0] + [
+        sum(is_connected_subset(g, nodes) for nodes in combinations(range(n), r))
+        for r in range(1, n + 1)
+    ]
+    assert kernels.connected_counts(kernels.connectivity_table(n, adj)) == want
 
 
-def test_connected_masks_cap_returns_none():
-    g = mesh([3, 3])
-    adj = kernels.adjacency_masks(g.adjacency)
-    count = len(kernels.connected_masks(g.n, adj, 10**6))
-    assert kernels.connected_masks(g.n, adj, 4) is None
-    assert kernels.connected_masks(g.n, adj, count - 1) is None
-    assert len(kernels.connected_masks(g.n, adj, count)) == count
-
-
-def test_connected_masks_walk_long_paths_without_recursion():
-    # one branch level per frontier node: a 1200-node path goes 1200 deep
-    g = path(1200)
-    assert kernels.connected_masks(g.n, kernels.adjacency_masks(g.adjacency), 10) is None
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (lambda: complete(23), lambda r: comb(23, r)),
+        (lambda: path(24), lambda r: 25 - r),
+        (lambda: cycle(24), lambda r: 24 if r < 24 else 1),
+    ],
+    ids=["K23", "P24", "C24"],
+)
+def test_connected_counts_closed_forms_over_many_blocks(make, count):
+    # tables of 2^23 and 2^24 masks span hundreds of blocks
+    g = make()
+    conn = kernels.connectivity_table(g.n, kernels.adjacency_masks(g.adjacency))
+    assert kernels.connected_counts(conn) == [0] + [count(r) for r in range(1, g.n + 1)]
 
 
 def test_steiner_matches_oracle():
@@ -267,6 +270,22 @@ def test_steiner_dp_terminal_cap_is_a_limit_error():
         kernels.steiner_min_tree(g.n, adj, terms)
 
 
+def test_steiner_dp_table_cap_is_a_limit_error(monkeypatch):
+    # the README's timings, mesh 10x10 at 12 terminals and mesh 20x20 at
+    # 10, stay under the cap
+    assert (1 << 12) * 100 <= kernels._STEINER_DP_MAX_ENTRIES
+    assert (1 << 10) * 400 <= kernels._STEINER_DP_MAX_ENTRIES
+    # 4 terminals at both ends of a 30-node path take the subset DP
+    g = path(30)
+    adj = kernels.adjacency_masks(g.adjacency)
+    terms = (0, 1, 28, 29)
+    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_ENTRIES", 16 * 30)
+    assert kernels.steiner_min_tree(g.n, adj, terms)[::2] == (30, "dw")
+    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_ENTRIES", 16 * 30 - 1)
+    with pytest.raises(LimitError, match="limited to 479 entries, got 2\\^4 \\* 30"):
+        kernels.steiner_min_tree(g.n, adj, terms)
+
+
 def test_wide_graphs_keep_python_int_masks():
     # masks past 63 bits stay Python ints outside the numpy sweeps
     wide = Graph.from_edges(70, [(i, i + 1) for i in range(69)])
@@ -318,7 +337,7 @@ def test_no_kernel_calls_a_public_kernel(monkeypatch):
         ("connector_lookup", lambda: kernels.connector_lookup(conn)(0b101000101)),
         ("boundary_blocks", lambda: list(kernels.boundary_blocks(sadj, masks))),
         ("greedy_connector", lambda: kernels.greedy_connector(sadj)(bnd)),
-        ("connected_masks", lambda: kernels.connected_masks(small.n, sadj, 10**6)),
+        ("connected_counts", lambda: kernels.connected_counts(conn)),
         ("steiner_min_tree", lambda: kernels.steiner_min_tree(small.n, sadj, (0, 2, 6, 8))),
         ("steiner_min_tree", lambda: kernels.steiner_min_tree(g.n, adj, (0, 14))),
     ]

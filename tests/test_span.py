@@ -189,6 +189,16 @@ def test_span_sampled_skips_boundaries_past_the_terminal_limit():
     }
 
 
+def test_span_sampled_skips_boundaries_past_the_steiner_dp_cap(monkeypatch):
+    # every compact set of C8 is an arc with 2 boundary nodes, which the
+    # subset DP takes in tables of 2^2 x 8 entries
+    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_ENTRIES", 4 * 8)
+    assert span_sampled(cycle(8), 5, seed=0).skipped == 0
+    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_ENTRIES", 4 * 8 - 1)
+    with pytest.raises(SamplingError):
+        span_sampled(cycle(8), 5, seed=0)
+
+
 def test_span_sampled_max_size_must_be_positive():
     for bad in (0, -2):
         with pytest.raises(InputError):
