@@ -25,7 +25,6 @@ from .faults import make_rng, shuffle_in_place
 from .generators import SubdividedGraph
 from .graph import Cut, Graph, canon_nodes, make_cut
 
-EXACT_EXPANSION_LIMIT = 24
 SUBDIV_BASE_LIMIT = 10
 SUBDIV_CHAIN_LIMIT = 16
 _INF32 = np.int32(1 << 20)
@@ -49,7 +48,7 @@ class ExpansionResult:
         }
 
 
-def _min_ratio_cut(g: Graph, nodes, mode: str, what: str):
+def _min_ratio_cut(g: Graph, nodes, mode: str):
     """(ratio, set) of the canonical minimizer over 1 <= |S| <= |nodes|/2
     in the subgraph of g induced by nodes, a sized collection of at
     least 2 of g's ids, the set in g's ids. The cap is checked before
@@ -57,8 +56,7 @@ def _min_ratio_cut(g: Graph, nodes, mode: str, what: str):
     sweep, and that order is kept both ways, so the (ratio, size, lex)
     winner is the one a renumbered copy of the subgraph would give."""
     n = len(nodes)
-    if n > EXACT_EXPANSION_LIMIT:
-        raise LimitError(f"{what} is limited to n <= {EXACT_EXPANSION_LIMIT}, got n={n}")
+    kernels.exact_limit(n)
     keep = sorted(nodes)
     index = {v: i for i, v in enumerate(keep)}
     adjacency = [[index[u] for u in g.adjacency[v] if u in index] for v in keep]
@@ -70,7 +68,7 @@ def _min_ratio_cut(g: Graph, nodes, mode: str, what: str):
 def _expansion_exact(g: Graph, mode: str) -> ExpansionResult:
     if g.n < 2:
         raise InputError("expansion needs at least 2 nodes")
-    value, s = _min_ratio_cut(g, range(g.n), mode, "exact expansion")
+    value, s = _min_ratio_cut(g, range(g.n), mode)
     if value == 0:
         warnings.warn(f"graph is disconnected, {mode} expansion is 0", stacklevel=3)
     return ExpansionResult(mode, "exact", value, make_cut(g, s))

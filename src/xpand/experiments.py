@@ -18,16 +18,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import kernels
-from .errors import ContractError, InputError, LimitError
-from .expansion import (
-    EXACT_EXPANSION_LIMIT,
-    edge_expansion_exact,
-    node_expansion_exact,
-)
+from .errors import ContractError, InputError
+from .expansion import edge_expansion_exact, node_expansion_exact
 from .faults import (
     FaultPattern,
     apply_faults,
     attack_chain_centers,
+    check_draws,
     edge_survival_pattern,
     random_node_faults,
 )
@@ -40,8 +37,6 @@ from .pruning import (
     prune2,
     size_lower_bound,
 )
-
-MAX_TRIALS_PER_POINT = 10**6
 
 # the columns of a percolation row, in CSV order
 COLUMNS = ("p", "trial", "gamma", "h_frac", "expansion_num", "expansion_den", "certified", "ms")
@@ -156,14 +151,12 @@ def percolation_point(
         raise InputError(f"unknown percolation model {model!r}")
     if not 0 <= p <= 1:
         raise InputError("p must lie in [0,1]")
-    if not 1 <= trials <= MAX_TRIALS_PER_POINT:
-        raise InputError(f"trials must lie in [1, {MAX_TRIALS_PER_POINT}]")
+    check_draws(trials, "trials")
     grade = None
     if prune_params is not None:
         if model != "node":
             raise InputError("pruning is defined for the node fault model only")
-        if g.n > EXACT_EXPANSION_LIMIT:
-            raise LimitError(f"pruning needs n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
+        kernels.exact_limit(g.n)
         alpha, k = prune_params
         if k < 2:
             raise InputError("k must be at least 2")
@@ -237,8 +230,7 @@ def run_resilience_trial(
         raise InputError(f"unknown fault model {model!r}")
     if not 0 <= Fraction(p) <= 1:
         raise InputError("p must lie in [0,1]")
-    if g.n > EXACT_EXPANSION_LIMIT:
-        raise LimitError(f"exact pruning is limited to n <= {EXACT_EXPANSION_LIMIT}, got {g.n}")
+    kernels.exact_limit(g.n)
     if alpha is None:
         measure = node_expansion_exact if model == "node" else edge_expansion_exact
         alpha = measure(g).value
@@ -438,6 +430,7 @@ def verify_subgraph_count_bound(target, r_max: int | None = None) -> CensusRepor
         raise InputError("census needs at least one edge")
     if r_max is not None and r_max < 1:
         raise InputError("r_max must be at least 1")
+    kernels.exact_limit(base.n)
     adj = kernels.adjacency_masks(base.adjacency)
     counts = kernels.connected_counts(kernels.connectivity_table(base.n, adj))
     bins = []

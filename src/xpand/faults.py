@@ -17,6 +17,8 @@ from .manifest import canonical_json
 
 KIND_NODE = "node-faults"
 KIND_EDGE = "edge-survival"
+# the most draws (trials, sampled sets) one call takes
+MAX_DRAWS = 10**6
 
 
 def make_rng(seed: int):
@@ -26,6 +28,12 @@ def make_rng(seed: int):
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def check_draws(count: int, what: str) -> None:
+    """InputError unless 1 <= count <= MAX_DRAWS, before the first draw."""
+    if not 1 <= count <= MAX_DRAWS:
+        raise InputError(f"{what} must lie in [1, {MAX_DRAWS}]")
 
 
 def rand_below(rng, k: int) -> int:

@@ -38,13 +38,14 @@ from .errors import ContractError, InputError, LimitError
 BACKEND = "python"
 
 INF = 1 << 30
+# the exact engine's cap on n: the ratio sweeps walk 2^n subsets, and
+# the connectivity table keeps a bool per mask and, while it builds, a
+# uint32 per mask below 2^(n-1): 48 MiB at this n
+EXACT_MAX_N = 24
+# adjacency_masks keeps n bits per node, n^2 in all: 2 MiB at this n
+MASKS_MAX_N = 1 << 12
 # the low bits of a mask that one vectorized step scores together
 _CHUNK_BITS = 12
-# masks are numpy uint64 inside the sweeps
-_MAX_MASK_BITS = 63
-# the compact-set engine keeps one bool per mask and, while it builds
-# that table, a uint32 per mask below 2^(n-1): 48 MiB at this n
-_COMPACT_MAX_N = 24
 # steiner_min_tree's subset DP keeps two tables of 2^t x n list slots,
 # about 80 B per entry once filled: 320 MiB at this cap
 _STEINER_DP_MAX_ENTRIES = 1 << 22
@@ -78,13 +79,23 @@ def _mask_of(nodes) -> int:
 
 
 def adjacency_masks(adjacency) -> list:
-    """Each node's neighbour list as a bitmask."""
+    """Each node's neighbour list as a bitmask. More than MASKS_MAX_N
+    nodes are refused before any mask is built."""
+    n = len(adjacency)
+    if n > MASKS_MAX_N:
+        raise LimitError(f"adjacency masks are limited to n <= {MASKS_MAX_N}, got n={n}")
     return [_mask_of(nbrs) for nbrs in adjacency]
 
 
-def _table_limit(n: int) -> None:
-    if n > _COMPACT_MAX_N:
-        raise LimitError(f"compact-set tables are limited to n <= {_COMPACT_MAX_N}, got n={n}")
+def _exact_limit(n: int) -> None:
+    if n > EXACT_MAX_N:
+        raise LimitError(f"exact subset enumeration is limited to n <= {EXACT_MAX_N}, got n={n}")
+
+
+def exact_limit(n: int) -> None:
+    """LimitError past EXACT_MAX_N nodes, as every sweep and table kernel
+    checks, for callers to check before they build anything of n nodes."""
+    _exact_limit(n)
 
 
 def _flood(start: int, allowed: int, adj) -> int:
@@ -131,8 +142,7 @@ def _low_halves(n: int):
     (descending bit-reversed mask), so the first of several tied low
     halves in a size class is the canonical one.
     """
-    if n > _MAX_MASK_BITS:
-        raise LimitError(f"subset sweeps are limited to n <= {_MAX_MASK_BITS}, got n={n}")
+    _exact_limit(n)
     c = min(n, _CHUNK_BITS)
     return (c, *_scan_order(c))
 
@@ -323,7 +333,7 @@ def connectivity_table(n: int, adj):
     read: with the bool table that is 48 MiB at n = 24. Each level is
     done _TABLE_CHUNK masks at a time.
     """
-    _table_limit(n)
+    _exact_limit(n)
     conn = np.zeros(1 << n, dtype=bool)
     lowest = np.zeros(1 << max(n - 1, 0), dtype=np.uint32)  # L, bottom half
     ramp = np.arange(min(_TABLE_CHUNK, len(lowest)), dtype=np.uint32)
@@ -459,7 +469,7 @@ def boundary_blocks(adj, masks):
     """Node boundaries nbr(U) & ~U of the masks (a uint32 array, as
     compact_masks returns it), yielded as uint32 arrays of at most 2^12
     entries in the order of the masks."""
-    _table_limit(len(adj))
+    _exact_limit(len(adj))
     nbr = _or_tables(adj)
     for b in range(0, len(masks), _BLOCK):
         u = masks[b : b + _BLOCK]
@@ -480,7 +490,7 @@ def greedy_connector(adj):
     tree's discovery positions from v, and its path is read from a
     table. n > 24 is refused before any table is built.
     """
-    _table_limit(len(adj))
+    _exact_limit(len(adj))
     bfs = _bfs_tables(adj)
 
     def sizes(bnd):
@@ -523,9 +533,10 @@ def steiner_min_tree(n: int, adj, terminals):
     not share a component. Small instances take the superset sweep,
     whose tie-break is the exact lex-min tree over all minimum node
     sets; larger ones take subset DP, which is deterministic but only
-    guarantees some minimum tree; it refuses more than 16 terminals, or
-    tables of more than _STEINER_DP_MAX_ENTRIES entries (2^t x n), with
-    LimitError before it allocates them.
+    guarantees some minimum tree; it refuses tables of more than
+    _STEINER_DP_MAX_ENTRIES entries (2^t x n) with LimitError before it
+    allocates them. At t >= 17 the sweep runs or n >= t + 23 >= 40, and
+    then 2^t x n passes the cap, so the DP never sees 17 terminals.
     """
     terms = tuple(sorted({int(v) for v in terminals}))
     t = len(terms)
@@ -541,8 +552,6 @@ def steiner_min_tree(n: int, adj, terminals):
     free = n - t
     if free <= 22 and (1 << free) <= 4 * 3**t:
         return _steiner_sweep(n, adj, terms)
-    if t > 16:
-        raise LimitError(f"steiner subset DP is limited to 16 terminals, got {t}")
     if (1 << t) * n > _STEINER_DP_MAX_ENTRIES:
         raise LimitError(
             f"steiner subset DP is limited to {_STEINER_DP_MAX_ENTRIES} entries, got 2^{t} * {n}"

@@ -21,13 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractError, InputError, LimitError
-from .expansion import (
-    EXACT_EXPANSION_LIMIT,
-    _min_ratio_cut,
-    edge_expansion_heuristic,
-    node_expansion_heuristic,
-)
+from . import kernels
+from .errors import ContractError, InputError
+from .expansion import _min_ratio_cut, edge_expansion_heuristic, node_expansion_heuristic
 from .faults import KIND_NODE, FaultPattern
 from .graph import (
     Graph,
@@ -194,7 +190,7 @@ def _prune_loop(
         if method == "heuristic":
             raw = _heuristic_cut(g, alive, mode, threshold, len(steps))
         else:
-            value, raw = _min_ratio_cut(g, alive, mode, "sparse-cut search")
+            value, raw = _min_ratio_cut(g, alive, mode)
             if value > threshold:
                 raw = None
         if raw is None:
@@ -374,8 +370,8 @@ def _greedy_cuts(g: Graph, stop):
         if not comps or len(comps[0]) < 2 or stop(len(comps[0]), failed):
             break
         comp = comps[0]
-        if len(comp) <= EXACT_EXPANSION_LIMIT:
-            picked = _min_ratio_cut(g, comp, "node", "sparse-cut search")[1]
+        if len(comp) <= kernels.EXACT_MAX_N:
+            picked = _min_ratio_cut(g, comp, "node")[1]
         else:
             picked = node_expansion_heuristic(g, trials=32, seed=failed, nodes=comp).witness.set
         removed = node_boundary(g, picked, alive)
@@ -403,8 +399,7 @@ def shatter_uniform(g: Graph, eps: Fraction) -> ShatterResult:
         raise InputError("shatter needs a nonempty graph")
     if eps * g.n < 1:
         raise InputError("eps*n below 1 would demand empty components")
-    if g.n > EXACT_EXPANSION_LIMIT:
-        raise LimitError(f"shatter is limited to n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
+    kernels.exact_limit(g.n)
     target = eps * g.n
     alive, cuts = _greedy_cuts(g, lambda size, _failed: size <= target)
     steps = tuple(

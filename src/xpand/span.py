@@ -17,6 +17,10 @@ tables. A set whose bound can still beat the best ratio has its Steiner
 size read from one more table, built once from the connectivity table:
 per mask, the node count of the smallest connected set containing it.
 One exact Steiner tree is built, for the maximizing set alone.
+
+Sampled span and steiner_tree_min build a neighbour mask per node of
+the whole graph, so kernels.adjacency_masks refuses them past 2^12
+nodes (kernels.MASKS_MAX_N) before it builds any.
 """
 
 from __future__ import annotations
@@ -36,13 +40,11 @@ from .errors import (
     NoSteinerTreeError,
     SamplingError,
 )
-from .faults import make_rng, rand_below
+from .faults import check_draws, make_rng, rand_below
 from .generators import mesh, mesh_coords, mesh_size, mesh_strides
 from .graph import Graph, canon_nodes, connected_components, is_connected, node_boundary
 
 STEINER_TERMINAL_LIMIT = 14
-# sampled span builds one neighbour mask per node, n^2 bits in all
-SAMPLED_SPAN_MAX_N = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,6 @@ def steiner_tree_min(g: Graph, terminals):
     NoSteinerTreeError when the terminals span several components.
     """
     terms = canon_nodes(g, terminals)
-    if not terms:
-        raise InputError("steiner tree needs at least one terminal")
     if len(terms) > STEINER_TERMINAL_LIMIT:
         raise LimitError(f"steiner search is limited to {STEINER_TERMINAL_LIMIT} terminals")
     adj = kernels.adjacency_masks(g.adjacency)
@@ -117,7 +117,7 @@ def span_exact(g: Graph) -> SpanReport:
         raise InputError("span needs at least 2 nodes")
     if not is_connected(g):
         raise InputError("span is defined for connected graphs")
-    kernels._table_limit(g.n)  # before any n-bit mask is built
+    kernels.exact_limit(g.n)  # before any n-bit mask is built
     adj = kernels.adjacency_masks(g.adjacency)
     conn = kernels.connectivity_table(g.n, adj)
     masks = kernels.compact_masks(conn)
@@ -200,19 +200,16 @@ def span_sampled(
     max_size: int | None = None,
 ) -> SpanReport:
     """Monte Carlo lower bound on the span from randomly grown compact
-    sets. trials counts attempts; rejected sets (above max_size, or a
-    boundary above the terminal budget or the Steiner DP's table cap)
-    still consume their draws."""
+    sets. trials counts attempts, at most faults.MAX_DRAWS; rejected sets
+    (above max_size, or a boundary past the terminal budget or the
+    Steiner DP's table cap) still consume their draws."""
     if g.n < 2:
         raise InputError("span needs at least 2 nodes")
     if not is_connected(g):
         raise InputError("span is defined for connected graphs")
-    if trials < 1:
-        raise InputError("need at least one trial")
+    check_draws(trials, "trials")
     if max_size is not None and max_size < 1:
         raise InputError(f"max_size must be at least 1, got {max_size}")
-    if g.n > SAMPLED_SPAN_MAX_N:
-        raise LimitError(f"sampled span is limited to n <= {SAMPLED_SPAN_MAX_N}, got n={g.n}")
     rng = make_rng(seed)
     adj = kernels.adjacency_masks(g.adjacency)
     best = None
@@ -348,9 +345,9 @@ def verify_mesh_span_certificate(
     dims = tuple(int(d) for d in dims)
     n = mesh_size(dims)  # every refusal comes before the mesh is built
     if exhaustive:
-        kernels._table_limit(n)
-    elif samples < 1:
-        raise InputError("sampled certificate needs at least one sample")
+        kernels.exact_limit(n)
+    else:
+        check_draws(samples, "samples")
     g = mesh(dims)
     if exhaustive:
         adj = kernels.adjacency_masks(g.adjacency)

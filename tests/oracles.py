@@ -52,7 +52,6 @@ from xpand import kernels
 from xpand.errors import ContractError, InputError, LimitError, SamplingError
 from xpand.expansion import (
     _INF32,
-    EXACT_EXPANSION_LIMIT,
     SUBDIV_BASE_LIMIT,
     SUBDIV_CHAIN_LIMIT,
     ExpansionResult,
@@ -65,8 +64,9 @@ from xpand.expansion import (
     node_expansion_exact,
     node_expansion_heuristic,
 )
-from xpand.experiments import MAX_TRIALS_PER_POINT, TrialResult, gamma
+from xpand.experiments import TrialResult, gamma
 from xpand.faults import (
+    MAX_DRAWS,
     KIND_NODE,
     FaultPattern,
     edge_survival_pattern,
@@ -357,7 +357,7 @@ def connectivity_table(n: int, adj):
     The table is filled 2^12 masks at a time by a vectorized flood from
     each mask's lowest node, one breadth-first layer per numpy round.
     """
-    kernels._table_limit(n)
+    kernels.exact_limit(n)
     nbr = kernels._or_tables(adj)
     size = 1 << n
     conn = np.zeros(size, dtype=bool)
@@ -431,8 +431,8 @@ def span_exact(g: Graph) -> SpanReport:
         raise InputError("span needs at least 2 nodes")
     if not is_connected(g):
         raise InputError("span is defined for connected graphs")
-    if g.n > kernels._COMPACT_MAX_N:
-        raise LimitError(f"exact span is limited to n <= {kernels._COMPACT_MAX_N}, got n={g.n}")
+    if g.n > kernels.EXACT_MAX_N:
+        raise LimitError(f"exact span is limited to n <= {kernels.EXACT_MAX_N}, got n={g.n}")
     adj = kernels.adjacency_masks(g.adjacency)
     best = None  # (ratio, set, boundary, tree_edges, tree_size)
     considered = 0
@@ -571,9 +571,9 @@ def verify_mesh_span_certificate(
     dims = tuple(int(d) for d in dims)
     g = mesh(dims)
     if exhaustive:
-        if g.n > kernels._COMPACT_MAX_N:
+        if g.n > kernels.EXACT_MAX_N:
             raise LimitError(
-                f"exhaustive certificate is limited to n <= {kernels._COMPACT_MAX_N}, "
+                f"exhaustive certificate is limited to n <= {kernels.EXACT_MAX_N}, "
                 f"got n={g.n}"
             )
         adj = kernels.adjacency_masks(g.adjacency)
@@ -849,13 +849,13 @@ def percolation_point(
         raise InputError(f"unknown percolation model {model!r}")
     if not 0 <= p <= 1:
         raise InputError("p must lie in [0,1]")
-    if not 1 <= trials <= MAX_TRIALS_PER_POINT:
-        raise InputError(f"trials must lie in [1, {MAX_TRIALS_PER_POINT}]")
+    if not 1 <= trials <= MAX_DRAWS:
+        raise InputError(f"trials must lie in [1, {MAX_DRAWS}]")
     if prune_params is not None:
         if model != "node":
             raise InputError("pruning is defined for the node fault model only")
-        if g.n > EXACT_EXPANSION_LIMIT:
-            raise LimitError(f"pruning needs n <= {EXACT_EXPANSION_LIMIT}, got n={g.n}")
+        if g.n > kernels.EXACT_MAX_N:
+            raise LimitError(f"pruning needs n <= {kernels.EXACT_MAX_N}, got n={g.n}")
         alpha, k = prune_params
         eps = 1 - Fraction(1, k)
     rows = []
@@ -910,8 +910,8 @@ def run_resilience_trial(
         raise InputError(f"unknown fault model {model!r}")
     if not 0 <= Fraction(p) <= 1:
         raise InputError("p must lie in [0,1]")
-    if g.n > EXACT_EXPANSION_LIMIT:
-        raise LimitError(f"exact pruning is limited to n <= {EXACT_EXPANSION_LIMIT}, got {g.n}")
+    if g.n > kernels.EXACT_MAX_N:
+        raise LimitError(f"exact pruning is limited to n <= {kernels.EXACT_MAX_N}, got {g.n}")
     seed = seed_base + trial
     if model == "node":
         failed = random_node_faults(g, float(p), seed).failed_nodes
@@ -955,7 +955,7 @@ def _prefix_row(g_f: Graph, ids, mode: str, union_root) -> tuple:
 def _sparse_cut(g: Graph, mode: str, threshold: Fraction):
     if g.n < 2:
         return None, None
-    value, s = _min_ratio_cut(g, range(g.n), mode, "sparse-cut search")
+    value, s = _min_ratio_cut(g, range(g.n), mode)
     if value > threshold:
         return value, None
     return value, make_cut(g, s)
@@ -1088,7 +1088,7 @@ def greedy_cuts(g: Graph, stop):
         if not comps or len(comps[0]) < 2 or stop(len(comps[0]), failed):
             break
         sub, sub_ids = relabel(cur, comps[0], ids)
-        if sub.n <= EXACT_EXPANSION_LIMIT:
+        if sub.n <= kernels.EXACT_MAX_N:
             witness = node_expansion_exact(sub).witness
         else:
             witness = node_expansion_heuristic(sub, trials=32, seed=failed).witness

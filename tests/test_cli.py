@@ -226,7 +226,7 @@ def test_sampled_span_refuses_large_graphs_before_building_masks(workdir, capsys
     run(["gen", "--family", "mesh", "--dims", "65x64", "-o", "m.gr"], capsys)
     rc, out, err = run(["span", "m.gr", "--sample", "1"], capsys)
     assert rc == 1 and out == ""
-    assert err == "refused: sampled span is limited to n <= 4096, got n=4160\n"
+    assert err == "refused: adjacency masks are limited to n <= 4096, got n=4160\n"
 
 
 def test_prune_oracle_roundtrip(workdir, capsys):
@@ -506,12 +506,12 @@ def test_exhaustive_certificate_is_refused_before_the_mesh_is_built(
     monkeypatch.setattr(span, "mesh", no_mesh)
     rc, out, err = run(["verify-mesh-span", "--dims", "1024x1024", "--exhaustive"], capsys)
     assert (rc, out) == (1, "")
-    assert err == "refused: compact-set tables are limited to n <= 24, got n=1048576\n"
+    assert err == "refused: exact subset enumeration is limited to n <= 24, got n=1048576\n"
     # a bad side is still an input error, and so is a sample count below 1
     rc, out, err = run(["verify-mesh-span", "--dims", "1x1024", "--exhaustive"], capsys)
     assert (rc, out) == (2, "") and "every side >= 2" in err
     rc, out, err = run(["verify-mesh-span", "--dims", "1024x1024", "--sample", "0"], capsys)
-    assert (rc, out, err) == (2, "", "error: sampled certificate needs at least one sample\n")
+    assert (rc, out, err) == (2, "", "error: samples must lie in [1, 1000000]\n")
 
 
 def test_verify_mesh_span_samples_are_compact_on_large_meshes(workdir, capsys):

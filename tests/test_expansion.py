@@ -95,15 +95,15 @@ def test_witness_is_canonical_minimizer():
 def test_min_ratio_cut_on_a_node_subset():
     # the subgraph of cycle(8) induced by 1..7 is a path: its endpoint
     # arc, in cycle(8)'s ids, has node ratio 1/3
-    got = expansion._min_ratio_cut(cycle(8), range(1, 8), "node", "sweep")
+    got = expansion._min_ratio_cut(cycle(8), range(1, 8), "node")
     assert got == (F(1, 3), (1, 2, 3))
     # a node isolated within the subset is a free cut in both modes
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 5)])
     for mode in ("node", "edge"):
-        assert expansion._min_ratio_cut(g, {5, 3, 2, 1}, mode, "sweep") == (0, (5,))
+        assert expansion._min_ratio_cut(g, {5, 3, 2, 1}, mode) == (0, (5,))
     # the cap is checked on the size alone, before the nodes are read
-    with pytest.raises(LimitError, match="sweep is limited to n <= 24, got n=1000000000"):
-        expansion._min_ratio_cut(g, range(10**9), "node", "sweep")
+    with pytest.raises(LimitError, match="limited to n <= 24, got n=1000000000"):
+        expansion._min_ratio_cut(g, range(10**9), "node")
 
 
 def test_heuristic_bounds_exact():

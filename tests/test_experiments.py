@@ -22,7 +22,7 @@ from xpand.experiments import (
     run_resilience_trial,
     verify_subgraph_count_bound,
 )
-from xpand.expansion import EXACT_EXPANSION_LIMIT, node_expansion_exact
+from xpand.expansion import node_expansion_exact
 from xpand.generators import complete, cycle, mesh, path, subdivide_edges
 from xpand.graph import Graph
 from xpand.pruning import hypothesis_ok, prune, prune2
@@ -261,7 +261,7 @@ def test_adversary_rejects_hypothesis_violations():
 
 
 def test_adversary_past_the_exact_cap_is_refused_by_the_expansion_sweep():
-    with pytest.raises(LimitError, match="^exact expansion is limited to n <= 24, got n=25$"):
+    with pytest.raises(LimitError, match="^exact subset enumeration is limited to n <= 24, got n=25$"):
         adversary_exhaustive(complete(25), 2, 0)
 
 
@@ -269,7 +269,7 @@ def test_hypothesis_bounds_the_adversary_to_2024_fault_sets():
     # any floor(n/2) nodes have at most ceil(n/2) outside them, so alpha
     # <= ceil(n/2)/floor(n/2), and hypothesis_ok then caps f; past the
     # exact cap C(n, f) outgrows this bound on the adversary's work
-    for n in range(2, EXACT_EXPANSION_LIMIT + 1):
+    for n in range(2, kernels.EXACT_MAX_N + 1):
         alpha = F(ceil(n / 2), n // 2)
         for k in (2, 3, 4):
             f = max(f for f in range(n + 1) if hypothesis_ok(n, alpha, k, f))

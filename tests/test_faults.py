@@ -5,7 +5,7 @@ import statistics
 import pytest
 
 from xpand.errors import InputError
-from xpand.expansion import EXACT_EXPANSION_LIMIT
+from xpand.kernels import EXACT_MAX_N
 from xpand.faults import (
     KIND_EDGE,
     KIND_NODE,
@@ -147,9 +147,9 @@ def test_greedy_attack_spends_full_budget():
     ],
 )
 def test_greedy_attack_past_the_exact_cap(g, budget, failed):
-    # the first component exceeds EXACT_EXPANSION_LIMIT, so its cut is
+    # the first component exceeds EXACT_MAX_N, so its cut is
     # the seeded heuristic's
-    assert g.n > EXACT_EXPANSION_LIMIT
+    assert g.n > EXACT_MAX_N
     assert attack_greedy_cuts(g, budget).failed_nodes == failed
 
 

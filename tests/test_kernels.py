@@ -82,10 +82,11 @@ def test_ratio_sweeps_match_reference_loops(graph):
 
 
 @pytest.mark.parametrize("name", ["min_ratio_node_cut", "min_ratio_edge_cut"])
-def test_ratio_sweeps_refuse_masks_past_63_bits(name):
-    adj = [0] * 64
-    with pytest.raises(LimitError):
-        getattr(kernels, name)(64, adj)
+def test_ratio_sweeps_refuse_past_the_exact_cap(name):
+    # one past EXACT_MAX_N is refused before any subset is walked
+    n = kernels.EXACT_MAX_N + 1
+    with pytest.raises(LimitError, match=f"limited to n <= 24, got n={n}$"):
+        getattr(kernels, name)(n, [0] * n)
 
 
 def test_scan_order_is_built_once_per_width():
@@ -261,13 +262,20 @@ def test_steiner_without_terminals_is_an_input_error():
 
 def test_steiner_dp_terminal_cap_is_a_limit_error():
     # 17 terminals spread along a 60-node path leave 43 free nodes, too
-    # many for the superset sweep, so the subset DP is chosen and refuses
+    # many for the superset sweep, so the subset DP is chosen and its
+    # table cap refuses 2^17 * 60 entries
     g = Graph.from_edges(60, [(i, i + 1) for i in range(59)])
     adj = kernels.adjacency_masks(g.adjacency)
     terms = tuple(range(2, 60, 3))[:17]
     assert len(terms) == 17 and g.n - len(terms) > 22
-    with pytest.raises(LimitError):
+    with pytest.raises(LimitError, match="entries, got 2\\^17 \\* 60"):
         kernels.steiner_min_tree(g.n, adj, terms)
+    # the table cap alone keeps the DP below 17 terminals: at any t >= 17
+    # the superset sweep is chosen, or 2^t * n passes the cap
+    for n in range(17, 300):
+        for t in range(17, n + 1):
+            sweep = n - t <= 22 and (1 << (n - t)) <= 4 * 3**t
+            assert sweep or (1 << t) * n > kernels._STEINER_DP_MAX_ENTRIES, (n, t)
 
 
 def test_steiner_dp_table_cap_is_a_limit_error(monkeypatch):
@@ -329,6 +337,7 @@ def test_no_kernel_calls_a_public_kernel(monkeypatch):
 
     cases = [
         ("adjacency_masks", lambda: kernels.adjacency_masks(g.adjacency)),
+        ("exact_limit", lambda: kernels.exact_limit(g.n)),
         ("mask_nodes", lambda: kernels.mask_nodes(0b1011)),
         ("min_ratio_node_cut", lambda: kernels.min_ratio_node_cut(g.n, adj)),
         ("min_ratio_edge_cut", lambda: kernels.min_ratio_edge_cut(g.n, adj)),

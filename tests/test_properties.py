@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import to_nx
-from xpand import expansion
+from xpand import expansion, kernels
 from xpand.cli import main
 from xpand.errors import InputError, LoadError
 from xpand.expansion import (
@@ -253,7 +253,7 @@ def test_greedy_attack_past_the_exact_cap_matches_reference(g):
     # first cuts come from the heuristic on a component graph, and it
     # misses node 0, so that graph's ids are not g's
     comp = connected_components(g)[0]
-    assert len(comp) > expansion.EXACT_EXPANSION_LIMIT and comp[0] > 0
+    assert len(comp) > kernels.EXACT_MAX_N and comp[0] > 0
     assert attack_greedy_cuts(g, 3) == oracles.attack_greedy_cuts(g, 3)
 
 
