@@ -67,7 +67,9 @@ def parse_dims(text: str) -> tuple:
 
 
 def parse_p_grid(text: str) -> list:
-    """A single rational, or start:stop:step with an inclusive stop."""
+    """A single rational, or start:stop:step with an inclusive stop, of
+    at most faults.MAX_DRAWS points."""
+    from .faults import MAX_DRAWS
     parts = text.strip().split(":")
     if len(parts) == 1:
         return [parse_rational(parts[0])]
@@ -78,14 +80,10 @@ def parse_p_grid(text: str) -> list:
         raise InputError("p grid step must be positive")
     if stop < start:
         raise InputError("p grid stop is below its start")
-    grid = []
-    cur = start
-    while cur <= stop:
-        grid.append(cur)
-        if len(grid) > 10000:
-            raise InputError("p grid has more than 10000 points")
-        cur += step
-    return grid
+    count = (stop - start) // step + 1
+    if count > MAX_DRAWS:
+        raise InputError(f"p grid has more than {MAX_DRAWS} points")
+    return [start + k * step for k in range(count)]
 
 
 def _write_text(path: str, text: str) -> None:

@@ -21,6 +21,7 @@ from . import kernels
 from .errors import ContractError, InputError
 from .expansion import edge_expansion_exact, node_expansion_exact
 from .faults import (
+    MAX_DRAWS,
     FaultPattern,
     apply_faults,
     attack_chain_centers,
@@ -180,6 +181,8 @@ def run_percolation_sweep(
     prune_params=None,
 ):
     """Sweep failure probabilities; returns (rows, per-point summaries)."""
+    if len(ps) * trials > MAX_DRAWS:
+        raise InputError(f"a sweep takes at most {MAX_DRAWS} trials, got {len(ps)} x {trials}")
     rows = []
     points = []
     for i, p in enumerate(ps):

@@ -17,7 +17,8 @@ from .manifest import canonical_json
 
 KIND_NODE = "node-faults"
 KIND_EDGE = "edge-survival"
-# the most draws (trials, sampled sets) one call takes
+# the most draws one call takes: a percolation sweep's trials over all
+# its points, a sampled span's attempts, a sampled certificate's samples
 MAX_DRAWS = 10**6
 
 

@@ -64,6 +64,7 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
         if n < 0:
             raise InputError("node count must be nonnegative")
+        check_size(n, 0)  # before the rows are built
         adj: list[list[int]] = [[] for _ in range(n)]
         seen = set()
         for e in edges:

@@ -46,9 +46,9 @@ EXACT_MAX_N = 24
 MASKS_MAX_N = 1 << 12
 # the low bits of a mask that one vectorized step scores together
 _CHUNK_BITS = 12
-# steiner_min_tree's subset DP keeps two tables of 2^t x n list slots,
-# about 80 B per entry once filled: 320 MiB at this cap
-_STEINER_DP_MAX_ENTRIES = 1 << 22
+# steiner_min_tree's subset DP work, 3^t x n for t terminals: 5-7 s
+# at this cap; with n <= MASKS_MAX_N its 2^t x n tables stay under 2^21
+_STEINER_DP_MAX_WORK = 1 << 26
 # connector_lookup's table entry for a mask no connected set contains
 _NO_CONNECTOR = 127
 _BLOCK = 1 << _CHUNK_BITS
@@ -533,10 +533,11 @@ def steiner_min_tree(n: int, adj, terminals):
     not share a component. Small instances take the superset sweep,
     whose tie-break is the exact lex-min tree over all minimum node
     sets; larger ones take subset DP, which is deterministic but only
-    guarantees some minimum tree; it refuses tables of more than
-    _STEINER_DP_MAX_ENTRIES entries (2^t x n) with LimitError before it
-    allocates them. At t >= 17 the sweep runs or n >= t + 23 >= 40, and
-    then 2^t x n passes the cap, so the DP never sees 17 terminals.
+    guarantees some minimum tree. This is the one place that refuses a
+    Steiner search: a DP of more than _STEINER_DP_MAX_WORK units (3^t x
+    n) raises LimitError before it allocates anything. At t >= 14 that
+    leaves n <= t, where the sweep runs, so the DP never sees 14
+    terminals.
     """
     terms = tuple(sorted({int(v) for v in terminals}))
     t = len(terms)
@@ -552,10 +553,8 @@ def steiner_min_tree(n: int, adj, terminals):
     free = n - t
     if free <= 22 and (1 << free) <= 4 * 3**t:
         return _steiner_sweep(n, adj, terms)
-    if (1 << t) * n > _STEINER_DP_MAX_ENTRIES:
-        raise LimitError(
-            f"steiner subset DP is limited to {_STEINER_DP_MAX_ENTRIES} entries, got 2^{t} * {n}"
-        )
+    if 3**t * n > _STEINER_DP_MAX_WORK:
+        raise LimitError(f"steiner DP work is limited to {_STEINER_DP_MAX_WORK}, got 3^{t} * {n}")
     return _steiner_dw(n, adj, terms)
 
 

@@ -20,7 +20,9 @@ One exact Steiner tree is built, for the maximizing set alone.
 
 Sampled span and steiner_tree_min build a neighbour mask per node of
 the whole graph, so kernels.adjacency_masks refuses them past 2^12
-nodes (kernels.MASKS_MAX_N) before it builds any.
+nodes (kernels.MASKS_MAX_N) before it builds any. Only
+kernels.steiner_min_tree refuses a Steiner search (a subset DP past its
+work budget of 3^t * n units), and sampled span skips such a boundary.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ from .errors import (
 from .faults import check_draws, make_rng, rand_below
 from .generators import mesh, mesh_coords, mesh_size, mesh_strides
 from .graph import Graph, canon_nodes, connected_components, is_connected, node_boundary
-
-STEINER_TERMINAL_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,11 @@ def steiner_tree_min(g: Graph, terminals):
     """Minimum-node tree spanning the terminals: (node_count, edges).
 
     Edges are canonical (min, max) pairs, sorted. Raises
-    NoSteinerTreeError when the terminals span several components.
+    NoSteinerTreeError when the terminals span several components, and
+    kernels.steiner_min_tree's LimitError when its subset DP would pass
+    its work budget.
     """
     terms = canon_nodes(g, terminals)
-    if len(terms) > STEINER_TERMINAL_LIMIT:
-        raise LimitError(f"steiner search is limited to {STEINER_TERMINAL_LIMIT} terminals")
     adj = kernels.adjacency_masks(g.adjacency)
     res = kernels.steiner_min_tree(g.n, adj, terms)
     if res is None:
@@ -201,8 +201,8 @@ def span_sampled(
 ) -> SpanReport:
     """Monte Carlo lower bound on the span from randomly grown compact
     sets. trials counts attempts, at most faults.MAX_DRAWS; rejected sets
-    (above max_size, or a boundary past the terminal budget or the
-    Steiner DP's table cap) still consume their draws."""
+    (above max_size, or a boundary whose Steiner search
+    kernels.steiner_min_tree refuses) still consume their draws."""
     if g.n < 2:
         raise InputError("span needs at least 2 nodes")
     if not is_connected(g):
@@ -221,12 +221,9 @@ def span_sampled(
             skipped += 1
             continue
         bnd = node_boundary(g, nodes)
-        if len(bnd) > STEINER_TERMINAL_LIMIT:
-            skipped += 1
-            continue
         try:
             res = kernels.steiner_min_tree(g.n, adj, bnd)
-        except LimitError:  # the subset DP's tables would pass their cap
+        except LimitError:  # the subset DP would pass its work budget
             skipped += 1
             continue
         if res is None:

@@ -12,11 +12,12 @@ from fractions import Fraction
 import pytest
 
 import xpand
-from xpand import kernels, span
+from xpand import experiments, kernels, span
 from xpand.errors import InputError, LimitError
 from xpand.expansion import node_expansion_exact
 from xpand.experiments import percolation_point, verify_subgraph_count_bound
 from xpand.generators import complete, cycle, mesh, path
+from xpand.graph import NODE_LIMIT, Graph
 from xpand.pruning import prune
 
 SRC = pathlib.Path(xpand.__file__).parent
@@ -68,6 +69,12 @@ def test_whole_graph_masks_are_refused_before_they_are_built(name):
     assert _peak_of_refusal(PAST_MASK_CAP[name], LimitError) < 4 * 2**20
 
 
+def test_graph_from_edges_refuses_past_the_node_cap_before_its_rows():
+    # 2^20 + 1 empty neighbour lists would hold about 72 MiB
+    peak = _peak_of_refusal(lambda: Graph.from_edges(NODE_LIMIT + 1, []), LimitError)
+    assert peak < 2**20
+
+
 def test_sampled_draws_are_refused_before_the_first(monkeypatch):
     def no_draw(seed):
         raise AssertionError("a draw was made")
@@ -84,6 +91,17 @@ def test_sampled_draws_are_refused_before_the_first(monkeypatch):
     ):
         with pytest.raises(InputError, match=r"must lie in \[1, 1000000\]$"):
             call()
+
+
+def test_a_percolation_sweep_past_the_draw_cap_is_refused_before_the_first(monkeypatch):
+    def no_point(*args, **kwargs):
+        raise AssertionError("a sweep point was drawn")
+
+    monkeypatch.setattr(experiments, "percolation_point", no_point)
+    ps = [Fraction(1, 4), Fraction(1, 2)]
+    # each point's 500,001 trials are within the cap, the sweep's are not
+    with pytest.raises(InputError, match=r"at most 1000000 trials, got 2 x 500001$"):
+        experiments.run_percolation_sweep(cycle(8), "node", ps, (DRAWS + 1) // 2, 0)
 
 
 def _limits_table() -> list:

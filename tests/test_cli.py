@@ -436,6 +436,24 @@ def test_percolate_prune_checks_flags_before_sweeping(
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "grid, trials, message",
+    [
+        pytest.param(
+            "0:1:1/9999",
+            "1000000",
+            "a sweep takes at most 1000000 trials, got 10000 x 1000000",
+            id="trials",
+        ),
+        pytest.param("0:1:1/1000000", "1", "p grid has more than 1000000 points", id="points"),
+    ],
+)
+def test_percolate_past_the_draw_cap_is_refused(workdir, capsys, grid, trials, message):
+    run(["gen", "--family", "cycle", "--n", "5", "-o", "c.gr"], capsys)
+    rc, out, err = run(["percolate", "c.gr", "--p-grid", grid, "--trials", trials], capsys)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 PERCOLATE_M = ["percolate", "m.gr", "--p-grid", "1/8:1/4:1/8", "--trials", "6", "--seed", "3"]
 
 

@@ -260,37 +260,64 @@ def test_steiner_without_terminals_is_an_input_error():
         kernels.steiner_min_tree(3, adj, ())
 
 
+def _dp_branch(n: int, t: int) -> bool:
+    """Whether steiner_min_tree hands t of n terminals to the subset DP."""
+    return t >= 2 and not (n - t <= 22 and (1 << (n - t)) <= 4 * 3**t)
+
+
 def test_steiner_dp_terminal_cap_is_a_limit_error():
     # 17 terminals spread along a 60-node path leave 43 free nodes, too
     # many for the superset sweep, so the subset DP is chosen and its
-    # table cap refuses 2^17 * 60 entries
+    # work budget refuses 3^17 * 60 units
     g = Graph.from_edges(60, [(i, i + 1) for i in range(59)])
     adj = kernels.adjacency_masks(g.adjacency)
     terms = tuple(range(2, 60, 3))[:17]
-    assert len(terms) == 17 and g.n - len(terms) > 22
-    with pytest.raises(LimitError, match="entries, got 2\\^17 \\* 60"):
+    assert len(terms) == 17 and _dp_branch(g.n, len(terms))
+    with pytest.raises(LimitError, match="got 3\\^17 \\* 60$"):
         kernels.steiner_min_tree(g.n, adj, terms)
-    # the table cap alone keeps the DP below 17 terminals: at any t >= 17
-    # the superset sweep is chosen, or 2^t * n passes the cap
-    for n in range(17, 300):
-        for t in range(17, n + 1):
-            sweep = n - t <= 22 and (1 << (n - t)) <= 4 * 3**t
-            assert sweep or (1 << t) * n > kernels._STEINER_DP_MAX_ENTRIES, (n, t)
+    budget = kernels._STEINER_DP_MAX_WORK
+    # the exact engine's graphs never reach the budget: the largest DP
+    # there is 3^8 * 24 units
+    exact = (3**t * n for n in range(2, 25) for t in range(n + 1) if _dp_branch(n, t))
+    assert max(exact) == 3**8 * 24 <= budget
+    # on every graph adjacency_masks admits, a DP within the budget has
+    # under 14 terminals and at most 2^21 table entries (2^9 * 3409)
+    most = 0
+    for n in range(2, kernels.MASKS_MAX_N + 1):
+        t = 2
+        while t <= n and 3**t * n <= budget:
+            if _dp_branch(n, t):
+                assert t < 14, (n, t)
+                most = max(most, (1 << t) * n)
+            t += 1
+    assert most == (1 << 9) * 3409 <= 1 << 21
+
+
+def test_steiner_dp_past_its_budget_is_refused_before_it_runs(monkeypatch):
+    def no_dp(*args):
+        raise AssertionError("the subset DP ran")
+
+    monkeypatch.setattr(kernels, "_steiner_dw", no_dp)
+    g = mesh([20, 20])
+    adj = kernels.adjacency_masks(g.adjacency)
+    # 3^11 * 400 units, which the DP would take about 6 s to run
+    with pytest.raises(LimitError, match="got 3\\^11 \\* 400$"):
+        kernels.steiner_min_tree(g.n, adj, range(0, 400, 37))
 
 
 def test_steiner_dp_table_cap_is_a_limit_error(monkeypatch):
     # the README's timings, mesh 10x10 at 12 terminals and mesh 20x20 at
-    # 10, stay under the cap
-    assert (1 << 12) * 100 <= kernels._STEINER_DP_MAX_ENTRIES
-    assert (1 << 10) * 400 <= kernels._STEINER_DP_MAX_ENTRIES
+    # 10, stay under the budget
+    assert 3**12 * 100 <= kernels._STEINER_DP_MAX_WORK
+    assert 3**10 * 400 <= kernels._STEINER_DP_MAX_WORK
     # 4 terminals at both ends of a 30-node path take the subset DP
     g = path(30)
     adj = kernels.adjacency_masks(g.adjacency)
     terms = (0, 1, 28, 29)
-    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_ENTRIES", 16 * 30)
+    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_WORK", 81 * 30)
     assert kernels.steiner_min_tree(g.n, adj, terms)[::2] == (30, "dw")
-    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_ENTRIES", 16 * 30 - 1)
-    with pytest.raises(LimitError, match="limited to 479 entries, got 2\\^4 \\* 30"):
+    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_WORK", 81 * 30 - 1)
+    with pytest.raises(LimitError, match="limited to 2429, got 3\\^4 \\* 30$"):
         kernels.steiner_min_tree(g.n, adj, terms)
 
 

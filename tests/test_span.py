@@ -67,10 +67,22 @@ def test_steiner_errors():
     gd = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(NoSteinerTreeError):
         steiner_tree_min(gd, [0, 3])
-    with pytest.raises(LimitError):
-        steiner_tree_min(mesh([4, 4]), list(range(15)))
+    # the kernel's DP work budget is the one refusal: 11 terminals on
+    # mesh 20x20 are 3^11 * 400 units
+    with pytest.raises(LimitError, match=r"got 3\^11 \* 400$"):
+        steiner_tree_min(mesh([20, 20]), list(range(0, 400, 37)))
     with pytest.raises(InputError):
         steiner_tree_min(cycle(8), [])
+
+
+def test_steiner_tree_min_answers_fifteen_terminals_by_the_sweep():
+    # 15 terminals leave mesh 4x4 one free node, so the superset sweep
+    # answers with its lex-min tree
+    g = mesh([4, 4])
+    count, edges = steiner_tree_min(g, range(15))
+    adj = kernels.adjacency_masks(g.adjacency)
+    assert (count, edges) == kernels._steiner_sweep(16, adj, tuple(range(15)))[:2]
+    assert count == 15 and len(edges) == 14 and max(map(max, edges)) == 14
 
 
 def compact_sets(g: Graph):
@@ -160,41 +172,40 @@ def test_sampled_sets_are_compact_and_respect_max_size():
 
 
 def test_span_sampled_error_when_nothing_usable(monkeypatch):
-    monkeypatch.setattr(span, "STEINER_TERMINAL_LIMIT", 0)
+    # with no DP work allowed, every arc boundary of C8 is skipped
+    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_WORK", 0)
     with pytest.raises(SamplingError):
         span_sampled(cycle(8), 5, seed=0)
     with pytest.raises(InputError):
         span_sampled(cycle(8), 0, seed=0)
 
 
-def test_span_sampled_skips_boundaries_past_the_terminal_limit():
-    # in K16 a single node has 15 boundary nodes, one past the limit of
-    # 14, and a pair has 14
-    assert span.STEINER_TERMINAL_LIMIT == 14
-    with pytest.raises(SamplingError):
-        span_sampled(complete(16), 5, seed=0, max_size=1)
-    r = span_sampled(complete(16), 20, seed=0, max_size=2)
-    assert (r.considered, r.skipped) == (10, 10)
+def test_span_sampled_answers_fifteen_terminal_boundaries():
+    # in K16 a single node has 15 boundary nodes and a pair has 14; the
+    # superset sweep answers both, with one free node or two
+    r = span_sampled(complete(16), 20, seed=0, max_size=1)
     assert r.to_payload() == {
         "method": "sampled",
         "value_num": 1,
         "value_den": 1,
-        "argmax": [0, 4],
-        "boundary": [1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
-        "boundary_size": 14,
-        "tree_edges": [[1, v] for v in (2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)],
-        "tree_size": 14,
-        "considered": 10,
-        "skipped": 10,
+        "argmax": [4],
+        "boundary": [0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+        "boundary_size": 15,
+        "tree_edges": [[0, v] for v in (1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)],
+        "tree_size": 15,
+        "considered": 20,
+        "skipped": 0,
     }
+    r = span_sampled(complete(16), 20, seed=0, max_size=2)
+    assert (r.value, r.considered, r.skipped) == (1, 20, 0)
 
 
 def test_span_sampled_skips_boundaries_past_the_steiner_dp_cap(monkeypatch):
     # every compact set of C8 is an arc with 2 boundary nodes, which the
-    # subset DP takes in tables of 2^2 x 8 entries
-    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_ENTRIES", 4 * 8)
+    # subset DP takes in 3^2 x 8 units of work
+    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_WORK", 9 * 8)
     assert span_sampled(cycle(8), 5, seed=0).skipped == 0
-    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_ENTRIES", 4 * 8 - 1)
+    monkeypatch.setattr(kernels, "_STEINER_DP_MAX_WORK", 9 * 8 - 1)
     with pytest.raises(SamplingError):
         span_sampled(cycle(8), 5, seed=0)
 
