@@ -15,9 +15,10 @@ nodes with edges 04, 07, 25). The algorithm-layer
 rows time adversary_exhaustive at k = 2 on mesh 4x4 with f = 1 and on
 K16 with f = 2 (120 fault sets, each pruned and its survivor graded),
 percolation_point with pruning on the random 4-regular graph with 18
-nodes (p = 1/10, 20 trials, k = 2, as `percolate --prune` runs it), and
-20 run_resilience_trial rounds on mesh 4x4 for each fault model (node
-failure p = 1/5, edge survival p = 4/5, eps = 1/2, alpha given). The
+nodes (p = 1/10, 20 trials, k = 2, as `percolate --prune` runs it,
+including its one exact alpha sweep), and 20 run_resilience_trial
+rounds on mesh 4x4 for each fault model (node failure p = 1/5, edge
+survival p = 4/5, eps = 1/2; each round measures its exact alpha). The
 last rows time the other callers of the prune and greedy cut loops:
 prune2 on the random 4-regular graph with 18 nodes after edge survival
 p = 1/2 (seed 0, eps = 1/2, its fault-free alpha_e; six culls at
@@ -42,11 +43,7 @@ from fractions import Fraction
 
 from xpand import kernels
 from xpand.errors import GenerationError
-from xpand.expansion import (
-    edge_expansion_exact,
-    node_expansion_exact,
-    subdivided_node_expansion,
-)
+from xpand.expansion import edge_expansion_exact, subdivided_node_expansion
 from xpand.experiments import (
     adversary_exhaustive,
     percolation_point,
@@ -216,24 +213,16 @@ def main() -> int:
             args.repeat,
         )
 
-    alpha18 = node_expansion_exact(r18).value
     bench(
         f"percolation --prune {label}",
-        lambda: percolation_point(
-            r18, "node", Fraction(1, 10), 20, 0, 0, prune_params=(alpha18, 2)
-        ),
+        lambda: percolation_point(r18, "node", Fraction(1, 10), 20, 0, 0, prune_k=2),
         args.repeat,
     )
-    for model, p, measure in (
-        ("node", Fraction(1, 5), node_expansion_exact),
-        ("edge", Fraction(4, 5), edge_expansion_exact),
-    ):
-        alpha = measure(m).value
+    for model, p in (("node", Fraction(1, 5)), ("edge", Fraction(4, 5))):
         bench(
             f"resilience mesh 4x4 {model} x20",
-            lambda model=model, p=p, alpha=alpha: [
-                run_resilience_trial(m, model, p, j, 0, Fraction(1, 2), alpha=alpha)
-                for j in range(20)
+            lambda model=model, p=p: [
+                run_resilience_trial(m, model, p, j, 0, Fraction(1, 2)) for j in range(20)
             ],
             args.repeat,
         )

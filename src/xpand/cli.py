@@ -61,8 +61,6 @@ def parse_dims(text: str) -> tuple:
         dims = tuple(int(part) for part in text.strip().split("x"))
     except ValueError:
         raise InputError(f"expected dimensions like 4x4, got {text!r}") from None
-    if not dims:
-        raise InputError("empty dimension list")
     return dims
 
 
@@ -181,12 +179,10 @@ def cmd_gen(args, ctx: RunContext) -> int:
         if args.n is None:
             raise InputError(f"{fam} needs --n")
         g = {"cycle": cycle, "path": path, "complete": complete}[fam](args.n)
-    elif fam == "random-regular":
+    else:  # random-regular, the last of the choices argparse allows
         if args.n is None or args.degree is None:
             raise InputError("random-regular needs --n and --degree")
         g = random_regular(args.n, args.degree, args.seed)
-    else:  # unreachable, argparse restricts choices
-        raise InputError(f"unknown family {fam!r}")
     ctx.deliver(args.output, dumps(g))
     return 0
 
@@ -286,25 +282,15 @@ def cmd_attack(args, ctx: RunContext) -> int:
 
 
 def cmd_percolate(args, ctx: RunContext) -> int:
-    from .expansion import node_expansion_exact
     from .experiments import rows_to_csv, rows_to_jsonl, run_percolation_sweep
     g = ctx.load_graph(args.graph)
-    ps = parse_p_grid(args.p_grid)
-    prune_params = None
-    if args.prune:
-        # flags first: the exact alpha below is a full subset sweep
-        if args.model != "node":
-            raise InputError("pruning is defined for the node fault model only")
-        if args.k < 2:
-            raise InputError("--k must be at least 2")
-        prune_params = (node_expansion_exact(g).value, args.k)
     rows, points = run_percolation_sweep(
         g,
         args.model,
-        ps,
+        parse_p_grid(args.p_grid),
         args.trials,
         args.seed,
-        prune_params=prune_params,
+        prune_k=args.k if args.prune else None,
     )
     render = rows_to_csv if args.out_format == "csv" else rows_to_jsonl
     ctx.deliver(args.output, render(rows))

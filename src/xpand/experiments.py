@@ -140,35 +140,15 @@ def percolation_point(
     seed_base: int,
     point_index: int,
     *,
-    prune_params=None,  # (alpha, k) to prune each faulty graph
+    prune_k: int | None = None,
 ) -> list:
-    """The rows of one sweep point: `trials` random-fault trials at p,
-    trial j drawn from seed seed_base + point_index * 10**6 + j. With
-    prune_params = (alpha, k), node model only, each faulty graph is
-    pruned with eps = 1 - 1/k and H is certified against the adversarial
-    guarantee for the trial's fault count f: k*f/alpha <= n/4,
-    |H| >= n - k*f/alpha and expansion at least (1 - 1/k)*alpha."""
-    if model not in ("node", "edge"):
-        raise InputError(f"unknown percolation model {model!r}")
-    if not 0 <= p <= 1:
-        raise InputError("p must lie in [0,1]")
-    check_draws(trials, "trials")
-    grade = None
-    if prune_params is not None:
-        if model != "node":
-            raise InputError("pruning is defined for the node fault model only")
-        kernels.exact_limit(g.n)
-        alpha, k = prune_params
-        if k < 2:
-            raise InputError("k must be at least 2")
-        grade = (
-            alpha,
-            1 - Fraction(1, k),
-            lambda h_size, f: hypothesis_ok(g.n, alpha, k, f)
-            and h_size >= size_lower_bound(g.n, alpha, k, f),
-        )
-    seed0 = seed_base + point_index * 10**6
-    return [_trial(g, model, p, j, seed0 + j, grade) for j in range(int(trials))]
+    """The rows of one sweep point: run_percolation_sweep on the single
+    probability p, so trial j is drawn from seed
+    seed_base + point_index * 10**6 + j."""
+    rows, _points = run_percolation_sweep(
+        g, model, [p], trials, seed_base + point_index * 10**6, prune_k=prune_k
+    )
+    return rows
 
 
 def run_percolation_sweep(
@@ -178,30 +158,53 @@ def run_percolation_sweep(
     trials: int,
     seed_base: int,
     *,
-    prune_params=None,
+    prune_k: int | None = None,
 ):
-    """Sweep failure probabilities; returns (rows, per-point summaries)."""
+    """Sweep fault probabilities; returns (rows, per-point summaries).
+
+    Trial j of point i is drawn from seed seed_base + i * 10**6 + j.
+    Every input is checked before the first sweep or draw: the model,
+    each p in [0, 1], trials, the sweep's draw budget of
+    faults.MAX_DRAWS trials over all points and, with prune_k, the node
+    model, k >= 2 and the exact engine's cap. With prune_k = k, the
+    exact alpha of g is measured once, each faulty graph is pruned with
+    eps = 1 - 1/k, and H is certified against the adversarial guarantee
+    for the trial's fault count f: k*f/alpha <= n/4,
+    |H| >= n - k*f/alpha and expansion at least (1 - 1/k)*alpha.
+    """
+    if model not in ("node", "edge"):
+        raise InputError(f"unknown percolation model {model!r}")
+    ps = [Fraction(p) for p in ps]
+    if not all(0 <= p <= 1 for p in ps):
+        raise InputError("p must lie in [0,1]")
+    check_draws(trials, "trials")
     if len(ps) * trials > MAX_DRAWS:
         raise InputError(f"a sweep takes at most {MAX_DRAWS} trials, got {len(ps)} x {trials}")
+    grade = None
+    if prune_k is not None:
+        if model != "node":
+            raise InputError("pruning is defined for the node fault model only")
+        if prune_k < 2:
+            raise InputError("k must be at least 2")
+        kernels.exact_limit(g.n)
+        alpha = node_expansion_exact(g).value
+        grade = (
+            alpha,
+            1 - Fraction(1, prune_k),
+            lambda h_size, f: hypothesis_ok(g.n, alpha, prune_k, f)
+            and h_size >= size_lower_bound(g.n, alpha, prune_k, f),
+        )
     rows = []
     points = []
     for i, p in enumerate(ps):
-        batch = percolation_point(
-            g,
-            model,
-            Fraction(p),
-            trials,
-            seed_base,
-            i,
-            prune_params=prune_params,
-        )
+        seed0 = seed_base + i * 10**6
+        batch = [_trial(g, model, p, j, seed0 + j, grade) for j in range(int(trials))]
         rows.extend(batch)
-        mean_gamma = sum((r.gamma for r in batch), Fraction(0)) / len(batch)
         points.append(
             PointSummary(
-                p=Fraction(p),
+                p=p,
                 trials=len(batch),
-                mean_gamma=mean_gamma,
+                mean_gamma=sum((r.gamma for r in batch), Fraction(0)) / len(batch),
                 mean_h_frac=sum((r.h_frac for r in batch), Fraction(0)) / len(batch),
                 certified_count=sum(1 for r in batch if r.certified),
             )
@@ -216,27 +219,21 @@ def run_resilience_trial(
     trial: int,
     seed_base: int,
     eps: Fraction,
-    *,
-    alpha: Fraction | None = None,
 ) -> TrialResult:
     """One fault-and-prune round. Node faults are pruned on node
     ratios, edge faults on edge ratios after compactification, both
-    with cull threshold alpha*eps. The certified flag grades H against
-    the half-size target: at least n/2 nodes surviving with expansion
-    at least eps*alpha of the matching kind.
-
-    alpha defaults to the exact fault-free expansion; p follows the
-    model's meaning (failure probability for nodes, survival for
-    edges).
+    with cull threshold alpha*eps, where alpha is the exact fault-free
+    expansion of g of the model's kind. The certified flag grades H
+    against the half-size target: at least n/2 nodes surviving with
+    expansion at least eps*alpha. p follows the model's meaning
+    (failure probability for nodes, survival for edges).
     """
     if model not in ("node", "edge"):
         raise InputError(f"unknown fault model {model!r}")
     if not 0 <= Fraction(p) <= 1:
         raise InputError("p must lie in [0,1]")
     kernels.exact_limit(g.n)
-    if alpha is None:
-        measure = node_expansion_exact if model == "node" else edge_expansion_exact
-        alpha = measure(g).value
+    alpha = (node_expansion_exact if model == "node" else edge_expansion_exact)(g).value
     grade = (alpha, Fraction(eps), lambda h_size, _f: 2 * h_size >= g.n)
     return _trial(g, model, Fraction(p), trial, seed_base + trial, grade)
 

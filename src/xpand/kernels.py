@@ -128,8 +128,6 @@ def _better(b1: int, s1: int, m1: int, b2: int, s2: int, m2: int) -> bool:
         return lhs < rhs
     if s1 != s2:
         return s1 < s2
-    if m1 == m2:
-        return False
     diff = m1 ^ m2
     return bool(m1 & diff & -diff)
 
@@ -190,10 +188,9 @@ def _sweep(n: int, c: int, order, starts, score):
         high = (step ^ (step >> 1)) << c
         flip = (step & -step) << c
         hs = high.bit_count()
+        # top >= 0, since hs <= n - c and c = min(n, 12) >= n - n // 2 for n <= 24
         top = min(n // 2 - hs, c)
-        values, offset = score(high, flip, starts[top + 1] if top >= 0 else 0)
-        if top < 0:
-            continue
+        values, offset = score(high, flip, starts[top + 1])
         # per size class the smallest value; the empty set is skipped
         mins = np.minimum.reduceat(values, starts[: top + 1]).tolist()
         cb = cs = None
@@ -548,6 +545,7 @@ def steiner_min_tree(n: int, adj, terminals):
     for v in terms:
         if not (reach >> v) & 1:
             return None
+    # reach is connected and holds every terminal, so both searches find a tree
     if t == 1:
         return (1, (), "trivial")
     free = n - t
@@ -576,8 +574,6 @@ def _steiner_sweep(n: int, adj, terms):
         if sub == 0:
             break
         sub = (sub - 1) & free_mask
-    if best_size >= INF:
-        return None
     best_edges = None
     for w in sorted(ties):
         edges = _kruskal_lex(w, adj)
@@ -632,8 +628,6 @@ def _steiner_dw(n: int, adj, terms):
                         buckets[d + 1].append(u)
     root = terms[0]
     best = dp[full_ts][root]
-    if best >= INF:
-        return None
     edges = set()
     stack = [(full_ts, root)]
     while stack:

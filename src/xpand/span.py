@@ -357,20 +357,14 @@ def verify_mesh_span_certificate(
     rows = {}
     failures = []
     num, den = 0, 1  # worst connector ratio so far
-    checked = 0
-    for pair in sets:
-        if pair is None:
-            continue
-        u, bnd = pair
+    checked = 0  # ends >= 1: a mesh has compact sets, samples >= 1, none is rejected
+    for u, bnd in sets:
         size = _certify_boundary(dims, rows, bnd)
         checked += 1
         if size is None:
             failures.append(kernels.mask_nodes(u))
         elif size * den > num * bnd.bit_count():
             num, den = size, bnd.bit_count()
-    if checked == 0:
-        # every mesh has compact sets, so only sampling can end up here
-        raise SamplingError("no sample produced a compact set")
     return MeshSpanCertificate(
         dims=dims,
         checked=checked,
@@ -380,10 +374,9 @@ def verify_mesh_span_certificate(
 
 
 def _sampled_masks(g: Graph, rng):
-    """(set mask, boundary mask) of one randomly grown compact set, or
-    None when the growth is rejected. Built from the node lists: a
-    table of adjacency masks would grow with n^2 on large meshes."""
+    """(set mask, boundary mask) of one randomly grown compact set;
+    without max_size none is rejected, since a mesh has n >= 2. Built
+    from the node lists: a table of adjacency masks would grow with n^2
+    on large meshes."""
     nodes = sample_compact_set(g, rng)
-    if nodes is None:
-        return None
     return sum(1 << v for v in nodes), sum(1 << v for v in node_boundary(g, nodes))

@@ -94,10 +94,11 @@ def test_sampled_draws_are_refused_before_the_first(monkeypatch):
 
 
 def test_a_percolation_sweep_past_the_draw_cap_is_refused_before_the_first(monkeypatch):
-    def no_point(*args, **kwargs):
-        raise AssertionError("a sweep point was drawn")
+    def no_draw(*args):
+        raise AssertionError("a trial was drawn")
 
-    monkeypatch.setattr(experiments, "percolation_point", no_point)
+    monkeypatch.setattr(experiments, "random_node_faults", no_draw)
+    monkeypatch.setattr(experiments, "edge_survival_pattern", no_draw)
     ps = [Fraction(1, 4), Fraction(1, 2)]
     # each point's 500,001 trials are within the cap, the sweep's are not
     with pytest.raises(InputError, match=r"at most 1000000 trials, got 2 x 500001$"):

@@ -84,6 +84,82 @@ def test_gen_errors(workdir, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["percolate", "c.gr", "--p-grid", "1:2"], "expected P or START:STOP:STEP, got '1:2'"),
+        (["percolate", "c.gr", "--p-grid", "0:1:0"], "p grid step must be positive"),
+        (["percolate", "c.gr", "--p-grid", "1:0:1/2"], "p grid stop is below its start"),
+        (["gen", "--family", "mesh"], "mesh needs --dims, like --dims 4x4"),
+        (["gen", "--family", "hypercube"], "hypercube needs --dim"),
+        (["gen", "--family", "cycle"], "cycle needs --n"),
+        (
+            ["gen", "--family", "random-regular", "--n", "6"],
+            "random-regular needs --n and --degree",
+        ),
+        (
+            ["gen", "--family", "subdivide", "--k", "2"],
+            "subdivide needs --base GRAPH and --k K",
+        ),
+        (
+            ["gen", "--family", "subdivide", "--base", "c.gr", "--k", "2"],
+            "subdivide writes two files; -o is required",
+        ),
+        (
+            ["span", "c.gr", "--exact", "--sample", "5"],
+            "--exact and --sample exclude each other",
+        ),
+        (
+            ["expansion", "c.gr", "--chain-dp", "--edge"],
+            "--chain-dp computes node expansion only",
+        ),
+        (
+            ["--replay", "m.json", "gen", "--family", "cycle", "--n", "5"],
+            "--replay takes no subcommand",
+        ),
+        # an abbreviated --replay reaches the subcommand runner
+        (
+            ["--repl", "m.json", "gen", "--family", "cycle", "--n", "5"],
+            "--replay cannot be nested or combined",
+        ),
+    ],
+    ids=[
+        "p-grid-form",
+        "p-grid-step",
+        "p-grid-stop",
+        "mesh-dims",
+        "hypercube-dim",
+        "cycle-n",
+        "random-regular-degree",
+        "subdivide-base",
+        "subdivide-output",
+        "span-exact-sample",
+        "chain-dp-edge",
+        "replay-subcommand",
+        "replay-abbreviated",
+    ],
+)
+def test_flag_errors_are_input_errors(workdir, capsys, argv, message):
+    run(["gen", "--family", "cycle", "--n", "5", "-o", "c.gr"], capsys)
+    rc, out, err = run(argv, capsys)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert sorted(os.listdir(workdir)) == ["c.gr", "c.gr.manifest.json"]
+
+
+def test_no_subcommand_is_an_input_error(workdir, capsys):
+    rc, out, err = run([], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: xpand") and err.endswith("\nerror: a subcommand is required\n")
+
+
+def test_a_failed_generation_exits_1(workdir, capsys):
+    # the pairing model runs out of retries at this seed
+    argv = ["gen", "--family", "random-regular", "--n", "16", "--degree", "5", "--seed", "7000"]
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert err == "failed: pairing model failed 200 times for n=16, d=5, seed=7000\n"
+
+
+@pytest.mark.parametrize(
     "target",
     [["-o", "missing/x.gr"], ["--manifest", "missing/m.json"]],
     ids=["output", "manifest"],
@@ -414,7 +490,7 @@ def test_percolate_with_pruning(workdir, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--model", "node", "--k", "1"], "--k must be at least 2"),
+        (["--model", "node", "--k", "1"], "error: k must be at least 2"),
         (["--model", "edge", "--k", "2"], "node fault model only"),
     ],
 )
@@ -434,6 +510,32 @@ def test_percolate_prune_checks_flags_before_sweeping(
     assert rc == 2
     assert message in err
     assert calls == []
+
+
+def test_pruned_percolate_checks_the_draw_budget_before_measuring_alpha(
+    workdir, capsys, monkeypatch
+):
+    def no_sweep(*args):
+        raise AssertionError("alpha was measured")
+
+    monkeypatch.setattr(kernels, "min_ratio_node_cut", no_sweep)
+    run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
+    argv = ["percolate", "m.gr", "--p-grid", "0:1:1/9999", "--trials", "1000", "--prune"]
+    rc, out, err = run(argv + ["--k", "2"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: a sweep takes at most 1000000 trials, got 10000 x 1000\n"
+
+
+def test_percolate_checks_every_point_before_the_first_draw(workdir, capsys, monkeypatch):
+    from xpand import experiments
+
+    def no_draw(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(experiments, "random_node_faults", no_draw)
+    run(["gen", "--family", "mesh", "--dims", "4x4", "-o", "m.gr"], capsys)
+    rc, out, err = run(["percolate", "m.gr", "--p-grid", "0:2:1/2", "--trials", "2"], capsys)
+    assert (rc, out, err) == (2, "", "error: p must lie in [0,1]\n")
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ count, attack reports, and the connected-subgraph census."""
 import dataclasses
 import statistics
 import tracemalloc
+import warnings
 from fractions import Fraction
 from math import ceil, comb
 
@@ -130,9 +131,7 @@ def test_supercritical_and_subcritical_bands():
 def test_pruned_sweep_invariants():
     m = mesh([4, 4])
     alpha = node_expansion_exact(m).value
-    rows, summaries = run_percolation_sweep(
-        m, "node", [F(1, 8)], 20, 5, prune_params=(alpha, 2)
-    )
+    rows, summaries = run_percolation_sweep(m, "node", [F(1, 8)], 20, 5, prune_k=2)
     for r in rows:
         assert r.h_frac <= r.gamma  # H sits inside one surviving component
         if r.certified:
@@ -150,11 +149,9 @@ def test_percolation_validation():
     with pytest.raises(InputError):
         percolation_point(m, "node", F(1, 2), 0, 0, 0)
     with pytest.raises(InputError):
-        percolation_point(m, "edge", F(1, 2), 1, 0, 0, prune_params=(F(1, 2), 2))
+        percolation_point(m, "edge", F(1, 2), 1, 0, 0, prune_k=2)
     with pytest.raises(LimitError):
-        percolation_point(
-            mesh([6, 6]), "node", F(1, 2), 1, 0, 0, prune_params=(F(1, 2), 2)
-        )
+        percolation_point(mesh([6, 6]), "node", F(1, 2), 1, 0, 0, prune_k=2)
 
 
 @pytest.mark.parametrize("k", [-1, 0, 1])
@@ -162,7 +159,54 @@ def test_percolation_validation():
 def test_pruned_percolation_refuses_k_below_2_up_front(k, p):
     # k = 0 used to divide by zero and k = +-1 to fail inside a trial
     with pytest.raises(InputError, match="k must be at least 2"):
-        percolation_point(mesh([3, 3]), "node", p, 1, 0, 0, prune_params=(F(1, 2), k))
+        percolation_point(mesh([3, 3]), "node", p, 1, 0, 0, prune_k=k)
+
+
+@pytest.mark.parametrize(
+    "model, ps, kwargs, error, message",
+    [
+        ("node", [F(0), F(1, 2), F(1), F(3, 2)], {}, InputError, r"p must lie in \[0,1\]"),
+        ("edge", [F(1, 2), F(-1, 2)], {}, InputError, r"p must lie in \[0,1\]"),
+        ("node", [F(1, 2)] * 3, {"prune_k": 2}, LimitError, "n <= 24, got n=25"),
+        ("edge", [F(1, 2)] * 3, {"prune_k": 2}, InputError, "node fault model only"),
+        ("node", [F(1, 2)] * 3, {"prune_k": 1}, InputError, "k must be at least 2"),
+    ],
+    ids=["p-above-1", "p-below-0", "past-the-exact-cap", "edge-pruning", "k-below-2"],
+)
+def test_a_sweep_checks_every_point_before_the_first_draw(
+    monkeypatch, model, ps, kwargs, error, message
+):
+    def no_draw(*args):
+        raise AssertionError("a trial was drawn")
+
+    def no_measure(g):
+        raise AssertionError("alpha was measured")
+
+    monkeypatch.setattr(experiments, "random_node_faults", no_draw)
+    monkeypatch.setattr(experiments, "edge_survival_pattern", no_draw)
+    monkeypatch.setattr(experiments, "node_expansion_exact", no_measure)
+    with pytest.raises(error, match=f"{message}$"):
+        run_percolation_sweep(cycle(25), model, ps, 20, 0, **kwargs)
+
+
+def test_a_point_is_the_sweep_on_its_one_probability():
+    m = mesh([3, 3])
+    rows, _ = run_percolation_sweep(m, "node", [F(1, 4), F(1, 3)], 4, 9, prune_k=2)
+    assert percolation_point(m, "node", F(1, 3), 4, 9, 1, prune_k=2) == rows[4:]
+    assert percolation_point(m, "node", F(1, 4), 4, 9, 0, prune_k=2) == rows[:4]
+
+
+@pytest.mark.parametrize(
+    "model, p, message",
+    [
+        ("bogus", F(1, 2), "unknown fault model 'bogus'"),
+        ("node", F(5, 4), r"p must lie in \[0,1\]"),
+        ("edge", F(-1), r"p must lie in \[0,1\]"),
+    ],
+)
+def test_resilience_trial_validation(model, p, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        run_resilience_trial(mesh([3, 3]), model, p, 0, 0, F(1, 2))
 
 
 def test_resilience_trial_identity_cases():
@@ -176,7 +220,7 @@ def test_resilience_trial_survivor_bounds():
     m = mesh([4, 4])
     alpha = node_expansion_exact(m).value
     for j in range(25):
-        t = run_resilience_trial(m, "node", F(1, 5), j, 99, F(1, 4), alpha=alpha)
+        t = run_resilience_trial(m, "node", F(1, 5), j, 99, F(1, 4))
         assert t.h_frac <= t.gamma
         assert 0 <= t.h_frac <= 1
         if t.certified:
@@ -252,6 +296,23 @@ def test_adversary_runs_one_sweep_per_fault_set_and_step(monkeypatch, g, f, step
     assert len(swept) == 1 + sum(len(t.steps) + 1 for _faults, t in traces)
     # alpha of the fault-free graph is the only expansion measured
     assert measured == [g.n]
+
+
+@pytest.mark.parametrize(
+    "g, k, f, message",
+    [
+        (mesh([3, 3]), 1, 0, "k must be at least 2"),
+        (mesh([3, 3]), 2, -1, "f must be nonnegative"),
+        (Graph.from_edges(1, []), 2, 0, "adversary needs at least 2 nodes"),
+        (Graph.from_edges(4, [(0, 1), (2, 3)]), 2, 0, "original graph must be connected"),
+    ],
+    ids=["k-below-2", "f-negative", "one-node", "disconnected"],
+)
+def test_adversary_input_checks(g, k, f, message):
+    # measuring the disconnected graph also warns that its expansion is 0
+    with warnings.catch_warnings(), pytest.raises(InputError, match=f"^{message}$"):
+        warnings.simplefilter("ignore", UserWarning)
+        adversary_exhaustive(g, k, f)
 
 
 def test_adversary_rejects_hypothesis_violations():
@@ -367,8 +428,13 @@ def test_census_on_plain_graph():
 
 
 def test_census_validation():
-    with pytest.raises(InputError):
-        verify_subgraph_count_bound(cycle(5), r_max=0)
+    for g, r_max, message in (
+        (cycle(5), 0, "r_max must be at least 1"),
+        (Graph.from_edges(0, []), None, "census needs a nonempty graph"),
+        (Graph.from_edges(3, []), None, "census needs at least one edge"),
+    ):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            verify_subgraph_count_bound(g, r_max=r_max)
 
 
 def test_census_skips_sizes_no_component_reaches():

@@ -337,15 +337,16 @@ _TRIAL_PS = st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1, 2), Fracti
 )
 @settings(max_examples=60, deadline=None)
 def test_percolation_point_matches_reference(data, g, model, p, pruned):
-    prune_params = None
+    prune_k, prune_params = None, None
     if pruned:
         model = "node"  # pruning is defined for the node model only
-        alpha = data.draw(st.sampled_from([node_expansion_exact(g).value, Fraction(1, 3)]))
-        prune_params = (alpha, data.draw(st.integers(2, 4)))
+        prune_k = data.draw(st.integers(2, 4))
+        # the reference takes alpha, the library measures it
+        prune_params = (node_expansion_exact(g).value, prune_k)
     trials, seed_base, index = (data.draw(st.integers(*r)) for r in ((1, 3), (0, 99), (0, 2)))
     args = (g, model, p, trials, seed_base, index)
     want = oracles.percolation_point(*args, prune_params=prune_params)
-    assert percolation_point(*args, prune_params=prune_params) == want
+    assert percolation_point(*args, prune_k=prune_k) == want
 
 
 @given(
@@ -357,10 +358,8 @@ def test_percolation_point_matches_reference(data, g, model, p, pruned):
 )
 @settings(max_examples=60, deadline=None)
 def test_resilience_trial_matches_reference(data, g, model, p, eps):
-    alpha = data.draw(st.sampled_from([None, Fraction(1, 3), Fraction(1)]))
     args = (g, model, p, data.draw(st.integers(0, 20)), data.draw(st.integers(0, 99)), eps)
-    want = oracles.run_resilience_trial(*args, alpha=alpha)
-    assert run_resilience_trial(*args, alpha=alpha) == want
+    assert run_resilience_trial(*args) == oracles.run_resilience_trial(*args)
 
 
 # Random draws rarely reach a base where the order of a chain's moves
@@ -691,10 +690,9 @@ def test_manifests_replay_from_foreign_directories(
 
 def test_survivor_measurement_raises_no_warning():
     g = mesh([4, 4])
-    alpha = node_expansion_exact(g).value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         adversary_exhaustive(g, 2, 1)
-        rows = percolation_point(g, "node", Fraction(1, 3), 6, 5, 0, prune_params=(alpha, 2))
+        rows = percolation_point(g, "node", Fraction(1, 3), 6, 5, 0, prune_k=2)
     # some faulty graphs fell apart, and pruning left a survivor to measure
     assert any(r.gamma < 1 and r.h_frac > 0 for r in rows)

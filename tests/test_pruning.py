@@ -66,6 +66,8 @@ def test_compactify_input_validation():
     gd = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(InputError):
         compactify(gd, [0])  # host must be connected
+    with pytest.raises(InputError, match="^compactify needs a connected set$"):
+        compactify(cycle(8), [0, 4])
 
 
 def test_prune_no_faults_no_steps():
@@ -284,5 +286,7 @@ def test_shatter_validation():
         shatter_uniform(cycle(8), F(0))
     with pytest.raises(InputError):
         shatter_uniform(cycle(8), F(1, 100))  # eps*n < 1
+    with pytest.raises(InputError, match="^shatter needs a nonempty graph$"):
+        shatter_uniform(Graph.from_edges(0, []), F(1, 2))
     with pytest.raises(LimitError):
         shatter_uniform(mesh([6, 6]), F(1, 4))

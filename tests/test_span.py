@@ -227,6 +227,23 @@ def test_span_limits():
         span_exact(Graph.from_edges(4, [(0, 1), (2, 3)]))  # disconnected
 
 
+def test_span_input_checks():
+    one = Graph.from_edges(1, [])
+    for run in (span_exact, lambda g: span_sampled(g, 5, 0)):
+        with pytest.raises(InputError, match="^span needs at least 2 nodes$"):
+            run(one)
+    with pytest.raises(InputError, match="^span is defined for connected graphs$"):
+        span_sampled(Graph.from_edges(4, [(0, 1), (2, 3)]), 5, 0)
+
+
+def test_span_sampled_counts_a_set_past_max_size_as_skipped():
+    # a draw that starts at the star's center fills in every leaf but
+    # one, four nodes, past max_size = 1; a draw at a leaf keeps it
+    star = Graph.from_edges(5, [(0, v) for v in range(1, 5)])
+    r = span_sampled(star, 10, 0, max_size=1)
+    assert (r.considered, r.skipped, r.value) == (6, 4, 1)
+
+
 def _assert_span_tree(g: Graph, r):
     """r's tree is a tree of g on r.tree_size nodes covering r.boundary."""
     assert r.boundary == node_boundary(g, r.argmax)
