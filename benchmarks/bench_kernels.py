@@ -1,7 +1,10 @@
 """Times the bitmask kernels (numpy ratio sweeps and compact-set
 engine, pure Python elsewhere) and prints the best time of each. The
-connectivity_table rows run on mesh 4x4, a random 4-regular graph with
-18 nodes and mesh 4x6 (n = 24). The connector_lookup rows time the
+ratio sweeps run on the --n random graph, then on K14 (as the
+adversary sweeps K16 less two faults), a random 4-regular graph with 18
+nodes, a random 4-regular graph with 24 nodes and K24 (the engine's
+cap). The connectivity_table rows run on mesh 4x4, the 18-node graph
+and mesh 4x6 (n = 24). The connector_lookup rows time the
 build of its Steiner-size table, on the 18-node graph and on mesh
 4x6. The last rows time span_exact and the exhaustive mesh span
 certificate as the package runs them, up to mesh 4x6 (the table
@@ -115,6 +118,22 @@ def main() -> int:
         lambda: kernels.min_ratio_edge_cut(n, adj),
         args.repeat,
     )
+    seed18, r18 = _regular(18, 4, args.seed)
+    label = f"rr(18,4) seed {seed18}"
+    seed24, r24 = _regular(24, 4, args.seed)
+    for name, sg in (
+        ("K14", complete(14)),
+        (label, r18),
+        (f"rr(24,4) seed {seed24}", r24),
+        ("K24", complete(24)),
+    ):
+        sadj = _adj_masks(sg)
+        for kernel in ("min_ratio_node_cut", "min_ratio_edge_cut"):
+            bench(
+                f"{kernel} {name}",
+                lambda sg=sg, sadj=sadj, sweep=getattr(kernels, kernel): sweep(sg.n, sadj),
+                args.repeat,
+            )
 
     m = mesh((4, 4))
     madj = _adj_masks(m)
@@ -136,9 +155,7 @@ def main() -> int:
         args.repeat,
     )
 
-    seed18, r18 = _regular(18, 4, args.seed)
     radj = _adj_masks(r18)
-    label = f"rr(18,4) seed {seed18}"
     bench(
         f"connectivity_table {label}",
         lambda: kernels.connectivity_table(r18.n, radj),

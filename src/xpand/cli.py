@@ -321,10 +321,12 @@ def cmd_verify_mesh_span(args, ctx: RunContext) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: main tells a replay by the whole --replay token
     top = argparse.ArgumentParser(
         prog="xpand",
         description="fault resilience toolkit: expansion, pruning, span, "
         "percolation",
+        allow_abbrev=False,
     )
     top.add_argument(
         "--replay",

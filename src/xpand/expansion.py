@@ -58,11 +58,39 @@ def _min_ratio_cut(g: Graph, nodes, mode: str):
     n = len(nodes)
     kernels.exact_limit(n)
     keep = sorted(nodes)
-    index = {v: i for i, v in enumerate(keep)}
-    adjacency = [[index[u] for u in g.adjacency[v] if u in index] for v in keep]
     sweep = kernels.min_ratio_node_cut if mode == "node" else kernels.min_ratio_edge_cut
-    bnd, size, mask = sweep(n, kernels.adjacency_masks(adjacency))
+    bnd, size, mask = sweep(n, _induced_masks(g, keep))
     return Fraction(bnd, size), tuple(keep[i] for i in kernels.mask_nodes(mask))
+
+
+@functools.lru_cache(maxsize=1)
+def _graph_masks(g: Graph) -> tuple:
+    """g's adjacency masks, kept for the graph swept last: prune and the
+    adversary sweep subgraphs of one graph many times over."""
+    return tuple(kernels.adjacency_masks(g.adjacency))
+
+
+def _induced_masks(g: Graph, keep) -> list:
+    """Adjacency masks of the subgraph of g induced by keep, ascending
+    ids of g, with node i of the subgraph being keep[i]. Up to
+    EXACT_MAX_N nodes they are g's own masks, built once per graph, with
+    the bits of the ids outside keep dropped from the highest down: the
+    bits above a dropped id move down by one. A larger g, whose masks
+    would hold more bits than any sweep, is read from its neighbour
+    lists."""
+    if g.n > kernels.EXACT_MAX_N:
+        bit = {v: 1 << i for i, v in enumerate(keep)}
+        return [sum(bit.get(u, 0) for u in g.adjacency[v]) for v in keep]
+    masks = _graph_masks(g)
+    kept = set(keep)
+    gone = [u for u in range(g.n - 1, -1, -1) if u not in kept]
+    out = []
+    for v in keep:
+        m = masks[v]
+        for u in gone:
+            m = (m & ((1 << u) - 1)) | ((m >> (u + 1)) << u)
+        out.append(m)
+    return out
 
 
 def _expansion_exact(g: Graph, mode: str) -> ExpansionResult:

@@ -7,6 +7,18 @@ lexicographically smallest canonical set). For bitmasks, set A is
 lex-smaller than set B iff the lowest bit of A ^ B belongs to A, which
 agrees with comparing the sorted id tuples.
 
+The two ratio sweeps share one block driver, _sweep. A mask splits
+into a high half and c = min(n, 12) low bits, the low halves taken in
+scan order (by size, then lex). High halves come in blocks of rows, at
+most _SWEEP_BLOCK entries: the node scorer fills a block with one OR of
+each row's closed neighbourhood N(high) | high with the low table
+N(low) | low and one popcount, since |N(S) - S| = |N(S) | S| - |S|;
+the edge scorer fills it by doubling over the rows from a base row
+moved in Gray-code order. The driver takes every row's size-class
+minima with one reduceat, picks the block's best (ratio, size) from
+an exact integer rank, and runs argmin and the lex tie-break only on
+the rows that tie it.
+
 Adjacency travels as one neighbour mask per node (adjacency_masks), and
 components are found on masks alone: _flood grows the component of one
 mask, connectivity_table decides every mask of up to 24 nodes at once,
@@ -44,7 +56,7 @@ INF = 1 << 30
 EXACT_MAX_N = 24
 # adjacency_masks keeps n bits per node, n^2 in all: 2 MiB at this n
 MASKS_MAX_N = 1 << 12
-# the low bits of a mask that one vectorized step scores together
+# the low bits of a ratio sweep's masks, and of the split of _or_tables
 _CHUNK_BITS = 12
 # steiner_min_tree's subset DP work, 3^t x n for t terminals: 5-7 s
 # at this cap; with n <= MASKS_MAX_N its 2^t x n tables stay under 2^21
@@ -56,6 +68,15 @@ _BLOCK = 1 << _CHUNK_BITS
 # stay near 0.3 MiB, where steps of 2^16 masks raised a span process's
 # peak resident memory by about 2 MiB
 _TABLE_CHUNK = 1 << 14
+# entries of one block of a ratio sweep, rows of high halves times low
+# halves: a node block's uint32 ORs take 256 KiB, and at n = 24 one
+# call of either sweep peaks under 1 MiB
+_SWEEP_BLOCK = 1 << 16
+# 16 * lcm(1, ..., 12): for set sizes 1 <= s <= 12, b * (_RANK // s) + s
+# is exact and orders cuts (b, s) by b / s, then by s
+_RANK = 16 * 27720
+# the rank of a set size outside 1..n // 2, above every cut's
+_UNRANKED = 1 << 30
 
 
 def _bits(mask: int):
@@ -164,83 +185,117 @@ def _scan_order(c: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _low_complements(c: int):
-    """~order as uint64 for the _scan_order of width c, read-only: ANDed
-    into a mask, entry k clears the bits of the k-th low half."""
-    out = ~_scan_order(c)[0].astype(np.uint64)
-    out.flags.writeable = False
-    return out
+def _ranks(n: int, closed: bool):
+    """(weight, shift) tables of a ratio sweep of n nodes, read-only,
+    indexed by the size hs of a high half and the size class j of the
+    low halves, for sets of size s = hs + j: a class whose least value
+    is m ranks m * weight + shift, as the cut (m, s), or (m - s, s) with
+    closed, where the values count S as well. A size outside 1..n // 2
+    ranks _UNRANKED, with weight 0."""
+    c = min(n, _CHUNK_BITS)
+    s = np.arange(n - c + 1)[:, None] + np.arange(c + 1)
+    valid = (s >= 1) & (s <= n // 2)
+    weight = np.where(valid, _RANK // np.maximum(s, 1), 0).astype(np.int32)
+    shift = np.where(valid, s - _RANK * closed, _UNRANKED).astype(np.int32)
+    weight.flags.writeable = shift.flags.writeable = False
+    return weight, shift
 
 
-def _sweep(n: int, c: int, order, starts, score):
+def _block_rows(c: int, count: int) -> int:
+    """High halves per block of a sweep over count of them (a power of
+    two) with c low bits: a power of two, at most _SWEEP_BLOCK >> c."""
+    return min(count, max(1, _SWEEP_BLOCK >> c))
+
+
+def _sweep(n: int, highs, score, offsets, closed: bool):
     """Canonical (value, size, mask) minimizing value / size over
     1 <= size <= n // 2, for n >= 2.
 
-    A mask is high | low with low the c low bits. The high halves are
-    walked in Gray-code order, so each differs from the previous one in
-    the single bit flip (0 at the first). score(high, flip, end) returns
-    (values, offset): values[k] + offset is the value of high | order[k]
-    for every k < end, and end covers exactly the low halves that keep
-    the size within n // 2.
+    A mask is high << c | low for a high half in highs and a low half of
+    the c bits of _low_halves(n), in scan order. The high halves are
+    scored in blocks of _block_rows rows, in the order of highs:
+    score(a, b, end) returns values, where values[r, k] + offsets[a + r]
+    (0 without offsets) is the value of highs[a + r] << c | order[k],
+    for r < b - a and every k < end, and end covers the low halves that
+    keep the smallest row's size within n // 2. With closed, values
+    count S itself as well (|N(S) | S| for node boundaries), so the size
+    is taken off.
+
+    A cut (b, s) ranks as b * (_RANK // s) + s: an exact integer that
+    orders cuts by b / s, then by s, and whose last four bits are s.
+    Each row's size-class minima come from one reduceat and are ranked
+    by the _ranks tables of the row's size; only the rows that tie the
+    block's best rank are searched for their set.
     """
+    c, order, starts = _low_halves(n)
+    sizes = np.bitwise_count(highs)
+    weight, shift = _ranks(n, closed)
+    rows = _block_rows(c, len(highs))
+    firsts = range(0, len(highs), rows)
     best = None
-    for step in range(1 << (n - c)):
-        high = (step ^ (step >> 1)) << c
-        flip = (step & -step) << c
-        hs = high.bit_count()
-        # top >= 0, since hs <= n - c and c = min(n, 12) >= n - n // 2 for n <= 24
-        top = min(n // 2 - hs, c)
-        values, offset = score(high, flip, starts[top + 1])
-        # per size class the smallest value; the empty set is skipped
-        mins = np.minimum.reduceat(values, starts[: top + 1]).tolist()
-        cb = cs = None
-        for j in range(1 if hs == 0 else 0, top + 1):
-            b, s = mins[j] + offset, j + hs
-            if cb is None or b * cs < cb * s:
-                cb, cs = b, s
-        if best is not None:
-            lhs, rhs = cb * best[1], best[0] * cs
-            if lhs > rhs or (lhs == rhs and cs > best[1]):
+    for a, least in zip(firsts, np.minimum.reduceat(sizes, firsts).tolist()):
+        b = a + rows
+        # top >= 0: a high half has at most n - c <= n // 2 nodes
+        top = min(n // 2 - least, c)
+        values = score(a, b, starts[top + 1])
+        mins = np.minimum.reduceat(values, starts[: top + 1], axis=1)
+        hs = sizes[a:b]
+        if offsets is not None:
+            mins = mins + offsets[a:b, None]
+        rank = mins * weight[hs, : top + 1] + shift[hs, : top + 1]
+        low = int(rank.min())
+        if best is not None and low > best[0]:
+            continue
+        size = low & 15
+        value = (low - size) // (_RANK // size)
+        tied = (rank == low).nonzero()
+        for r, j in zip(tied[0].tolist(), tied[1].tolist()):
+            high = int(highs[a + r]) << c
+            # no set of the row is lex-smaller than its j lowest low bits
+            if best is not None and not _better(value, size, high | (1 << j) - 1, *best[1:]):
                 continue
-        # the first minimum of the size class is its lex-smallest set
-        g0 = starts[cs - hs]
-        k = g0 + int(np.argmin(values[g0 : starts[cs - hs + 1]]))
-        mask = high | int(order[k])
-        if best is None or _better(cb, cs, mask, best[0], best[1], best[2]):
-            best = (cb, cs, mask)
-    return best
+            # the first minimum of the size class is the row's lex-smallest set
+            k = starts[j] + int(values[r, starts[j] : starts[j + 1]].argmin())
+            mask = high | int(order[k])
+            if best is None or _better(value, size, mask, *best[1:]):
+                best = (low, value, size, mask)
+    return best[1:]
 
 
 def min_ratio_node_cut(n: int, adj):
     """Minimize |outer node boundary| / |S| over 1 <= |S| <= n // 2.
 
     Full sweep over all subsets; node-boundary minimizers need not be
-    connected. Returns (boundary_size, set_size, set_mask), or None for
-    n < 2.
+    connected. Masks are split at c = min(n, 12) low bits, and since
+    |N(S) - S| = |N(S) | S| - |S|, a block is one OR of the closed
+    neighbourhoods of its high halves, one per row, with those of the
+    low halves, and one popcount. Returns (boundary_size, set_size,
+    set_mask), or None for n < 2.
     """
+    c, order, _ = _low_halves(n)
     if n < 2:
         return None
-    c, order, starts = _low_halves(n)
-    full = (1 << n) - 1
-    nbr = np.zeros(1 << c, dtype=np.uint64)
-    for i in range(c):
-        np.bitwise_or(nbr[: 1 << i], np.uint64(adj[i]), out=nbr[1 << i : 2 << i])
-    nbr = nbr[order]
-    # nbr | h stays within the n low bits, and full ^ high clips the high half
-    outside = _low_complements(c)
-    buf = np.empty(1 << c, dtype=np.uint64)
+    highs = _scan_order(n - c)[0]
+    closed = [m | 1 << v for v, m in enumerate(adj)]
+    lo = _or_table(closed[:c])[order]
+    hi = _or_table(closed[c:])[highs]
 
-    def score(high, _flip, end):
-        h = 0
-        for v in _bits(high):
-            h |= adj[v]
-        t = buf[:end]
-        np.bitwise_or(nbr[:end], np.uint64(h), out=t)
-        np.bitwise_and(t, outside[:end], out=t)
-        np.bitwise_and(t, np.uint64(full ^ high), out=t)
-        return np.bitwise_count(t), 0
+    def score(a, b, end):
+        return np.bitwise_count(lo[:end] | hi[a:b, None])
 
-    return _sweep(n, c, order, starts, score)
+    return _sweep(n, highs, score, None, True)
+
+
+def _cut_table(part, shift: int):
+    """cut[S] for every mask S of the nodes shift, shift + 1, ... whose
+    neighbour masks part lists: the edge boundary of S in all of G, by
+    doubling, cut[S | 1<<i] = cut[S] + deg(i) - 2 |adj(i) & S|."""
+    span = np.arange(1 << len(part), dtype=np.uint64) << np.uint64(shift)
+    cut = np.zeros(1 << len(part), dtype=np.int32)
+    for i, m in enumerate(part):
+        inner = np.bitwise_count(span[: 1 << i] & np.uint64(m))
+        np.subtract(cut[: 1 << i] + m.bit_count(), 2 * inner, out=cut[1 << i : 2 << i])
+    return cut
 
 
 def min_ratio_edge_cut(n: int, adj):
@@ -249,57 +304,60 @@ def min_ratio_edge_cut(n: int, adj):
     Sweeps all subsets; adj must be symmetric. The canonical winner is
     always connected: any disconnected S has a component with ratio <=
     ratio(S) and smaller size, so it loses the (ratio, size) tie-break.
-    Returns (cut_size, set_size, set_mask), or None for n < 2.
+    Masks are split at c = min(n, 12) low bits. A row holds cut(low) - 2
+    |edges(low, high)| with cut(high) as its offset. A block of 2^d
+    rows is the high halves base | t for t < 2^d: its first row is the
+    base row, kept whole and moved from block to block in Gray-code
+    order, one node's cross edges at a time, and its other rows come by
+    doubling over t, row(t | 1<<i) = row(t) - cross(i), where cross(i)
+    is twice the edges between high node i and the low half. Returns
+    (cut_size, set_size, set_mask), or None for n < 2.
     """
+    c, order, _ = _low_halves(n)
     if n < 2:
         return None
-    c, order, starts = _low_halves(n)
-    low = np.arange(1 << c, dtype=np.uint64)
-    # cut[S | 1<<i] = cut[S] + deg(i) - 2 |adj(i) & S|, cuts taken in all of G
-    cut = np.zeros(1 << c, dtype=np.int32)
-    for i in range(c):
-        inner = np.bitwise_count(low[: 1 << i] & np.uint64(adj[i]))
-        np.subtract(cut[: 1 << i] + adj[i].bit_count(), 2 * inner, out=cut[1 << i : 2 << i])
-    # values[k] = cut(low) - 2 |edges(low, high)| for the current high half
-    values = cut[order]
-    low = low[order]
-    cross = [
-        2 * np.bitwise_count(low & np.uint64(adj[v])).astype(np.int32) for v in range(c, n)
-    ]
-    cut_high = 0
+    rows = _block_rows(c, 1 << (n - c))
+    d = rows.bit_length() - 1
+    step = np.arange(1 << (n - c - d))
+    gray = (step ^ (step >> 1)) << d
+    highs = (gray[:, None] | np.arange(rows)).ravel()
+    low = np.arange(1 << c, dtype=np.uint64)[order]
+    cross = [2 * np.bitwise_count(low & np.uint64(adj[v])).astype(np.int32) for v in range(c, n)]
+    base = _cut_table(adj[:c], 0)[order]
+    block = np.empty((rows, 1 << c), dtype=np.int32)
 
-    def score(high, flip, end):
-        nonlocal cut_high
-        if flip:
-            v = flip.bit_length() - 1
-            d = adj[v].bit_count() - 2 * (adj[v] & high & ~flip).bit_count()
-            if high & flip:
-                cut_high += d
-                np.subtract(values, cross[v - c], out=values)
-            else:
-                cut_high -= d
-                np.add(values, cross[v - c], out=values)
-        return values[:end], cut_high
+    def score(a, b, end):
+        q = a >> d
+        if q:
+            # the base rows of blocks q - 1 and q differ in one high node
+            v = (q & -q).bit_length() - 1 + d
+            (np.subtract if int(highs[a]) >> v & 1 else np.add)(base, cross[v], out=base)
+        block[0, :end] = base[:end]
+        for i in range(d):
+            np.subtract(block[: 1 << i, :end], cross[i][:end], out=block[1 << i : 2 << i, :end])
+        return block[:, :end]
 
-    return _sweep(n, c, order, starts, score)
+    return _sweep(n, highs, score, _cut_table(adj[c:], c)[highs], False)
+
+
+def _or_table(bits):
+    """t[S] for every mask S of len(bits) bits: the OR of bits[i] over
+    the i in S, as uint32, by doubling, t[S | 1<<i] = t[S] | bits[i]."""
+    t = np.zeros(1 << len(bits), dtype=np.uint32)
+    for i, b in enumerate(bits):
+        np.bitwise_or(t[: 1 << i], b, out=t[1 << i : 2 << i])
+    return t
 
 
 def _or_tables(bits):
     """OR tables over masks split at c = min(len(bits), 12) bits: the
     OR of bits[i] over the i in a mask S is lo[S & (2^c - 1)] | hi[S >> c].
 
-    Both halves are built by doubling, t[S | 1<<i] = t[S] | bits[i], so
-    each holds at most 2^12 uint32 entries for masks of up to 24 bits.
+    Each half holds at most 2^12 uint32 entries for masks of up to 24
+    bits.
     """
     c = min(len(bits), _CHUNK_BITS)
-
-    def build(part):
-        t = np.zeros(1 << len(part), dtype=np.uint32)
-        for i, b in enumerate(part):
-            np.bitwise_or(t[: 1 << i], np.uint32(b), out=t[1 << i : 2 << i])
-        return t
-
-    return np.uint32((1 << c) - 1), np.uint32(c), build(bits[:c]), build(bits[c:])
+    return np.uint32((1 << c) - 1), np.uint32(c), _or_table(bits[:c]), _or_table(bits[c:])
 
 
 def _or_lookup(tables, s):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from xpand import expansion
+from xpand import expansion, kernels
 from xpand.errors import InputError, LimitError
 from xpand.expansion import (
     edge_expansion_exact,
@@ -104,6 +104,29 @@ def test_min_ratio_cut_on_a_node_subset():
     # the cap is checked on the size alone, before the nodes are read
     with pytest.raises(LimitError, match="limited to n <= 24, got n=1000000000"):
         expansion._min_ratio_cut(g, range(10**9), "node")
+
+
+@pytest.mark.parametrize(
+    "dims, keep",
+    [
+        ((4, 4), range(1, 16)),  # id 0 missing
+        ((4, 4), range(15)),  # the top id missing
+        ((4, 4), range(0, 16, 2)),  # every other id
+        ((4, 4), (1, 2, 3, 6, 9, 10, 13)),  # gaps below, between and above
+        ((5, 6), (0, 1, 2, 5, 6, 7, 8, 11, 12, 13, 24, 25, 29)),  # past 24 nodes
+    ],
+    ids=["no-0", "no-top", "alternate", "gaps", "30-nodes"],
+)
+@pytest.mark.parametrize("mode", ["node", "edge"])
+def test_min_ratio_cut_renumbers_like_a_relabelled_copy(dims, keep, mode):
+    g = mesh(list(dims))
+    sub, ids = oracles.relabel(g, keep)
+    sweep = getattr(kernels, f"min_ratio_{mode}_cut")
+    bnd, size, mask = sweep(sub.n, kernels.adjacency_masks(sub.adjacency))
+    want = (Fraction(bnd, size), oracles.mapped(ids, kernels.mask_nodes(mask)))
+    assert expansion._min_ratio_cut(g, list(keep), mode) == want
+    # again from g's masks kept since the first call, in another order
+    assert expansion._min_ratio_cut(g, set(keep), mode) == want
 
 
 def test_heuristic_bounds_exact():

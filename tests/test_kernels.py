@@ -81,6 +81,61 @@ def test_ratio_sweeps_match_reference_loops(graph):
         assert getattr(kernels, name)(n, adj) == getattr(oracles, name)(n, adj, n // 2)
 
 
+# one high half per block, then two: a sweep of n >= 14 nodes (c = 12
+# low bits) spans 4 or more blocks, and n = 13 spans its two
+@pytest.mark.parametrize("cap", [1 << 12, 1 << 13])
+@given(graph=tie_heavy_adjacency())
+@settings(max_examples=60, deadline=None)
+def test_ratio_sweeps_match_reference_loops_across_blocks(graph, cap):
+    n, adj = graph
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_SWEEP_BLOCK", cap)
+        for name in ("min_ratio_node_cut", "min_ratio_edge_cut"):
+            assert getattr(kernels, name)(n, adj) == getattr(oracles, name)(n, adj, n // 2)
+
+
+def _k8_and_k9():
+    # K8 on the even ids below 16, K9 on the rest: each spans both halves
+    evens, rest = range(0, 16, 2), [*range(1, 16, 2), 16]
+    edges = [e for part in (evens, rest) for e in combinations(part, 2)]
+    return Graph.from_edges(17, edges)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: complete(17), lambda: Graph.from_edges(17, []), _k8_and_k9],
+    ids=["K17", "edgeless", "K8+K9"],
+)
+@pytest.mark.parametrize("name", ["min_ratio_node_cut", "min_ratio_edge_cut"])
+def test_ratio_sweeps_break_ties_across_blocks(make, name):
+    # every block holds sets that tie the canonical winner's (ratio,
+    # size), or, on K8 + K9, the one ratio-0 set spans the blocks
+    g = make()
+    adj = kernels.adjacency_masks(g.adjacency)
+    want = getattr(oracles, name)(g.n, adj, g.n // 2)
+    assert getattr(kernels, name)(g.n, adj) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_SWEEP_BLOCK", 1 << 12)  # 32 blocks
+        assert getattr(kernels, name)(g.n, adj) == want
+
+
+@pytest.mark.parametrize("name", ["min_ratio_node_cut", "min_ratio_edge_cut"])
+def test_ratio_sweep_peak_memory(name):
+    # at the engine cap a sweep holds one block (256 KiB of node ORs or
+    # edge rows) and its tables; the caches of width 12 are filled first
+    g = mesh([4, 6])
+    adj = kernels.adjacency_masks(g.adjacency)
+    sweep = getattr(kernels, name)
+    sweep(g.n, adj)
+    tracemalloc.start()
+    try:
+        sweep(g.n, adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("name", ["min_ratio_node_cut", "min_ratio_edge_cut"])
 def test_ratio_sweeps_refuse_past_the_exact_cap(name):
     # one past EXACT_MAX_N is refused before any subset is walked
