@@ -17,7 +17,7 @@ bases whose nodes mostly end no chain (10 nodes with edges 01, 23; 8
 nodes with edges 04, 07, 25). The algorithm-layer
 rows time adversary_exhaustive at k = 2 on mesh 4x4 with f = 1 and on
 K16 with f = 2 (120 fault sets, each pruned and its survivor graded),
-percolation_point with pruning on the random 4-regular graph with 18
+run_percolation_sweep with pruning on the random 4-regular graph with 18
 nodes (p = 1/10, 20 trials, k = 2, as `percolate --prune` runs it,
 including its one exact alpha sweep), and 20 run_resilience_trial
 rounds on mesh 4x4 for each fault model (node failure p = 1/5, edge
@@ -49,7 +49,7 @@ from xpand.errors import GenerationError
 from xpand.expansion import edge_expansion_exact, subdivided_node_expansion
 from xpand.experiments import (
     adversary_exhaustive,
-    percolation_point,
+    run_percolation_sweep,
     run_resilience_trial,
     verify_subgraph_count_bound,
 )
@@ -232,7 +232,7 @@ def main() -> int:
 
     bench(
         f"percolation --prune {label}",
-        lambda: percolation_point(r18, "node", Fraction(1, 10), 20, 0, 0, prune_k=2),
+        lambda: run_percolation_sweep(r18, "node", [Fraction(1, 10)], 20, 0, prune_k=2),
         args.repeat,
     )
     for model, p in (("node", Fraction(1, 5)), ("edge", Fraction(4, 5))):

@@ -132,25 +132,6 @@ def _trial(g: Graph, model: str, p, trial: int, seed: int, grade):
     )
 
 
-def percolation_point(
-    g: Graph,
-    model: str,
-    p: Fraction,
-    trials: int,
-    seed_base: int,
-    point_index: int,
-    *,
-    prune_k: int | None = None,
-) -> list:
-    """The rows of one sweep point: run_percolation_sweep on the single
-    probability p, so trial j is drawn from seed
-    seed_base + point_index * 10**6 + j."""
-    rows, _points = run_percolation_sweep(
-        g, model, [p], trials, seed_base + point_index * 10**6, prune_k=prune_k
-    )
-    return rows
-
-
 def run_percolation_sweep(
     g: Graph,
     model: str,

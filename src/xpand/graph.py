@@ -13,6 +13,7 @@ edges and self-loops are load errors. Lines end at ``\n``, ``\r\n`` or
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,50 +34,66 @@ def check_size(n: int, m: int) -> None:
         raise LimitError(f"graph would have {m} edges, more than {EDGE_LIMIT}")
 
 
+def _node_id(v, n: int) -> int:
+    """v as an int when it is an integer id in [0, n): numpy integers pass
+    through operator.index, and a float, a string, None or an id out of
+    range is an InputError, never truncated or coerced."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise InputError(f"node id {v!r} is not an integer") from None
+    if not 0 <= i < n:
+        raise InputError(f"node id {i} out of range for n={n}")
+    return i
+
+
 class Graph:
     """Undirected simple graph, immutable after construction."""
 
     __slots__ = ("_adj", "_m", "_max_degree")
 
     def __init__(self, adjacency: Iterable[Iterable[int]]):
-        adj = tuple(tuple(sorted(set(nb))) for nb in adjacency)
-        n = len(adj)
+        """The one simple-graph validator: every id passes _node_id and
+        is stored as an int, each row sorted; a self-loop, a repeated
+        neighbour or a missing back-edge is an InputError."""
+        rows = list(adjacency)
+        n = len(rows)
+        adj = tuple(tuple(sorted([_node_id(u, n) for u in nb])) for nb in rows)
         m2 = 0
         maxdeg = 0
         for v, nbrs in enumerate(adj):
             if len(nbrs) > maxdeg:
                 maxdeg = len(nbrs)
             m2 += len(nbrs)
+            prev = -1
             for u in nbrs:
-                if not 0 <= u < n:
-                    raise InputError(f"neighbor id {u} out of range for n={n}")
+                if u == prev:
+                    raise InputError(f"repeated neighbour {u} of node {v}")
                 if u == v:
                     raise InputError(f"self-loop at node {v}")
                 row = adj[u]  # sorted, so one binary search per entry
                 i = bisect_left(row, v)
                 if i == len(row) or row[i] != v:
                     raise InputError(f"asymmetric adjacency between {u} and {v}")
+                prev = u
         self._adj = adj
         self._m = m2 // 2
         self._max_degree = maxdeg
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
+        """The graph on n nodes with the given edges, each a pair of ids;
+        Graph() validates the rows they are placed into."""
         if n < 0:
             raise InputError("node count must be nonnegative")
         check_size(n, 0)  # before the rows are built
         adj: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
         for e in edges:
-            u, v = int(e[0]), int(e[1])
-            if u == v:
-                raise InputError(f"self-loop edge ({u},{v})")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) out of range for n={n}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise InputError(f"duplicate edge ({u},{v})")
-            seen.add(key)
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise InputError(f"edge {e!r} is not a pair of node ids") from None
+            u, v = _node_id(u, n), _node_id(v, n)
             adj[u].append(v)
             adj[v].append(u)
         return cls(adj)
@@ -98,17 +115,13 @@ class Graph:
         return self._adj
 
     def neighbors(self, v: int) -> tuple:
-        self._check_node(v)
-        return self._adj[v]
+        return self._adj[_node_id(v, len(self._adj))]
 
     def degree(self, v: int) -> int:
-        self._check_node(v)
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        return v in self._adj[u]
+        return _node_id(v, len(self._adj)) in self.neighbors(u)
 
     def edges(self) -> Iterator[tuple]:
         """Yield edges as (u, v) with u < v, ascending."""
@@ -116,10 +129,6 @@ class Graph:
             for v in nbrs:
                 if v > u:
                     yield (u, v)
-
-    def _check_node(self, v: int) -> None:
-        if not 0 <= v < len(self._adj):
-            raise InputError(f"node id {v} out of range for n={len(self._adj)}")
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -138,17 +147,11 @@ class Cut:
 
 def canon_nodes(g: Graph, nodes: Iterable[int]) -> tuple:
     """Validate ids against g and return the canonical sorted tuple."""
-    out = []
-    seen = set()
-    for v in nodes:
-        v = int(v)
-        if not 0 <= v < g.n:
-            raise InputError(f"node id {v} out of range for n={g.n}")
-        if v in seen:
-            raise InputError(f"duplicate node id {v} in set")
-        seen.add(v)
-        out.append(v)
-    return tuple(sorted(out))
+    out = sorted([_node_id(v, g.n) for v in nodes])
+    for a, b in zip(out, out[1:]):
+        if a == b:
+            raise InputError(f"duplicate node id {a} in set")
+    return tuple(out)
 
 
 def node_boundary(g: Graph, s: Iterable[int], nodes=None) -> tuple:
@@ -282,17 +285,13 @@ def loads(text: str) -> Graph:
         pair = _decimals(line)
         if pair is None:
             raise LoadError(f"bad edge line {line!r}")
-        u, v = pair
-        if u == v:
-            raise LoadError(f"self-loop line {line!r}")
-        if not u < v:
+        if not pair[0] < pair[1]:
             raise LoadError(f"edge line must satisfy u < v, got {line!r}")
-        if v >= n:
-            raise LoadError(f"edge line {line!r} out of range for n={n}")
-        edges.append((u, v))
-    if len(set(edges)) != len(edges):
-        raise LoadError("duplicate edge line")
-    return Graph.from_edges(n, edges)
+        edges.append(pair)
+    try:
+        return Graph.from_edges(n, edges)
+    except InputError as exc:  # an id out of range, or a repeated edge
+        raise LoadError(str(exc)) from None
 
 
 def dumps(g: Graph) -> str:

@@ -582,7 +582,8 @@ def _kruskal_lex(w: int, adj) -> tuple:
 
 
 def steiner_min_tree(n: int, adj, terminals):
-    """Minimum-node tree spanning the terminals.
+    """Minimum-node tree spanning the terminals, canonical node ids
+    (sorted, distinct ints below n).
 
     Returns (node_count, edges, method) or None when the terminals do
     not share a component. Small instances take the superset sweep,
@@ -594,7 +595,7 @@ def steiner_min_tree(n: int, adj, terminals):
     leaves n <= t, where the sweep runs, so the DP never sees 14
     terminals.
     """
-    terms = tuple(sorted({int(v) for v in terminals}))
+    terms = tuple(terminals)
     t = len(terms)
     if t < 1:
         raise InputError("steiner tree needs at least one terminal")

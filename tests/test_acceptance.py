@@ -19,7 +19,6 @@ from xpand.expansion import (
 from xpand.experiments import (
     adversary_exhaustive,
     chain_attack_report,
-    percolation_point,
     run_percolation_sweep,
     verify_subgraph_count_bound,
 )
@@ -224,8 +223,8 @@ def test_criterion_10_disintegration_trend():
         s = subdivide_edges(random_regular(20, 3, seed=seed), 6)
         p_hi = F(round(4 * math.log(3) / 6 * 10**6), 10**6)
         p_lo = p_hi / 4
-        hi = percolation_point(s.graph, "node", p_hi, 50, 77, 0)
-        lo = percolation_point(s.graph, "node", p_lo, 50, 77, 1)
+        rows, _ = run_percolation_sweep(s.graph, "node", [p_hi, p_lo], 50, 77)
+        hi, lo = rows[:50], rows[50:]
         mean_hi = statistics.mean(r.gamma for r in hi)
         mean_lo = statistics.mean(r.gamma for r in lo)
         assert mean_hi <= mean_lo / 2

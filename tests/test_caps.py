@@ -15,7 +15,7 @@ import xpand
 from xpand import experiments, kernels, span
 from xpand.errors import InputError, LimitError
 from xpand.expansion import node_expansion_exact
-from xpand.experiments import percolation_point, verify_subgraph_count_bound
+from xpand.experiments import verify_subgraph_count_bound
 from xpand.generators import complete, cycle, mesh, path
 from xpand.graph import NODE_LIMIT, Graph
 from xpand.pruning import prune
@@ -87,7 +87,7 @@ def test_sampled_draws_are_refused_before_the_first(monkeypatch):
     for call in (
         lambda: span.span_sampled(cycle(8), DRAWS, 0),
         lambda: span.verify_mesh_span_certificate((3, 3), exhaustive=False, samples=DRAWS),
-        lambda: percolation_point(cycle(8), "node", Fraction(1, 2), DRAWS, 0, 0),
+        lambda: experiments.run_percolation_sweep(cycle(8), "node", [Fraction(1, 2)], DRAWS, 0),
     ):
         with pytest.raises(InputError, match=r"must lie in \[1, 1000000\]$"):
             call()
@@ -142,3 +142,24 @@ def test_limits_table_lists_every_cap_constant():
                 for name in names:
                     if "LIMIT" in name or "MAX" in name:
                         assert f"{path_.stem}.{name}" in listed
+
+
+def _library_bullets() -> list:
+    """(module, text) per `xpand.<module>` bullet of README's Library section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^- `xpand\.(\w+)`:(.*?)(?=^\S|\Z)", section, re.M | re.S)
+
+
+def test_library_section_names_only_what_exists():
+    # every bare backticked name, `name`, `name()` or `Class.attr`,
+    # resolves in the module its bullet names, so a deleted function
+    # cannot stay documented
+    bullets = _library_bullets()
+    assert len(bullets) >= 7
+    for module, body in bullets:
+        for name in re.findall(r"`([A-Za-z_][\w.]*)(?:\(\))?`", body):
+            target = importlib.import_module(f"xpand.{module}")
+            for part in name.split("."):
+                assert hasattr(target, part), f"xpand.{module} has no {name}"
+                target = getattr(target, part)

@@ -16,7 +16,6 @@ from xpand.experiments import (
     adversary_exhaustive,
     chain_attack_report,
     gamma,
-    percolation_point,
     rows_to_csv,
     rows_to_jsonl,
     run_percolation_sweep,
@@ -45,7 +44,7 @@ def test_gamma():
 
 
 def test_csv_format_is_frozen():
-    rows = percolation_point(cycle(12), "node", F(1, 10), 3, 42, 0)
+    rows, _ = run_percolation_sweep(cycle(12), "node", [F(1, 10)], 3, 42)
     text = rows_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == "p,trial,gamma,h_frac,expansion_num,expansion_den,certified,ms"
@@ -60,7 +59,7 @@ def test_csv_format_is_frozen():
 def test_jsonl_format_matches_csv_fields():
     import json
 
-    rows = percolation_point(cycle(12), "node", F(1, 10), 2, 42, 0)
+    rows, _ = run_percolation_sweep(cycle(12), "node", [F(1, 10)], 2, 42)
     for line, row in zip(rows_to_jsonl(rows).splitlines(), rows):
         obj = json.loads(line)
         assert obj["p"] == float(row.p)
@@ -80,23 +79,16 @@ def test_jsonl_format_matches_csv_fields():
 
 
 def test_node_model_extremes():
-    assert all(
-        r.gamma == 0 for r in percolation_point(cycle(12), "node", F(1), 3, 0, 0)
-    )
-    assert all(
-        r.gamma == 1 for r in percolation_point(cycle(12), "node", F(0), 3, 0, 0)
-    )
+    rows, _ = run_percolation_sweep(cycle(12), "node", [F(1), F(0)], 3, 0)
+    assert all(r.gamma == 0 for r in rows[:3])
+    assert all(r.gamma == 1 for r in rows[3:])
 
 
 def test_edge_model_p_is_survival_probability():
     # p=0 keeps nothing (gamma collapses to 1/n), p=1 keeps everything
-    assert all(
-        r.gamma == F(1, 12)
-        for r in percolation_point(cycle(12), "edge", F(0), 3, 0, 0)
-    )
-    assert all(
-        r.gamma == 1 for r in percolation_point(cycle(12), "edge", F(1), 3, 0, 0)
-    )
+    rows, _ = run_percolation_sweep(cycle(12), "edge", [F(0), F(1)], 3, 0)
+    assert all(r.gamma == F(1, 12) for r in rows[:3])
+    assert all(r.gamma == 1 for r in rows[3:])
     rows, _ = run_percolation_sweep(cycle(12), "edge", [F(1, 4), F(3, 4)], 20, 7)
     means = {}
     for r in rows:
@@ -122,8 +114,8 @@ def test_point_summaries():
 
 def test_supercritical_and_subcritical_bands():
     m = mesh([20, 20])
-    hi = percolation_point(m, "edge", F(9, 10), 30, 11, 0)
-    lo = percolation_point(m, "edge", F(1, 10), 30, 11, 1)
+    rows, _ = run_percolation_sweep(m, "edge", [F(9, 10), F(1, 10)], 30, 11)
+    hi, lo = rows[:30], rows[30:]
     assert statistics.mean(r.gamma for r in hi) > F(9, 10)
     assert statistics.mean(r.gamma for r in lo) < F(1, 20)
 
@@ -143,15 +135,15 @@ def test_pruned_sweep_invariants():
 def test_percolation_validation():
     m = mesh([4, 4])
     with pytest.raises(InputError):
-        percolation_point(m, "bogus", F(1, 2), 1, 0, 0)
+        run_percolation_sweep(m, "bogus", [F(1, 2)], 1, 0)
     with pytest.raises(InputError):
-        percolation_point(m, "node", F(2), 1, 0, 0)
+        run_percolation_sweep(m, "node", [F(2)], 1, 0)
     with pytest.raises(InputError):
-        percolation_point(m, "node", F(1, 2), 0, 0, 0)
+        run_percolation_sweep(m, "node", [F(1, 2)], 0, 0)
     with pytest.raises(InputError):
-        percolation_point(m, "edge", F(1, 2), 1, 0, 0, prune_k=2)
+        run_percolation_sweep(m, "edge", [F(1, 2)], 1, 0, prune_k=2)
     with pytest.raises(LimitError):
-        percolation_point(mesh([6, 6]), "node", F(1, 2), 1, 0, 0, prune_k=2)
+        run_percolation_sweep(mesh([6, 6]), "node", [F(1, 2)], 1, 0, prune_k=2)
 
 
 @pytest.mark.parametrize("k", [-1, 0, 1])
@@ -159,7 +151,7 @@ def test_percolation_validation():
 def test_pruned_percolation_refuses_k_below_2_up_front(k, p):
     # k = 0 used to divide by zero and k = +-1 to fail inside a trial
     with pytest.raises(InputError, match="k must be at least 2"):
-        percolation_point(mesh([3, 3]), "node", p, 1, 0, 0, prune_k=k)
+        run_percolation_sweep(mesh([3, 3]), "node", [p], 1, 0, prune_k=k)
 
 
 @pytest.mark.parametrize(
@@ -191,9 +183,11 @@ def test_a_sweep_checks_every_point_before_the_first_draw(
 
 def test_a_point_is_the_sweep_on_its_one_probability():
     m = mesh([3, 3])
+    # point i of a sweep draws from seed base + i * 10**6, as a sweep of
+    # that one point from that base does
     rows, _ = run_percolation_sweep(m, "node", [F(1, 4), F(1, 3)], 4, 9, prune_k=2)
-    assert percolation_point(m, "node", F(1, 3), 4, 9, 1, prune_k=2) == rows[4:]
-    assert percolation_point(m, "node", F(1, 4), 4, 9, 0, prune_k=2) == rows[:4]
+    assert run_percolation_sweep(m, "node", [F(1, 3)], 4, 9 + 10**6, prune_k=2)[0] == rows[4:]
+    assert run_percolation_sweep(m, "node", [F(1, 4)], 4, 9, prune_k=2)[0] == rows[:4]
 
 
 @pytest.mark.parametrize(

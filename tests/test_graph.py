@@ -1,7 +1,9 @@
 """Core graph container, boundaries, cuts, and the text format."""
 
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from xpand.errors import InputError, LimitError, LoadError
@@ -10,6 +12,7 @@ from xpand.graph import (
     EDGE_LIMIT,
     NODE_LIMIT,
     Graph,
+    canon_nodes,
     check_size,
     connected_components,
     dumps,
@@ -21,6 +24,8 @@ from xpand.graph import (
     make_cut,
     node_boundary,
 )
+
+from xpand.span import steiner_tree_min
 
 from oracles import random_connected_graph, relabel
 
@@ -164,6 +169,68 @@ def test_loads_rejects_malformed_input():
     ):
         with pytest.raises(LoadError):
             loads(text)
+
+
+# the entry points, each with the error it raises on malformed input
+_ENTRY_POINTS = {
+    "Graph": (Graph, InputError),
+    "from_edges": (lambda edges: Graph.from_edges(3, edges), InputError),
+    "canon_nodes": (lambda ids: canon_nodes(path(5), ids), InputError),
+    "degree": (lambda v: path(5).degree(v), InputError),
+    "loads": (loads, LoadError),
+}
+_NA = object()  # a case an entry point cannot be given
+# per case, one malformed argument for each entry point, in that order
+_MALFORMED = {
+    "float": ([[1.9], [0]], [(0, 1.9)], [1.5], 1.0, "2 1\n0 1.0\n"),
+    "string": ([["1"], [0]], [("2", 1)], "12", "1", "2 1\n0 x\n"),
+    "none": ([[None], [0]], [(None, 1)], [None], None, "2 1\n0 None\n"),
+    "repeat": ([[1, 1], [0]], [(0, 1), (1, 0)], [1, 1], _NA, "3 2\n0 1\n0 1\n"),
+    "self-loop": ([[0]], [(1, 1)], _NA, _NA, "2 1\n1 1\n"),
+    "out-of-range": ([[2], [0]], [(0, 3)], [5], 5, "2 1\n0 2\n"),
+    "negative": ([[-1], [0]], [(0, -1)], [-1], -1, "2 1\n-1 1\n"),
+    "not-a-pair": (_NA, [(0, 1, 2)], _NA, _NA, "3 1\n0 1 2\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, arg",
+    [
+        pytest.param(entry, arg, id=f"{case}-{entry}")
+        for case, args in _MALFORMED.items()
+        for entry, arg in zip(_ENTRY_POINTS, args)
+        if arg is not _NA
+    ],
+)
+def test_the_one_validator_refuses_malformed_ids_and_rows(entry, arg):
+    # a typed refusal, never a TypeError or a graph with the bad part dropped
+    call, error = _ENTRY_POINTS[entry]
+    with pytest.raises(error):
+        call(arg)
+
+
+def test_numpy_ids_are_stored_as_python_ints():
+    # a 70-node path: its masks pass 63 bits, where numpy ints overflow
+    rows = [np.array([u for u in (v - 1, v + 1) if 0 <= u < 70]) for v in range(70)]
+    edges = np.array([(v, v + 1) for v in range(69)])
+    for g in (Graph(rows), Graph.from_edges(np.int64(70), edges)):
+        assert g.adjacency == path(70).adjacency
+        assert {type(u) for row in g.adjacency for u in row} == {int}
+        assert steiner_tree_min(g, [np.int64(0), np.int64(69)])[0] == 70
+    assert canon_nodes(path(5), np.array([3, 1])) == (1, 3)
+    assert type(canon_nodes(path(5), np.array([3]))[0]) is int
+
+
+def test_loads_builds_no_set_of_all_edges():
+    # complete(300) has 44,850 edges; a set of them all costs about 3 MiB
+    text = dumps(complete(300))
+    tracemalloc.start()
+    try:
+        loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5 * 2**20
 
 
 def test_size_limits_admit_their_bound():

@@ -43,7 +43,7 @@ from xpand.expansion import (
 from xpand.experiments import (
     adversary_exhaustive,
     gamma,
-    percolation_point,
+    run_percolation_sweep,
     run_resilience_trial,
 )
 from xpand.faults import KIND_EDGE, KIND_NODE, FaultPattern, apply_faults, make_rng
@@ -344,9 +344,14 @@ def test_percolation_point_matches_reference(data, g, model, p, pruned):
         # the reference takes alpha, the library measures it
         prune_params = (node_expansion_exact(g).value, prune_k)
     trials, seed_base, index = (data.draw(st.integers(*r)) for r in ((1, 3), (0, 99), (0, 2)))
-    args = (g, model, p, trials, seed_base, index)
-    want = oracles.percolation_point(*args, prune_params=prune_params)
-    assert percolation_point(*args, prune_k=prune_k) == want
+    want = oracles.percolation_point(
+        g, model, p, trials, seed_base, index, prune_params=prune_params
+    )
+    # point index of a sweep draws from seed base + index * 10**6
+    rows, _ = run_percolation_sweep(
+        g, model, [p], trials, seed_base + index * 10**6, prune_k=prune_k
+    )
+    assert rows == want
 
 
 @given(
@@ -693,6 +698,6 @@ def test_survivor_measurement_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         adversary_exhaustive(g, 2, 1)
-        rows = percolation_point(g, "node", Fraction(1, 3), 6, 5, 0, prune_k=2)
+        rows, _ = run_percolation_sweep(g, "node", [Fraction(1, 3)], 6, 5, prune_k=2)
     # some faulty graphs fell apart, and pruning left a survivor to measure
     assert any(r.gamma < 1 and r.h_frac > 0 for r in rows)
